@@ -14,7 +14,7 @@ one workload:
 
 The run fails when the warm p50 is not >= 3x better than the cold request
 (the service's headline), when the daemon's decisions differ from direct
-``compile_module`` calls under the serial, thread or process executor
+``compile_module`` calls under the serial or process executor
 (bit-identity), or when the daemon is unhealthy after the series.  The
 fixed costs the warm tiers skip - pool spawn, snapshot load, pass
 construction - are measured separately and recorded in the
@@ -169,7 +169,7 @@ def main() -> int:
 
     if warm_decisions != decisions:
         failures.append("the two daemon boots disagree on decisions")
-    for executor in ("serial", "thread", "process"):
+    for executor in ("serial", "process"):
         direct = direct_decisions(payload, executor)
         if direct != decisions:
             failures.append(f"daemon decisions differ from direct "
@@ -198,7 +198,7 @@ def main() -> int:
             "warm_tier_cache_loaded_entries":
                 warm_stats.get("cache_loaded_entries", 0),
         },
-        "decisions_identical_serial_thread_process": not any(
+        "decisions_identical_serial_process": not any(
             "differ" in failure for failure in failures),
     }
     with open(out_path, "w") as handle:

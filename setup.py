@@ -16,7 +16,7 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     # the core stays dependency-free; the "fast" extra enables the
-    # vectorized NumPy alignment backend (nw-numpy / nw-banded-numpy)
+    # vectorized NumPy alignment backend (nw-numpy)
     extras_require={"fast": ["numpy"]},
     entry_points={
         "console_scripts": [
@@ -25,7 +25,7 @@ setup(
             "repro-lint = repro.analysis.cli:lint_main",
         ],
     },
-    # the native DP kernels (nw-native / nw-banded-native).  optional=True:
+    # the native DP kernel (nw-native).  optional=True:
     # a missing compiler skips the extension instead of failing the
     # install - repro.core.native then degrades to the NumPy or pure tier
     # (and can still build the extension on demand where a compiler

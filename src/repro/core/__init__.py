@@ -14,15 +14,10 @@ Public API:
 * :func:`apply_merge` — commit a merge into a module (thunks / call updates).
 """
 
-from .align_np import (needleman_wunsch_banded_numpy,
-                       needleman_wunsch_banded_numpy_keyed,
-                       needleman_wunsch_numpy, needleman_wunsch_numpy_keyed,
-                       needleman_wunsch_wavefront_numpy,
-                       needleman_wunsch_wavefront_numpy_keyed,
+from .align_np import (needleman_wunsch_numpy, needleman_wunsch_numpy_keyed,
                        numpy_available, solve_keyed_alignment_numpy)
 from .alignment import (AlignedEntry, AlignmentResult, ScoringScheme, align,
-                        hirschberg, needleman_wunsch, needleman_wunsch_banded,
-                        needleman_wunsch_banded_keyed, needleman_wunsch_keyed,
+                        hirschberg, needleman_wunsch, needleman_wunsch_keyed,
                         ops_string, solve_keyed_alignment)
 from .codegen import (CodegenError, MergeCodeGenerator, MergeOptions,
                       MergeResult, merge_functions, merge_parameter_lists,
@@ -39,9 +34,8 @@ from .fingerprint import (Fingerprint, FingerprintDelta, fingerprint_module,
                           similarity)
 from .linearizer import (LinearEntry, LinearizedFunction, linearize,
                          linearize_with_keys, sequence_signature)
-from .native import (native_available, needleman_wunsch_banded_native,
-                     needleman_wunsch_banded_native_keyed,
-                     needleman_wunsch_native, needleman_wunsch_native_keyed,
+from .native import (native_available, needleman_wunsch_native,
+                     needleman_wunsch_native_keyed,
                      solve_keyed_alignment_native)
 from .pass_ import (FunctionMergingPass, MergeRecord, MergeReport, STAGES,
                     make_hotness_filter)
@@ -51,16 +45,11 @@ from .thunks import AppliedMerge, apply_merge, build_thunk
 
 __all__ = [
     "AlignedEntry", "AlignmentResult", "ScoringScheme", "align", "hirschberg",
-    "needleman_wunsch", "needleman_wunsch_banded",
-    "needleman_wunsch_banded_keyed", "needleman_wunsch_keyed",
+    "needleman_wunsch", "needleman_wunsch_keyed",
     "needleman_wunsch_numpy", "needleman_wunsch_numpy_keyed",
-    "needleman_wunsch_banded_numpy", "needleman_wunsch_banded_numpy_keyed",
-    "needleman_wunsch_wavefront_numpy",
-    "needleman_wunsch_wavefront_numpy_keyed",
     "numpy_available", "solve_keyed_alignment_numpy",
     "native_available", "needleman_wunsch_native",
-    "needleman_wunsch_native_keyed", "needleman_wunsch_banded_native",
-    "needleman_wunsch_banded_native_keyed", "solve_keyed_alignment_native",
+    "needleman_wunsch_native_keyed", "solve_keyed_alignment_native",
     "AlignmentCache",
     "ops_string", "solve_keyed_alignment", "decode_canonical_keys",
     "CodegenError", "MergeCodeGenerator", "MergeOptions", "MergeResult",

@@ -1,8 +1,7 @@
 /* Native Needleman-Wunsch alignment kernels (the "nw-native" tier).
  *
  * Implements the keyed NW DP fill *and* traceback over integer equivalence
- * keys, plus the banded variant with the same optimality certificate as the
- * pure-Python `_try_banded`.  The contract is bit-identical output: for any
+ * keys.  The contract is bit-identical output: for any
  * key sequences and scoring scheme, the returned (ops, score) shape equals
  * `ops_string(...)` / score of `needleman_wunsch_keyed` in
  * repro.core.alignment - same tie-breaking included.
@@ -34,11 +33,6 @@
 #define MV_MISMATCH 1
 #define MV_UP 2   /* gap in seq2: consumes seq1[i-1], emits 'l' */
 #define MV_LEFT 3 /* gap in seq1: consumes seq2[j-1], emits 'r' */
-
-/* Unreachable banded cells.  Any real score satisfies |score| <= (n+m) *
- * max|weight|, which the Python wrapper bounds far above this sentinel, so
- * sentinel cells can never tie or beat a reachable value. */
-#define NEG_SENTINEL (INT64_MIN / 4)
 
 static int64_t *
 keys_to_array(PyObject *seq, Py_ssize_t *len_out)
@@ -316,200 +310,11 @@ nw_solve_matrix(PyObject *self, PyObject *args)
     return Py_BuildValue("(NL)", ops, (long long)score);
 }
 
-/* Banded keyed solve.  Mirrors _try_banded: band j - i in [lo, hi] with
- * lo = min(0, d) - w, hi = max(0, d) + w (d = m - n, w = max(0, margin));
- * escape bound (n - g1_esc) * diag_best + (2 * g1_esc + d) * gap with
- * g1_esc = w + 1 + max(0, -d).  Returns None when banding cannot apply or
- * the certificate fails (the Python wrapper then falls back to the full
- * DP), else the certified (ops, score).
- *
- * Band storage: each row holds W = hi - lo + 1 slots at fixed offset base
- * i + lo, so cell (i, j) lives at slot j - i - lo; its diagonal neighbour
- * (i-1, j-1) is the *same* slot in the previous row, up (i-1, j) is slot+1,
- * left (i, j-1) is slot-1.  Out-of-window slots hold NEG_SENTINEL, giving
- * exactly the reachability guards of the Python _banded_fill. */
-static PyObject *
-nw_solve_banded_keyed(PyObject *self, PyObject *args)
-{
-    PyObject *keys1_obj, *keys2_obj;
-    long long match, mismatch, gap, margin;
-    if (!PyArg_ParseTuple(args, "OOLLLL", &keys1_obj, &keys2_obj, &match,
-                          &mismatch, &gap, &margin))
-        return NULL;
-    Py_ssize_t n = 0, m = 0;
-    int64_t *k1 = keys_to_array(keys1_obj, &n);
-    if (k1 == NULL)
-        return NULL;
-    int64_t *k2 = keys_to_array(keys2_obj, &m);
-    if (k2 == NULL) {
-        PyMem_Free(k1);
-        return NULL;
-    }
-
-    int64_t diag_best = match > mismatch ? match : mismatch;
-    int64_t d = (int64_t)m - (int64_t)n;
-    int64_t w = margin > 0 ? margin : 0;
-    Py_ssize_t min_nm = n < m ? n : m;
-    if (n == 0 || m == 0 || gap > 0 || 2 * gap >= diag_best || w >= min_nm) {
-        PyMem_Free(k1);
-        PyMem_Free(k2);
-        Py_RETURN_NONE; /* banding cannot apply / cannot pay off */
-    }
-    int64_t lo = (d < 0 ? d : 0) - w;
-    int64_t hi = (d > 0 ? d : 0) + w;
-    Py_ssize_t W = (Py_ssize_t)(hi - lo + 1);
-
-    int64_t *vals = PyMem_Malloc((size_t)W * 2 * sizeof(int64_t));
-    uint8_t *bmoves = NULL;
-    if (vals != NULL) {
-        if (n > 0 && (size_t)n <= (size_t)PY_SSIZE_T_MAX / (size_t)W)
-            bmoves = PyMem_Malloc((size_t)n * (size_t)W);
-    }
-    if (vals == NULL || bmoves == NULL) {
-        PyMem_Free(vals);
-        PyMem_Free(bmoves);
-        PyMem_Free(k1);
-        PyMem_Free(k2);
-        return PyErr_NoMemory();
-    }
-
-    int64_t score = NEG_SENTINEL;
-    Py_BEGIN_ALLOW_THREADS
-    {
-        int64_t *prev = vals;
-        int64_t *cur = vals + W;
-        /* row 0: j in [0, min(m, hi)] at slots j - lo */
-        for (Py_ssize_t s = 0; s < W; s++)
-            prev[s] = NEG_SENTINEL;
-        {
-            int64_t jhi0 = hi < (int64_t)m ? hi : (int64_t)m;
-            for (int64_t j = 0; j <= jhi0; j++)
-                prev[j - lo] = j * gap;
-        }
-        for (Py_ssize_t i = 1; i <= n; i++) {
-            int64_t jlo = (int64_t)i + lo > 0 ? (int64_t)i + lo : 0;
-            int64_t jhi = (int64_t)i + hi < (int64_t)m ? (int64_t)i + hi
-                                                       : (int64_t)m;
-            for (Py_ssize_t s = 0; s < W; s++)
-                cur[s] = NEG_SENTINEL;
-            uint8_t *mrow = bmoves + (size_t)(i - 1) * (size_t)W;
-            const int64_t key = k1[i - 1];
-            for (int64_t j = jlo; j <= jhi; j++) {
-                Py_ssize_t o = (Py_ssize_t)(j - (int64_t)i - lo);
-                int64_t best = NEG_SENTINEL;
-                uint8_t mv = MV_LEFT;
-                int64_t pd = prev[o]; /* (i-1, j-1); NEG when j-1 off-band */
-                if (pd != NEG_SENTINEL) {
-                    int is_eq = (key == k2[j - 1]);
-                    best = pd + (is_eq ? match : mismatch);
-                    mv = is_eq ? MV_MATCH : MV_MISMATCH;
-                }
-                int64_t pu = (o + 1 < W) ? prev[o + 1] : NEG_SENTINEL;
-                if (pu != NEG_SENTINEL) {
-                    int64_t up = pu + gap;
-                    if (up > best) {
-                        best = up;
-                        mv = MV_UP;
-                    }
-                }
-                int64_t pl = (o >= 1) ? cur[o - 1] : NEG_SENTINEL;
-                if (pl != NEG_SENTINEL) {
-                    int64_t left = pl + gap;
-                    if (left > best) {
-                        best = left;
-                        mv = MV_LEFT;
-                    }
-                }
-                cur[o] = best;
-                mrow[o] = mv;
-            }
-            int64_t *tmp = prev;
-            prev = cur;
-            cur = tmp;
-        }
-        score = prev[(Py_ssize_t)(d - lo)]; /* cell (n, m) */
-    }
-    Py_END_ALLOW_THREADS
-    PyMem_Free(k1);
-    PyMem_Free(k2);
-
-    /* optimality certificate (identical to _try_banded) */
-    int certified = score > NEG_SENTINEL / 2;
-    if (certified) {
-        int64_t g1_esc = w + 1 + (d < 0 ? -d : 0);
-        if (g1_esc <= (int64_t)n) {
-            int64_t escape_bound = ((int64_t)n - g1_esc) * diag_best
-                                   + (2 * g1_esc + d) * gap;
-            if (score <= escape_bound)
-                certified = 0;
-        }
-    }
-    if (!certified) {
-        PyMem_Free(vals);
-        PyMem_Free(bmoves);
-        Py_RETURN_NONE;
-    }
-
-    /* traceback over the recorded band moves */
-    Py_ssize_t cap = n + m;
-    char *buf = PyMem_Malloc((size_t)(cap > 0 ? cap : 1));
-    if (buf == NULL) {
-        PyMem_Free(vals);
-        PyMem_Free(bmoves);
-        return PyErr_NoMemory();
-    }
-    Py_ssize_t p = cap;
-    {
-        Py_ssize_t i = n, j = m;
-        while (i > 0 || j > 0) {
-            if (i == 0) {
-                buf[--p] = 'r';
-                j--;
-                continue;
-            }
-            Py_ssize_t o = (Py_ssize_t)((int64_t)j - (int64_t)i - lo);
-            switch (bmoves[(size_t)(i - 1) * (size_t)W + (size_t)o]) {
-            case MV_MATCH:
-                buf[--p] = 'm';
-                i--;
-                j--;
-                break;
-            case MV_MISMATCH:
-                buf[--p] = 'r';
-                buf[--p] = 'l';
-                i--;
-                j--;
-                break;
-            case MV_UP:
-                buf[--p] = 'l';
-                i--;
-                break;
-            default:
-                buf[--p] = 'r';
-                j--;
-                break;
-            }
-        }
-    }
-    PyMem_Free(vals);
-    PyMem_Free(bmoves);
-    PyObject *ops = PyUnicode_FromStringAndSize(buf + p, cap - p);
-    PyMem_Free(buf);
-    if (ops == NULL)
-        return NULL;
-    return Py_BuildValue("(NL)", ops, (long long)score);
-}
-
 static PyMethodDef nw_native_methods[] = {
     {"solve_keyed", nw_solve_keyed, METH_VARARGS,
      "solve_keyed(keys1, keys2, match, mismatch, gap) -> (ops, score)\n\n"
      "Full keyed Needleman-Wunsch: fill + packed traceback, bit-identical\n"
      "to repro.core.alignment.needleman_wunsch_keyed's shape."},
-    {"solve_banded_keyed", nw_solve_banded_keyed, METH_VARARGS,
-     "solve_banded_keyed(keys1, keys2, match, mismatch, gap, margin)\n"
-     "-> (ops, score) | None\n\n"
-     "Banded keyed NW with the _try_banded optimality certificate; None\n"
-     "when uncertified (caller falls back to the full DP)."},
     {"solve_matrix", nw_solve_matrix, METH_VARARGS,
      "solve_matrix(eq_bytes, n, m, match, mismatch, gap) -> (ops, score)\n\n"
      "Full NW over a precomputed n*m equivalence byte matrix (the generic\n"

@@ -1,4 +1,4 @@
-"""NumPy-vectorized Needleman-Wunsch kernels (the wavefront backend).
+"""NumPy-vectorized Needleman-Wunsch kernels (the ``nw-numpy`` tier).
 
 The pure-Python kernels in :mod:`repro.core.alignment` fill the DP matrix
 one cell at a time.  Scores in a Needleman-Wunsch row depend on the previous
@@ -14,8 +14,8 @@ moves - so a whole row can be computed with three vectorized steps:
 
 Equivalence comes in as boolean rows over the precomputed integer
 equivalence keys (see :mod:`repro.core.equivalence`) for the keyed kernels,
-or predicate evaluations for the generic front door.  The full fills use
-**packed tracebacks**: instead of keeping the whole int64 score matrix
+or predicate evaluations for the generic front door.  The fill uses a
+**packed traceback**: instead of keeping the whole int64 score matrix
 alive for a Python traceback, each row records one ``uint8`` move per cell
 (~8x less peak memory), chosen with the exact equality tests the
 pure-Python traceback would apply to the same integers - so entries and
@@ -24,22 +24,6 @@ tie-breaking are bit-identical to
 are decoded by the shared :func:`repro.core.alignment.moves_to_ops`
 routine (one tie-breaking definition for every packed backend, native C
 included).
-
-Two full-fill formulations are provided:
-
-* ``nw-numpy`` - the row-vectorized recurrence above (one O(m) vector op
-  sequence per row);
-* ``nw-wavefront-numpy`` - an anti-diagonal wavefront: cells on the
-  anti-diagonal ``i + j = k`` depend only on diagonals ``k-1`` and ``k-2``,
-  so each step computes ``min(n, m)``-wide vectors with *no* in-row
-  gap-closure scan.  On very large pairs where the row loop is bound by
-  the ``maximum.accumulate`` latency chain this exposes the full SIMD
-  width per step; on small pairs the extra bookkeeping loses to
-  ``nw-numpy``.
-
-The banded variants mirror :func:`~repro.core.alignment._try_banded` exactly
-(same band geometry, same optimality certificate, same fallback), with each
-band row filled by the vectorized recurrence above.
 
 NumPy is an optional dependency (the ``fast`` extra).  Importing this module
 never imports NumPy; the kernels import it lazily on first use and raise an
@@ -52,35 +36,25 @@ A practical note on when the vectorized kernels pay off: each row costs a
 handful of NumPy calls, so for tiny sequences (tens of entries) the
 per-call overhead can eat the win; for the hundreds-of-entries functions
 where alignment time actually hurts, the O(m)-wide vector operations beat
-the pure-Python inner loop by an order of magnitude.  As a bonus the fill
-spends its time inside NumPy ufuncs, which release the GIL - the plan/commit
-scheduler's thread executor can genuinely overlap alignments.
+the pure-Python inner loop by an order of magnitude.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, TypeVar
-
-from typing import Tuple
+from typing import Sequence, Tuple, TypeVar
 
 from .alignment import (AlignmentResult, EquivalenceFn, ScoringScheme,
                         MOVE_LEFT, MOVE_MATCH, MOVE_MISMATCH, MOVE_UP,
-                        _banded_traceback, _default_equivalence,
-                        derive_band_margin, moves_to_ops,
-                        needleman_wunsch_keyed, ops_string, result_from_ops,
-                        DEFAULT_BAND_MARGIN, _NEG)
+                        _default_equivalence, moves_to_ops,
+                        needleman_wunsch_keyed, ops_string, result_from_ops)
 
 T = TypeVar("T")
 
 #: Kernel names served by this module.
-NUMPY_KERNELS = ("nw-numpy", "nw-banded-numpy", "nw-wavefront-numpy")
+NUMPY_KERNELS = ("nw-numpy",)
 
 #: Pure-Python algorithm each NumPy kernel downgrades to (identical results).
-PURE_PYTHON_FALLBACKS = {
-    "nw-numpy": "needleman-wunsch",
-    "nw-banded-numpy": "nw-banded",
-    "nw-wavefront-numpy": "needleman-wunsch",
-}
+PURE_PYTHON_FALLBACKS = {"nw-numpy": "needleman-wunsch"}
 
 _numpy = None  # unresolved; False once an import attempt failed
 
@@ -160,53 +134,6 @@ def _nw_fill_moves_numpy(np, n: int, m: int, eq_row_of,
     return moves, int(prev[m])
 
 
-def _nw_fill_wavefront_numpy(np, n: int, m: int, eq_diag_of,
-                             scoring: ScoringScheme):
-    """Anti-diagonal wavefront NW fill with the same packed traceback.
-
-    Cells on the anti-diagonal ``i + j = k`` depend on diagonal ``k-1``
-    (both gap moves) and ``k-2`` (the substitution move) only, so each step
-    is a handful of ufunc calls over a ``min(n, m)``-wide vector with no
-    sequential in-row scan - the whole SIMD width works per step.  Three
-    rotating buffers indexed by ``i`` hold the last three diagonals.
-
-    ``eq_diag_of(ii, jj)`` returns the boolean equivalence of
-    ``seq1[ii - 1]`` vs ``seq2[jj - 1]`` for parallel index vectors (both
-    >= 1).  Returns ``(moves, score)`` exactly as the row fill does.
-    """
-    gap, match, mismatch = scoring.gap, scoring.match, scoring.mismatch
-    if n == 0 or m == 0:
-        return (np.empty((n, m), dtype=np.uint8), (n + m) * gap)
-    d_km2 = np.empty(n + 1, dtype=np.int64)  # diagonal k-2
-    d_km1 = np.empty(n + 1, dtype=np.int64)  # diagonal k-1
-    d_k = np.empty(n + 1, dtype=np.int64)    # diagonal k (being filled)
-    d_km1[0] = 0  # cell (0, 0)
-    moves = np.empty((n, m), dtype=np.uint8)
-    for k in range(1, n + m + 1):
-        ilo, ihi = max(0, k - m), min(n, k)
-        if ilo == 0:
-            d_k[0] = k * gap        # cell (0, k): leading seq2 gaps
-        if ihi == k:
-            d_k[k] = k * gap        # cell (k, 0): leading seq1 gaps
-        i0, i1 = max(ilo, 1), min(ihi, k - 1)
-        if i0 <= i1:
-            ii = np.arange(i0, i1 + 1, dtype=np.intp)
-            jj = k - ii
-            eq = eq_diag_of(ii, jj)
-            sub = np.where(eq, np.int64(match), np.int64(mismatch))
-            diag = d_km2[i0 - 1:i1] + sub       # (i-1, j-1) on diagonal k-2
-            up = d_km1[i0 - 1:i1] + gap         # (i-1, j)   on diagonal k-1
-            left = d_km1[i0:i1 + 1] + gap       # (i, j-1)   on diagonal k-1
-            best = np.maximum(diag, np.maximum(up, left))
-            d_k[i0:i1 + 1] = best
-            moves[ii - 1, jj - 1] = np.where(
-                best == diag,
-                np.where(eq, np.uint8(MOVE_MATCH), np.uint8(MOVE_MISMATCH)),
-                np.where(best == up, np.uint8(MOVE_UP), np.uint8(MOVE_LEFT)))
-        d_km2, d_km1, d_k = d_km1, d_k, d_km2
-    return moves, int(d_km1[n])
-
-
 def _int_keys(np, keys: Sequence[int]):
     """Keys as an int64 array, or None when they do not fit (falls back to
     the pure-Python kernel; interned keys always fit in practice)."""
@@ -255,181 +182,9 @@ def needleman_wunsch_numpy(seq1: Sequence[T], seq2: Sequence[T],
     return result_from_ops(moves_to_ops(moves, n, m), score, seq1, seq2)
 
 
-def needleman_wunsch_wavefront_numpy_keyed(seq1: Sequence[T],
-                                           seq2: Sequence[T],
-                                           keys1: Sequence[int],
-                                           keys2: Sequence[int],
-                                           scoring: ScoringScheme = ScoringScheme()
-                                           ) -> AlignmentResult[T]:
-    """Anti-diagonal wavefront NW over integer equivalence keys; identical
-    entries and score to the row-vectorized and pure-Python kernels."""
-    np = require_numpy("nw-wavefront-numpy")
-    k1 = _int_keys(np, keys1)
-    k2 = _int_keys(np, keys2)
-    if k1 is None or k2 is None:
-        return needleman_wunsch_keyed(seq1, seq2, keys1, keys2, scoring)
-    n, m = len(seq1), len(seq2)
-    moves, score = _nw_fill_wavefront_numpy(
-        np, n, m, lambda ii, jj: k1[ii - 1] == k2[jj - 1], scoring)
-    return result_from_ops(moves_to_ops(moves, n, m), score, seq1, seq2)
-
-
-def needleman_wunsch_wavefront_numpy(seq1: Sequence[T], seq2: Sequence[T],
-                                     equivalent: EquivalenceFn = _default_equivalence,
-                                     scoring: ScoringScheme = ScoringScheme()
-                                     ) -> AlignmentResult[T]:
-    """Wavefront NW behind the generic predicate interface (predicate sweep
-    still n*m Python calls; only the DP runs on anti-diagonals)."""
-    np = require_numpy("nw-wavefront-numpy")
-    n, m = len(seq1), len(seq2)
-    eq = np.empty((n, m), dtype=bool)
-    for i in range(n):
-        a = seq1[i]
-        eq[i] = [equivalent(a, b) for b in seq2]
-    moves, score = _nw_fill_wavefront_numpy(
-        np, n, m, lambda ii, jj: eq[ii - 1, jj - 1], scoring)
-    return result_from_ops(moves_to_ops(moves, n, m), score, seq1, seq2)
-
-
-# ---------------------------------------------------------------------------
-# Banded fill (same certificate as the pure-Python banded kernel)
-# ---------------------------------------------------------------------------
-
-def _gather(np, arr, idx):
-    """``arr[idx]`` with out-of-range positions replaced by -inf."""
-    out = np.full(idx.shape, _NEG)
-    valid = (idx >= 0) & (idx < arr.shape[0])
-    if valid.any():
-        out[valid] = arr[idx[valid]]
-    return out
-
-
-def _banded_fill_numpy(np, n: int, m: int, lo: int, hi: int, eq_row_fn,
-                       scoring: ScoringScheme) -> list:
-    """Vectorized version of ``_banded_fill``: one (jlo, values) pair per
-    row, with ``values`` a float64 array using -inf for unreachable cells.
-
-    ``eq_row_fn(i, js)`` returns the boolean equivalence of ``seq1[i]``
-    against ``seq2[j - 1]`` for the column vector ``js`` (positions where
-    ``j == 0`` may hold garbage - their diagonal source is -inf anyway).
-    """
-    gap, match, mismatch = scoring.gap, scoring.match, scoring.mismatch
-    rows: list = []
-    for i in range(n + 1):
-        jlo, jhi = max(0, i + lo), min(m, i + hi)
-        js = np.arange(jlo, jhi + 1, dtype=np.int64)
-        if i == 0:
-            values = js.astype(np.float64) * gap
-        else:
-            prev_jlo, prev_values = rows[i - 1]
-            diag = _gather(np, prev_values, js - 1 - prev_jlo)
-            up = _gather(np, prev_values, js - prev_jlo)
-            sub = np.where(eq_row_fn(i - 1, js), float(match), float(mismatch))
-            cand = np.maximum(diag + sub, up + gap)
-            # in-row gap closure over the band window (the out-of-window
-            # left neighbour is unreachable, exactly as in _banded_fill)
-            gjs = js.astype(np.float64) * gap
-            values = np.maximum.accumulate(cand - gjs) + gjs
-        rows.append((jlo, values))
-    return rows
-
-
-def _try_banded_numpy(np, seq1: Sequence[T], seq2: Sequence[T], eq_row_fn,
-                      eq, scoring: ScoringScheme,
-                      margin: int) -> Optional[AlignmentResult[T]]:
-    """Banded DP + optimality certificate, mirroring ``_try_banded``'s
-    geometry and escape bound cell for cell.  Returns None when the
-    certificate fails and the caller must fall back to the full DP."""
-    n, m = len(seq1), len(seq2)
-    gap, match, mismatch = scoring.gap, scoring.match, scoring.mismatch
-    if n == 0 or m == 0:
-        return None
-    diag_best = max(match, mismatch)
-    if gap > 0 or 2 * gap >= diag_best:
-        return None
-    d = m - n
-    w = max(0, margin)
-    if w >= min(n, m):
-        return None
-    lo, hi = min(0, d) - w, max(0, d) + w
-    rows = _banded_fill_numpy(np, n, m, lo, hi, eq_row_fn, scoring)
-    jlo, last = rows[n]
-    score = last[m - jlo]
-    g1_esc = w + 1 + max(0, -d)
-    if g1_esc <= n:
-        escape_bound = (n - g1_esc) * diag_best + (2 * g1_esc + d) * gap
-        if score <= escape_bound:
-            return None
-    entries = _banded_traceback(seq1, seq2, rows, eq, scoring)
-    return AlignmentResult(entries, int(score))
-
-
-def needleman_wunsch_banded_numpy_keyed(seq1: Sequence[T], seq2: Sequence[T],
-                                        keys1: Sequence[int],
-                                        keys2: Sequence[int],
-                                        scoring: ScoringScheme = ScoringScheme(),
-                                        band_margin: Optional[int] = None
-                                        ) -> AlignmentResult[T]:
-    """Banded vectorized NW over integer keys: identical results to
-    :func:`~repro.core.alignment.needleman_wunsch_banded_keyed` (and hence
-    the full DP), with the key-multiset-derived default band margin and a
-    fallback to the full vectorized kernel when the certificate fails."""
-    np = require_numpy("nw-banded-numpy")
-    if band_margin is None:
-        band_margin = derive_band_margin(keys1, keys2)
-    k1 = _int_keys(np, keys1)
-    k2 = _int_keys(np, keys2)
-    if k1 is None or k2 is None:
-        from .alignment import needleman_wunsch_banded_keyed
-        return needleman_wunsch_banded_keyed(seq1, seq2, keys1, keys2,
-                                             scoring, band_margin)
-
-    def eq_row_fn(i: int, js):
-        return k1[i] == k2[js - 1]
-
-    def eq(i: int, j: int) -> bool:
-        return keys1[i] == keys2[j]
-
-    result = _try_banded_numpy(np, seq1, seq2, eq_row_fn, eq, scoring,
-                               band_margin)
-    if result is not None:
-        return result
-    return needleman_wunsch_numpy_keyed(seq1, seq2, keys1, keys2, scoring)
-
-
-def needleman_wunsch_banded_numpy(seq1: Sequence[T], seq2: Sequence[T],
-                                  equivalent: EquivalenceFn = _default_equivalence,
-                                  scoring: ScoringScheme = ScoringScheme(),
-                                  band_margin: Optional[int] = None
-                                  ) -> AlignmentResult[T]:
-    """Banded vectorized NW behind the generic predicate interface, with the
-    same automatic band margin as the pure-Python banded kernel."""
-    np = require_numpy("nw-banded-numpy")
-    if band_margin is None:
-        band_margin = max(DEFAULT_BAND_MARGIN, min(len(seq1), len(seq2)) // 8)
-    memo: dict = {}
-
-    def eq(i: int, j: int) -> bool:
-        key = (i, j)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = equivalent(seq1[i], seq2[j])
-        return value
-
-    def eq_row_fn(i: int, js):
-        return np.array([eq(i, j - 1) if j > 0 else False for j in js],
-                        dtype=bool)
-
-    result = _try_banded_numpy(np, seq1, seq2, eq_row_fn, eq, scoring,
-                               band_margin)
-    if result is not None:
-        return result
-    return needleman_wunsch_numpy(seq1, seq2, equivalent, scoring)
-
-
 def solve_keyed_alignment_numpy(keys1: Sequence[int], keys2: Sequence[int],
-                                scoring: ScoringScheme = ScoringScheme(),
-                                banded: bool = False) -> Tuple[str, int]:
+                                scoring: ScoringScheme = ScoringScheme()
+                                ) -> Tuple[str, int]:
     """Vectorized task-level alignment over pure data: the NumPy twin of
     :func:`repro.core.alignment.solve_keyed_alignment`.
 
@@ -439,16 +194,11 @@ def solve_keyed_alignment_numpy(keys1: Sequence[int], keys2: Sequence[int],
     alignment-offload workers run when NumPy is importable in *their*
     process; requires the ``fast`` extra.
     """
-    kernel = (needleman_wunsch_banded_numpy_keyed if banded
-              else needleman_wunsch_numpy_keyed)
-    result = kernel(range(len(keys1)), range(len(keys2)),
-                    keys1, keys2, scoring)
+    result = needleman_wunsch_numpy_keyed(range(len(keys1)),
+                                          range(len(keys2)), keys1, keys2,
+                                          scoring)
     return ops_string(result.entries), result.score
 
 
 #: Keyed kernels by algorithm name, for the AlignmentStage dispatch table.
-KEYED_NUMPY_KERNELS = {
-    "nw-numpy": needleman_wunsch_numpy_keyed,
-    "nw-banded-numpy": needleman_wunsch_banded_numpy_keyed,
-    "nw-wavefront-numpy": needleman_wunsch_wavefront_numpy_keyed,
-}
+KEYED_NUMPY_KERNELS = {"nw-numpy": needleman_wunsch_numpy_keyed}

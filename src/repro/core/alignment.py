@@ -12,14 +12,10 @@ Algorithms provided:
   space, provided as the memory-friendly alternative the paper alludes to
   ("other algorithms could also be used with different performance and memory
   usage trade-offs").
-* :func:`needleman_wunsch_banded` (``"nw-banded"``) — restricts the DP to a
-  diagonal band and certifies optimality from the band geometry; when the
-  certificate fails it falls back to the full DP, so results are always
-  exactly those of :func:`needleman_wunsch` (entries included).
-* :func:`needleman_wunsch_keyed` / :func:`needleman_wunsch_banded_keyed` —
-  fast kernels over precomputed integer equivalence keys (see
-  :mod:`repro.core.equivalence`); the per-cell predicate becomes an int
-  compare and equal keys share memoised equivalence rows.
+* :func:`needleman_wunsch_keyed` — the fast kernel over precomputed integer
+  equivalence keys (see :mod:`repro.core.equivalence`); the per-cell
+  predicate becomes an int compare and equal keys share memoised
+  equivalence rows.
 * :func:`align` — front door choosing an algorithm by name.
 
 The result is a list of :class:`AlignedEntry`.  Mismatched (diagonal but
@@ -158,7 +154,7 @@ def result_from_ops(ops: str, score: int, seq1: Sequence[T],
 
 # -- packed tracebacks -------------------------------------------------------
 #
-# The fast fills (native C, packed NumPy, wavefront) do not keep the score
+# The fast fills (native C, packed NumPy) do not keep the score
 # matrix for a Python traceback; they record one *move* per DP cell in a
 # uint8 matrix, chosen during the fill with the exact preference order of
 # :func:`_traceback` (diagonal - match or mismatch - then the seq1-side gap,
@@ -213,14 +209,8 @@ def moves_to_ops(moves, n: int, m: int) -> str:
     return "".join(out)
 
 
-#: Keyed kernel per algorithm name accepted by :func:`solve_keyed_alignment`
-#: (populated after the kernels are defined; all bit-identical).
-_KEYED_SOLVERS: dict = {}
-
-
 def solve_keyed_alignment(keys1: Sequence[int], keys2: Sequence[int],
-                          scoring: ScoringScheme = ScoringScheme(),
-                          algorithm: str = "needleman-wunsch"
+                          scoring: ScoringScheme = ScoringScheme()
                           ) -> Tuple[str, int]:
     """Task-level alignment over *pure data*: integer key sequences in,
     alignment shape ``(ops, score)`` out.
@@ -228,18 +218,13 @@ def solve_keyed_alignment(keys1: Sequence[int], keys2: Sequence[int],
     This is the batch entry point the alignment offload workers call: no
     linearized entries, no IR, no interner - just the key sequences (whose
     cross-sequence equality pattern fully determines the DP) and the
-    scoring scheme.  The result is bit-identical to running the keyed
-    kernel of the same name over the originating pair and serializing it
-    with :func:`ops_string`, because the kernels only ever read the keys.
+    scoring scheme.  The result is bit-identical to running
+    :func:`needleman_wunsch_keyed` over the originating pair and
+    serializing it with :func:`ops_string`, because the kernel only ever
+    reads the keys.
     """
-    try:
-        kernel = _KEYED_SOLVERS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown keyed alignment algorithm {algorithm!r}; "
-            f"available: {sorted(_KEYED_SOLVERS)}") from None
-    result = kernel(range(len(keys1)), range(len(keys2)),
-                    keys1, keys2, scoring)
+    result = needleman_wunsch_keyed(range(len(keys1)), range(len(keys2)),
+                                    keys1, keys2, scoring)
     return ops_string(result.entries), result.score
 
 
@@ -359,226 +344,6 @@ def _traceback(seq1: Sequence[T], seq2: Sequence[T], score, eq_row,
 
 
 # ---------------------------------------------------------------------------
-# Banded Needleman-Wunsch (exact via an optimality certificate)
-# ---------------------------------------------------------------------------
-
-#: Minimum half-width of the automatic band (predicate-based kernel, which
-#: has no cheap way to estimate the gap budget of a pair).
-DEFAULT_BAND_MARGIN = 16
-
-#: Minimum half-width of a key-derived band.
-MIN_DERIVED_BAND_MARGIN = 8
-
-_NEG = float("-inf")
-
-
-def derive_band_margin(keys1: Sequence[int], keys2: Sequence[int],
-                       floor: int = MIN_DERIVED_BAND_MARGIN) -> int:
-    """Estimate the band half-width from the pair's equivalence-key multisets.
-
-    Matching entries must share an equivalence key, so at most
-    ``M = sum_k min(count1(k), count2(k))`` alignment columns can be matches;
-    the remaining ``(n - M) + (m - M)`` entries are forced into gap columns,
-    and it is (only) gap moves that push the optimal path off the main
-    diagonal band.  Near-identical functions therefore get a band a few
-    entries wide - O((n+m)·w) cells instead of O(n·m) - while dissimilar
-    pairs get a proportionally wider band.  This is the per-pair analogue of
-    the fingerprint-distance ranking bound: it is an *estimate* (matchable
-    entries can still be displaced, e.g. reordered blocks), so the banded
-    kernel's optimality certificate remains the correctness gate and the
-    full DP the fallback.
-    """
-    counts: dict = {}
-    for key in keys1:
-        counts[key] = counts.get(key, 0) + 1
-    matched = 0
-    for key in keys2:
-        remaining = counts.get(key, 0)
-        if remaining > 0:
-            counts[key] = remaining - 1
-            matched += 1
-    unmatched = (len(keys1) - matched) + (len(keys2) - matched)
-    return max(floor, unmatched)
-
-
-def _banded_fill(n: int, m: int, lo: int, hi: int, eq,
-                 scoring: ScoringScheme) -> list:
-    """Fill only the DP cells whose offset ``j - i`` lies in ``[lo, hi]``.
-
-    Returns one ``(jlo, values)`` pair per row; out-of-band neighbours are
-    treated as unreachable.  ``eq(i, j)`` tests equivalence of ``seq1[i]``
-    and ``seq2[j]`` and is only consulted for in-band diagonals.
-    """
-    gap, match, mismatch = scoring.gap, scoring.match, scoring.mismatch
-    rows: list = []
-    for i in range(n + 1):
-        jlo, jhi = max(0, i + lo), min(m, i + hi)
-        values = [_NEG] * (jhi - jlo + 1)
-        if i == 0:
-            for j in range(jlo, jhi + 1):
-                values[j - jlo] = j * gap
-        else:
-            prev_jlo, prev_values = rows[i - 1]
-            prev_len = len(prev_values)
-            for j in range(jlo, jhi + 1):
-                best = _NEG
-                pj = j - 1 - prev_jlo
-                if 0 <= pj < prev_len and prev_values[pj] != _NEG:
-                    best = prev_values[pj] + (match if eq(i - 1, j - 1) else mismatch)
-                pj = j - prev_jlo
-                if 0 <= pj < prev_len and prev_values[pj] != _NEG:
-                    up = prev_values[pj] + gap
-                    if up > best:
-                        best = up
-                if j > jlo and values[j - 1 - jlo] != _NEG:
-                    left = values[j - 1 - jlo] + gap
-                    if left > best:
-                        best = left
-                values[j - jlo] = best
-        rows.append((jlo, values))
-    return rows
-
-
-def _banded_traceback(seq1: Sequence[T], seq2: Sequence[T], rows, eq,
-                      scoring: ScoringScheme) -> List[AlignedEntry[T]]:
-    """Traceback over a banded matrix, mirroring :func:`_traceback` move
-    preference (diagonal, then seq1 gap, then seq2 gap) exactly."""
-    gap, match, mismatch = scoring.gap, scoring.match, scoring.mismatch
-
-    def get(i: int, j: int):
-        jlo, values = rows[i]
-        idx = j - jlo
-        if 0 <= idx < len(values):
-            return values[idx]
-        return _NEG
-
-    entries: List[AlignedEntry[T]] = []
-    i, j = len(seq1), len(seq2)
-    while i > 0 or j > 0:
-        cur = get(i, j)
-        if i > 0 and j > 0:
-            prev = get(i - 1, j - 1)
-            if prev != _NEG:
-                is_eq = eq(i - 1, j - 1)
-                if cur == prev + (match if is_eq else mismatch):
-                    if is_eq:
-                        entries.append(AlignedEntry(seq1[i - 1], seq2[j - 1]))
-                    else:
-                        entries.append(AlignedEntry(None, seq2[j - 1]))
-                        entries.append(AlignedEntry(seq1[i - 1], None))
-                    i -= 1
-                    j -= 1
-                    continue
-        if i > 0 and cur == get(i - 1, j) + gap:
-            entries.append(AlignedEntry(seq1[i - 1], None))
-            i -= 1
-            continue
-        entries.append(AlignedEntry(None, seq2[j - 1]))
-        j -= 1
-    entries.reverse()
-    return entries
-
-
-def _try_banded(seq1: Sequence[T], seq2: Sequence[T], eq,
-                scoring: ScoringScheme, margin: int) -> Optional[AlignmentResult[T]]:
-    """Banded DP with an optimality certificate.
-
-    Any alignment path that leaves the band ``j - i in [lo, hi]`` must place
-    at least ``g1_esc`` gaps on the seq1 side, which caps its score at
-    ``escape_bound``.  When the banded optimum strictly beats that cap, every
-    optimal path lies inside the band, the banded score is the global
-    optimum, and the traceback provably reproduces the full-matrix traceback.
-    Returns None when the certificate fails or banding cannot pay off; the
-    caller then falls back to the full DP.
-    """
-    n, m = len(seq1), len(seq2)
-    gap, match, mismatch = scoring.gap, scoring.match, scoring.mismatch
-    if n == 0 or m == 0:
-        return None
-    diag_best = max(match, mismatch)
-    if gap > 0 or 2 * gap >= diag_best:
-        return None  # the escape bound below needs extra gaps to cost score
-    d = m - n
-    w = max(0, margin)
-    if w >= min(n, m):
-        return None  # band would cover (almost) the whole matrix
-    lo, hi = min(0, d) - w, max(0, d) + w
-    rows = _banded_fill(n, m, lo, hi, eq, scoring)
-    jlo, last = rows[n]
-    score = last[m - jlo]
-    g1_esc = w + 1 + max(0, -d)
-    if g1_esc <= n:
-        escape_bound = (n - g1_esc) * diag_best + (2 * g1_esc + d) * gap
-        if score <= escape_bound:
-            return None
-    entries = _banded_traceback(seq1, seq2, rows, eq, scoring)
-    return AlignmentResult(entries, score)
-
-
-def needleman_wunsch_banded(seq1: Sequence[T], seq2: Sequence[T],
-                            equivalent: EquivalenceFn = _default_equivalence,
-                            scoring: ScoringScheme = ScoringScheme(),
-                            band_margin: Optional[int] = None) -> AlignmentResult[T]:
-    """Banded Needleman-Wunsch: identical results to the full DP, computed
-    over O((n+m)·w) cells when the optimality certificate holds, with an
-    automatic fallback to :func:`needleman_wunsch` when it does not."""
-    if band_margin is None:
-        band_margin = max(DEFAULT_BAND_MARGIN, min(len(seq1), len(seq2)) // 8)
-    memo: dict = {}
-
-    def eq(i: int, j: int) -> bool:
-        key = (i, j)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = equivalent(seq1[i], seq2[j])
-        return value
-
-    result = _try_banded(seq1, seq2, eq, scoring, band_margin)
-    if result is not None:
-        return result
-    # fallback: full DP, reusing the predicate answers the banded attempt
-    # already paid for (the predicate is the expensive part for IR entries)
-    n, m = len(seq1), len(seq2)
-    eq_row = []
-    for i in range(n):
-        a = seq1[i]
-        row = []
-        for j in range(m):
-            value = memo.get((i, j))
-            if value is None:
-                value = equivalent(a, seq2[j])
-            row.append(value)
-        eq_row.append(row)
-    score = _nw_fill(n, m, eq_row, scoring)
-    entries = _traceback(seq1, seq2, score, eq_row, scoring)
-    return AlignmentResult(entries, score[n][m])
-
-
-def needleman_wunsch_banded_keyed(seq1: Sequence[T], seq2: Sequence[T],
-                                  keys1: Sequence[int], keys2: Sequence[int],
-                                  scoring: ScoringScheme = ScoringScheme(),
-                                  band_margin: Optional[int] = None) -> AlignmentResult[T]:
-    """Banded NW over precomputed equivalence keys (int-compare cells),
-    falling back to :func:`needleman_wunsch_keyed` when uncertifiable.
-
-    The default band half-width is derived from the pair's key-multiset
-    distance (:func:`derive_band_margin`): near-identical sequences get a
-    narrow, certifiable band instead of the fixed ``min(n, m) // 8`` margin
-    that used to make the certificate pointless on exactly the large
-    near-identical functions banding should help with."""
-    if band_margin is None:
-        band_margin = derive_band_margin(keys1, keys2)
-
-    def eq(i: int, j: int) -> bool:
-        return keys1[i] == keys2[j]
-
-    result = _try_banded(seq1, seq2, eq, scoring, band_margin)
-    if result is not None:
-        return result
-    return needleman_wunsch_keyed(seq1, seq2, keys1, keys2, scoring)
-
-
-# ---------------------------------------------------------------------------
 # Hirschberg (linear space, same optimal score)
 # ---------------------------------------------------------------------------
 
@@ -659,71 +424,45 @@ def alignment_score(entries: List[AlignedEntry[T]],
     return total
 
 
-def _numpy_algorithm(kernel: str):
+def _nw_numpy(seq1: Sequence[T], seq2: Sequence[T],
+              equivalent: EquivalenceFn = _default_equivalence,
+              scoring: ScoringScheme = ScoringScheme()) -> AlignmentResult[T]:
     """Registry thunk for the NumPy backend (:mod:`repro.core.align_np`).
 
     Importing :mod:`repro.core.alignment` must not import NumPy - the
-    vectorized kernels live behind the optional ``fast`` extra - so the
-    registry holds a late-binding wrapper; calling it without NumPy raises
-    an ImportError naming the extra.
+    vectorized kernel lives behind the optional ``fast`` extra - so the
+    registry holds this late-binding wrapper; calling it without NumPy
+    raises an ImportError naming the extra.
     """
-
-    def run(seq1: Sequence[T], seq2: Sequence[T],
-            equivalent: EquivalenceFn = _default_equivalence,
-            scoring: ScoringScheme = ScoringScheme()) -> AlignmentResult[T]:
-        from . import align_np
-        fn = {"nw-numpy": align_np.needleman_wunsch_numpy,
-              "nw-banded-numpy": align_np.needleman_wunsch_banded_numpy,
-              "nw-wavefront-numpy": align_np.needleman_wunsch_wavefront_numpy,
-              }[kernel]
-        return fn(seq1, seq2, equivalent, scoring)
-
-    run.__name__ = kernel.replace("-", "_")
-    return run
+    from . import align_np
+    return align_np.needleman_wunsch_numpy(seq1, seq2, equivalent, scoring)
 
 
-def _native_algorithm(kernel: str):
+def _nw_native(seq1: Sequence[T], seq2: Sequence[T],
+               equivalent: EquivalenceFn = _default_equivalence,
+               scoring: ScoringScheme = ScoringScheme()) -> AlignmentResult[T]:
     """Registry thunk for the C-extension backend (:mod:`repro.core.native`).
 
-    Same late-binding discipline as :func:`_numpy_algorithm`: importing
-    this module never imports (or builds) the extension; calling the thunk
-    without it raises an ImportError naming the build requirements.
+    Same late-binding discipline as :func:`_nw_numpy`: importing this module
+    never imports (or builds) the extension; calling the thunk without it
+    raises an ImportError naming the build requirements.
     """
-
-    def run(seq1: Sequence[T], seq2: Sequence[T],
-            equivalent: EquivalenceFn = _default_equivalence,
-            scoring: ScoringScheme = ScoringScheme()) -> AlignmentResult[T]:
-        from . import native
-        fn = (native.needleman_wunsch_native if kernel == "nw-native"
-              else native.needleman_wunsch_banded_native)
-        return fn(seq1, seq2, equivalent, scoring)
-
-    run.__name__ = kernel.replace("-", "_")
-    return run
+    from . import native
+    return native.needleman_wunsch_native(seq1, seq2, equivalent, scoring)
 
 
-#: Registry of alignment algorithms for the ablation benches.  The
-#: ``*-numpy`` entries require the optional ``fast`` extra (NumPy), the
-#: ``*-native`` entries require the ``_nw_native`` C extension (built with
-#: the ``fast`` extra when a compiler is present, or on demand); all
-#: produce bit-identical results to their pure-Python counterparts.
+#: Registry of alignment algorithms: the predicate-based references and one
+#: Needleman-Wunsch per backend tier.  ``nw-numpy`` requires the optional
+#: ``fast`` extra (NumPy), ``nw-native`` the ``_nw_native`` C extension
+#: (built with the ``fast`` extra when a compiler is present, or on
+#: demand); both produce bit-identical results to ``needleman-wunsch``.
 ALGORITHMS = {
     "needleman-wunsch": needleman_wunsch,
     "nw": needleman_wunsch,
-    "nw-banded": needleman_wunsch_banded,
     "hirschberg": hirschberg,
-    "nw-numpy": _numpy_algorithm("nw-numpy"),
-    "nw-banded-numpy": _numpy_algorithm("nw-banded-numpy"),
-    "nw-wavefront-numpy": _numpy_algorithm("nw-wavefront-numpy"),
-    "nw-native": _native_algorithm("nw-native"),
-    "nw-banded-native": _native_algorithm("nw-banded-native"),
+    "nw-numpy": _nw_numpy,
+    "nw-native": _nw_native,
 }
-
-_KEYED_SOLVERS.update({
-    "needleman-wunsch": needleman_wunsch_keyed,
-    "nw": needleman_wunsch_keyed,
-    "nw-banded": needleman_wunsch_banded_keyed,
-})
 
 
 def align(seq1: Sequence[T], seq2: Sequence[T],

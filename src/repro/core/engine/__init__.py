@@ -5,8 +5,8 @@ Public API:
 * :class:`MergeEngine` — the staged driver (fingerprint → candidate search →
   linearize → align → codegen → profitability → commit).
 * :class:`MergeScheduler` / :func:`make_executor` — the plan/commit driver:
-  batched read-only planning (serial, thread-pool, or the process-offload
-  executor via ``jobs=``/``executor=``) plus a conflict-checked serial
+  batched read-only planning (serial, or the process-offload executor via
+  ``jobs=``/``executor=``) plus a conflict-checked serial
   committer; bit-identical to the serial loop.
 * :class:`AlignmentTask` / :class:`ProcessExecutor` — the out-of-process
   alignment offload: the DP as picklable pure data behind the executor
@@ -38,7 +38,7 @@ from .prune import ProfitBoundIndex
 from .report import STAGES, MergeRecord, MergeReport, SessionUpdateReport
 from .scheduler import (ENGINE_EXECUTOR_ENV, EXECUTORS, AdaptiveBatchSizer,
                         MergeScheduler, PlanExecutor, PlanningError,
-                        SerialExecutor, ThreadExecutor, make_executor)
+                        SerialExecutor, make_executor)
 from .search import (SEARCHERS, IndexedCandidateSearcher, make_searcher)
 from .session import (DirtySet, MergeSession, ModuleEdit, PlanRecord,
                       apply_edit)
@@ -50,7 +50,7 @@ __all__ = [
     "ALIGN_CACHE_ENV", "ALIGN_CACHE_MAX_GEN_ENV", "AlignmentCache",
     "MergeEngine",
     "MergeScheduler", "PlanExecutor", "PlanningError", "SerialExecutor",
-    "ThreadExecutor", "ProcessExecutor", "EXECUTORS", "ENGINE_EXECUTOR_ENV",
+    "ProcessExecutor", "EXECUTORS", "ENGINE_EXECUTOR_ENV",
     "AdaptiveBatchSizer", "make_executor",
     "AlignmentTask", "AlignmentTaskGroup", "TaskResult", "TaskFailure",
     "solve_alignment_task", "solve_alignment_group",

@@ -13,9 +13,9 @@ name: the key is ``(digest(keys1), digest(keys2), scoring)``, where the
 digests come from :meth:`LinearizedFunction.canonical_digest` (a BLAKE2b
 hash of the *structural* equivalence-key sequence, independent of any
 interner's id assignment).  The kernel is deliberately **not** part of the
-key: every keyed kernel (pure, banded, NumPy - full or certificate-banded)
-is bit-identical by construction, so an entry computed by one kernel
-satisfies a lookup from any other.  Two consequences fall out:
+key: every keyed kernel (pure, NumPy, native) is bit-identical by
+construction, so an entry computed by one kernel satisfies a lookup from
+any other.  Two consequences fall out:
 
 * **Invalidation is automatic.**  When a commit rewrites a function,
   ``LinearizeStage.invalidate`` drops its cached linearization; the fresh
@@ -32,12 +32,13 @@ specific function pair - but the *shape* of the alignment: the score plus a
 compact ``m``/``l``/``r`` op string (match / left-gap / right-gap per
 column).  Rehydrating the ops against the requesting pair's entry lists
 reproduces exactly the entries the kernel would have produced, because the
-keyed DP (every kernel: pure, banded, NumPy - all bit-identical by
+keyed DP (every kernel: pure, NumPy, native - all bit-identical by
 construction) depends only on the key sequences and the scoring scheme.
 
-The cache is a bounded LRU and thread-safe: planners running under
-``jobs>1`` share it behind one lock (the critical sections are dict ops,
-orders of magnitude cheaper than the DP they save).
+The cache is a bounded LRU and thread-safe: a long-lived host (the merge
+daemon) shares one cache between concurrent requests behind one lock (the
+critical sections are dict ops, orders of magnitude cheaper than the DP
+they save).
 
 Because canonical digests are interner-independent, entries are also valid
 **across runs**: :meth:`AlignmentCache.save` writes a versioned, checksummed
@@ -363,7 +364,7 @@ class AlignmentCache:
                        and self._autosave_pending >= self._autosave_every)
         if due:
             # outside self._lock: the snapshot write must not stall
-            # concurrent planners' get()/put() calls
+            # concurrent get()/put() calls
             self.autosave_flush()
 
     def _put_locked(self, key: tuple, ops: str, score: int) -> None:

@@ -4,14 +4,14 @@ Every pipeline stage is a small strategy object carrying its own
 :class:`StageStats` (wall-clock time, call count, free-form counters).  The
 engine aggregates the per-stage numbers into the legacy Figure-13 buckets of
 :class:`~repro.core.engine.report.MergeReport` via each stage's
-``legacy_stage`` attribute, while the fine-grained stats remain available for
-the stage microbenchmarks.
+``legacy_stage`` attribute, while the fine-grained stats remain available in
+``MergeReport.stage_stats``.
 
-Stats updates are lock-protected because the plan/commit scheduler runs the
-read-only stages concurrently under ``jobs>1``: counters and call counts
-stay exact for every job count.  Stage *seconds* measure per-call elapsed
-time summed over all planner threads - with a parallel planner that is
-total busy time across workers, which can exceed wall-clock time.
+Planning always runs on the calling thread (the process executor offloads
+only alignment DPs, which it reports separately in ``scheduler_stats``), so
+stage *seconds* are wall-clock time of that thread.  Stats updates stay
+lock-protected because a long-lived host (the merge daemon) shares warm
+passes and the resident cache between concurrently served requests.
 """
 
 from __future__ import annotations

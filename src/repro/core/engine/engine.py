@@ -19,7 +19,7 @@ immutable :class:`~repro.core.engine.plan.MergePlan`; only
 :meth:`MergeEngine.commit_plan` mutates the module (incrementally - no full
 call-graph rebuilds).  The :class:`~repro.core.engine.scheduler.MergeScheduler`
 batches entries, plans them through a pluggable executor (``jobs=`` selects
-a thread pool) and commits serially with conflict detection.  Merge
+the process offload) and commits serially with conflict detection.  Merge
 *decisions* are identical to the original monolithic pass in every
 configuration - searcher, kernel, job count, batch size - only the time
 spent reaching them changes.
@@ -57,9 +57,8 @@ from .stages import (AlignmentStage, CandidateSearchStage, CodegenStage,
 
 
 def _default_jobs() -> int:
-    """Default planner parallelism, overridable via ``REPRO_ENGINE_JOBS``
-    (used by the CI matrix leg that runs the whole suite through the
-    parallel scheduler)."""
+    """Default job count, overridable via ``REPRO_ENGINE_JOBS`` (used by the
+    CI matrix legs that run the whole suite through the process offload)."""
     try:
         return max(1, int(os.environ.get("REPRO_ENGINE_JOBS", "1")))
     except ValueError:
@@ -125,8 +124,9 @@ class MergeEngine:
             keyed_alignment: use the integer-key alignment kernels (same
                 results as the predicate-based algorithms, much faster).
             alignment_kernel: alignment algorithm override - any
-                ``ALGORITHMS`` name (``"nw-numpy"`` / ``"nw-banded-numpy"``
-                select the vectorized NumPy backend) or ``"auto"``.  When
+                ``ALGORITHMS`` name (``"nw-numpy"`` selects the vectorized
+                NumPy backend, ``"nw-native"`` the C extension) or
+                ``"auto"``.  When
                 None, the ``REPRO_ALIGN_KERNEL`` environment variable is
                 consulted, then ``options.alignment_algorithm``.  Every
                 kernel produces bit-identical alignments and therefore
@@ -165,22 +165,20 @@ class MergeEngine:
                 keeps warm entries bit-identical to recomputation, so
                 decisions are unchanged; only the cold-start work
                 disappears.  Stats counters accumulate across runs.
-            jobs: how many worklist entries to plan concurrently (default:
+            jobs: worker processes of the alignment offload (default:
                 ``REPRO_ENGINE_JOBS`` or 1).  Merge decisions are identical
                 for every value.
             executor: plan executor kind - ``"auto"`` (the
                 ``REPRO_ENGINE_EXECUTOR`` environment variable if set, else
-                serial for jobs<=1 and the thread pool otherwise),
-                ``"serial"``, ``"thread"``, ``"process"``, or a pre-built
+                serial for jobs<=1 and the process offload otherwise),
+                ``"serial"``, ``"process"``, or a pre-built
                 :class:`PlanExecutor` instance (build it with
                 ``keep_alive=True`` and back-to-back runs reuse the same
                 live worker pool; the caller then owns the explicit
                 ``close()``).  The process
                 executor keeps planning in this process but offloads the
                 alignment DPs to a worker pool as pure data (canonical key
-                bytes), which is the only executor that buys wall-clock
-                from ``jobs>1`` with pure-Python kernels on GIL-bound
-                builds.  Merge decisions are identical for every executor.
+                bytes).  Merge decisions are identical for every executor.
             batch_size: worklist entries planned per batch (default: 1 for
                 the serial executor, ``jobs * 4`` otherwise, at least 4
                 when alignment is offloaded).
@@ -369,7 +367,8 @@ class MergeEngine:
         first profitable one (or, under oracle, keeping the best of all) -
         and packages the outcome as an immutable plan.  Returns ``None``
         when the entry is stale (consumed or removed since it was enqueued).
-        Safe to call concurrently for distinct entries.
+        Read-only, so a batch of entries can be planned before any of
+        them commits.
         """
         if name not in self._available:
             return None

@@ -6,7 +6,7 @@ profitability analysis inspect the module but never mutate it.  A
 :class:`MergePlan` captures the complete outcome of that read-only prefix for
 one worklist entry - the candidate list the search returned, every pair that
 was evaluated, and the profitable merge (if any) ready to commit - so entries
-can be *planned* concurrently and *committed* serially.
+can be *planned* in batches and *committed* serially.
 
 A plan is valid only against the module state it was computed from.  The
 committer decides validity with :class:`CommitEvents`: each committed merge

@@ -66,7 +66,7 @@ class MergeReport:
     scheduler_stats: Dict[str, int] = field(default_factory=dict)
     #: Fine-grained engine statistics, keyed by pipeline-stage name; each
     #: value holds at least ``seconds`` and ``calls`` plus stage-specific
-    #: counters (e.g. candidates pruned, banded fallbacks).
+    #: counters (e.g. candidates pruned, alignment-cache hits).
     stage_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property

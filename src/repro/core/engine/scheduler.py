@@ -3,9 +3,9 @@
 The serial exploration loop interleaves read-only candidate evaluation with
 module mutation.  :class:`MergeScheduler` splits the two: it pops a *batch*
 of worklist entries, computes a :class:`~repro.core.engine.plan.MergePlan`
-for each through a pluggable :class:`PlanExecutor` (serial by default, a
-``concurrent.futures`` thread pool behind the ``jobs=`` knob), then a serial
-*committer* walks the batch in worklist order and either
+for each through a pluggable :class:`PlanExecutor` (serial by default, the
+process offload behind the ``jobs=`` knob), then a serial *committer* walks
+the batch in worklist order and either
 
 * counts the entry as **stale** when its function was consumed between
   enqueue and commit (the serial engine silently skipped these),
@@ -35,9 +35,7 @@ scheduler first asks the engine which alignment shapes the batch will need
 pool as :class:`~repro.core.engine.offload.AlignmentTask` chunks, stores the
 shapes back into the content-addressed cache (``store``), and only then
 plans the batch - serially, in-process, through the unchanged pipeline,
-whose alignment lookups now all hit.  On stock CPython this is the first
-executor whose ``jobs=`` buys wall-clock with the pure-Python kernels; the
-thread executor remains GIL-bound outside NumPy's GIL-releasing ufuncs.
+whose alignment lookups now all hit.
 
 When ``adaptive=True`` the scheduler additionally retunes its batch size
 between rounds (:class:`AdaptiveBatchSizer`): high observed conflict/replan
@@ -53,7 +51,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Union
 
 from ...resilience import ResilienceError, RetryPolicy, fault_point
@@ -69,9 +66,9 @@ class PlanningError(RuntimeError):
     """A planner callback raised while evaluating one worklist entry.
 
     Raised in place of the original exception (which stays attached as
-    ``__cause__``) so a failure surfacing from a thread-pool ``map`` names
-    the worklist entry it belongs to - otherwise a ``jobs>1`` traceback
-    gives no hint which of the batched entries blew up.
+    ``__cause__``) so the failure names the worklist entry it belongs to -
+    otherwise a batched traceback, or an offloaded alignment task failing in
+    a worker process, gives no hint which of the batched entries blew up.
     """
 
     def __init__(self, entry: str, cause: BaseException):
@@ -129,23 +126,6 @@ class SerialExecutor(PlanExecutor):
         return [fn(name) for name in names]
 
 
-class ThreadExecutor(PlanExecutor):
-    """Plans entries on a ``concurrent.futures`` thread pool."""
-
-    def __init__(self, jobs: int, keep_alive: bool = False):
-        self.jobs = max(1, int(jobs))
-        self.keep_alive = bool(keep_alive)
-        self._pool = ThreadPoolExecutor(max_workers=self.jobs,
-                                        thread_name_prefix="merge-plan")
-
-    def map(self, fn, names):
-        return list(self._pool.map(fn, names))
-
-    def close(self) -> None:
-        self._pool.shutdown()
-        self.closed = True
-
-
 def _make_process_executor(jobs: int,
                            retry_policy: Optional[RetryPolicy] = None
                            ) -> PlanExecutor:
@@ -159,7 +139,6 @@ def _make_process_executor(jobs: int,
 #: process but offloads the alignment DPs to a worker pool as pure data.
 EXECUTORS = {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
     "process": _make_process_executor,
 }
 
@@ -168,27 +147,24 @@ def make_executor(kind: Union[str, PlanExecutor] = "auto",
                   jobs: int = 1,
                   retry_policy: Optional[RetryPolicy] = None) -> PlanExecutor:
     """Instantiate a plan executor.  ``"auto"`` picks serial for ``jobs<=1``
-    and the thread pool otherwise.  A pre-built :class:`PlanExecutor`
+    and the process offload otherwise.  A pre-built :class:`PlanExecutor`
     instance passes through unchanged - the caller-owned-pool seam: build
     one ``ProcessExecutor(jobs, keep_alive=True)``, hand it to every run,
     and the end-of-run :meth:`PlanExecutor.release` leaves its workers
-    alive for the next one.  ``retry_policy`` reaches executors that retry
-    offloaded work (currently the process executor); the others plan
-    in-process and need none."""
+    alive for the next one.  ``retry_policy`` reaches the process executor,
+    which retries offloaded work; the serial executor needs none."""
     if isinstance(kind, PlanExecutor):
         return kind
     if kind == "auto":
-        kind = "serial" if jobs <= 1 else "thread"
+        kind = "serial" if jobs <= 1 else "process"
     try:
-        cls = EXECUTORS[kind]
+        factory = EXECUTORS[kind]
     except KeyError:
         raise ValueError(f"unknown plan executor {kind!r}; "
                          f"available: {sorted(EXECUTORS)} (or 'auto')") from None
-    if cls is SerialExecutor:
+    if factory is SerialExecutor:
         return SerialExecutor()
-    if cls is _make_process_executor:
-        return cls(jobs, retry_policy=retry_policy)
-    return cls(jobs)
+    return factory(jobs, retry_policy=retry_policy)
 
 
 class AdaptiveBatchSizer:
@@ -332,7 +308,7 @@ class MergeScheduler:
     # -- planning ----------------------------------------------------------------
     def _plan_one(self, name: str) -> Optional[MergePlan]:
         """Plan one entry, naming the entry on failure (a bare exception
-        escaping a thread-pool map would not say which entry it came from).
+        escaping a batch would not say which entry it came from).
         :class:`~repro.resilience.ResilienceError` passes through unwrapped
         - planning is deterministic, so an injected plan failure is a typed
         abort, never retried."""
@@ -430,7 +406,7 @@ class MergeScheduler:
 
         Any failure - a planner exception, an offload worker crash - shuts
         the executor's pool down before propagating, so no branch can leak
-        worker threads/processes even when the scheduler's owner does not
+        worker processes even when the scheduler's owner does not
         reach its own ``close()`` path.
         """
         try:
@@ -453,9 +429,8 @@ class MergeScheduler:
                 plans = [self._plan_one(batch[0])]
             else:
                 plans = self._plan_batch(batch)
-            # calling-thread wall clock of the whole planning phase (offload
-            # included) - comparable across executors, unlike the per-stage
-            # seconds, which sum busy time over planner threads
+            # wall clock of the whole planning phase, offload included; the
+            # per-stage seconds cover only the in-process stages
             stats["plan_wall_seconds"] += time.perf_counter() - plan_start
             stats["batches"] += 1
             stats["planned"] += len(batch)

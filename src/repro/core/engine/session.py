@@ -54,7 +54,7 @@ How it works
   content digests, so stale reuse is structurally impossible): untouched
   functions keep their linearizations, and replayed decision plans hit the
   alignment cache for every pair an earlier update already aligned.  The
-  session also keeps one plan executor (thread / process pool) alive across
+  session also keeps one plan executor (and its process pool) alive across
   updates; if a failed update tore the pool down
   (:meth:`MergeScheduler.run` closes it on any error), the next ``update()``
   detects ``executor.closed`` and builds a fresh one.
@@ -815,7 +815,7 @@ class MergeSession:
         * the fingerprint index reproduces the recorded candidate ranking
           exactly (same cheap re-query as the commit-time conflict check).
 
-        Runs on planner threads; reads (never writes) the dirty set and the
+        Runs during planning; reads (never writes) the dirty set and the
         old records, which only mutate during the serial commit walk - the
         scheduler never overlaps the two phases.
         """
@@ -879,9 +879,9 @@ class MergeSession:
             # state the old epoch never saw: everything this commit touched
             self._dirty.update(events.dirty)
         # eager vanish-spoiling: entries consumed now can never replay their
-        # own previous-epoch commits.  Doing it here, serially, closes the
-        # window where a planner thread would otherwise race the discovery
-        # (a consumed entry later pops stale / plans to None on a thread).
+        # own previous-epoch commits.  Doing it here, at commit time, spares
+        # replay the late discovery (a consumed entry later pops stale or
+        # plans to None, possibly in an already-planned batch).
         for consumed in events.consumed:
             if kept and consumed == plan.name:
                 continue

@@ -22,7 +22,7 @@ from ...passes.reg2mem import demote_phis
 from ..align_np import (KEYED_NUMPY_KERNELS, NUMPY_KERNELS,
                         PURE_PYTHON_FALLBACKS, numpy_available, require_numpy)
 from ..alignment import (ALGORITHMS, AlignmentResult, ScoringScheme, align,
-                         needleman_wunsch_banded_keyed, needleman_wunsch_keyed)
+                         needleman_wunsch_keyed)
 from ..native import (KEYED_NATIVE_KERNELS, NATIVE_KERNELS, native_available,
                       native_fallback, require_native)
 from ..codegen import MergeOptions, MergeResult, merge_functions
@@ -280,9 +280,9 @@ class LinearizeStage(Stage):
         # same Function object therefore can never resurrect a stale
         # linearization even if an invalidate call is missed.
         self._cache: Dict[str, tuple] = {}
-        # planners may linearize concurrently; the interner's id assignment
-        # must stay race-free (keys only matter by equality, but a torn
-        # insert could hand two ids to one equivalence class)
+        # callers on several threads must not race the interner's id
+        # assignment (keys only matter by equality, but a torn insert could
+        # hand two ids to one equivalence class)
         self._lock = threading.Lock()
 
     @staticmethod
@@ -327,9 +327,9 @@ class AlignmentStage(Stage):
     to its fast integer-key kernel when one exists; results are identical to
     the predicate-based algorithms, only cheaper per cell.  ``kernel``
     overrides the algorithm name (falling back to the ``REPRO_ALIGN_KERNEL``
-    environment variable, then to ``algorithm``); the ``*-numpy`` kernels
-    run the vectorized backend of :mod:`repro.core.align_np`, the
-    ``*-native`` kernels the C extension behind :mod:`repro.core.native`.
+    environment variable, then to ``algorithm``); ``nw-numpy`` runs the
+    vectorized backend of :mod:`repro.core.align_np`, ``nw-native`` the C
+    extension behind :mod:`repro.core.native`.
 
     When a :class:`~repro.core.engine.align_cache.AlignmentCache` is
     attached, keyed alignments are memoised by linearization content: a
@@ -348,7 +348,6 @@ class AlignmentStage(Stage):
     KEYED_KERNELS = {
         "needleman-wunsch": needleman_wunsch_keyed,
         "nw": needleman_wunsch_keyed,
-        "nw-banded": needleman_wunsch_banded_keyed,
     }
     KEYED_KERNELS.update(KEYED_NUMPY_KERNELS)
     KEYED_KERNELS.update(KEYED_NATIVE_KERNELS)

@@ -39,14 +39,13 @@ import tempfile
 from typing import List, Optional, Sequence, Tuple, TypeVar
 
 from .alignment import (AlignmentResult, EquivalenceFn, ScoringScheme,
-                        _default_equivalence, _try_banded, derive_band_margin,
-                        needleman_wunsch_banded_keyed, needleman_wunsch_keyed,
-                        result_from_ops, DEFAULT_BAND_MARGIN)
+                        _default_equivalence, needleman_wunsch_keyed,
+                        result_from_ops)
 
 T = TypeVar("T")
 
 #: Kernel names served by this module.
-NATIVE_KERNELS = ("nw-native", "nw-banded-native")
+NATIVE_KERNELS = ("nw-native",)
 
 #: Env knob disabling the native tier ("0"/"off"/"no"/"false", any case).
 NATIVE_ENV = "REPRO_NATIVE"
@@ -57,17 +56,11 @@ NATIVE_BUILD_DIR_ENV = "REPRO_NATIVE_BUILD_DIR"
 #: Pure-Python algorithm each native kernel downgrades to (identical
 #: results); when NumPy is available the resolver prefers its tier instead
 #: (see :func:`native_fallback`).
-PURE_PYTHON_FALLBACKS = {
-    "nw-native": "needleman-wunsch",
-    "nw-banded-native": "nw-banded",
-}
+PURE_PYTHON_FALLBACKS = {"nw-native": "needleman-wunsch"}
 
 #: NumPy twin of each native kernel, preferred for the downgrade when the
 #: ``fast`` extra is installed.
-NUMPY_FALLBACKS = {
-    "nw-native": "nw-numpy",
-    "nw-banded-native": "nw-banded-numpy",
-}
+NUMPY_FALLBACKS = {"nw-native": "nw-numpy"}
 
 _native = None  # unresolved; False once loading failed (or was disabled)
 _load_error: Optional[str] = None
@@ -247,39 +240,6 @@ def needleman_wunsch_native_keyed(seq1: Sequence[T], seq2: Sequence[T],
     return result_from_ops(ops, score, seq1, seq2)
 
 
-def needleman_wunsch_banded_native_keyed(seq1: Sequence[T], seq2: Sequence[T],
-                                         keys1: Sequence[int],
-                                         keys2: Sequence[int],
-                                         scoring: ScoringScheme = ScoringScheme(),
-                                         band_margin: Optional[int] = None
-                                         ) -> AlignmentResult[T]:
-    """Native banded NW over integer keys: identical results to
-    :func:`~repro.core.alignment.needleman_wunsch_banded_keyed` (and hence
-    the full DP), with the key-multiset-derived default band margin.  The
-    C side applies the same optimality certificate and returns None when it
-    fails; the fallback is then the *full* native kernel."""
-    native = require_native("nw-banded-native")
-    if band_margin is None:
-        band_margin = derive_band_margin(keys1, keys2)
-    n, m = len(seq1), len(seq2)
-    if not _fits_native(n, m, scoring):
-        return needleman_wunsch_banded_keyed(seq1, seq2, keys1, keys2,
-                                             scoring, band_margin)
-    k1, k2 = _as_key_list(keys1), _as_key_list(keys2)
-    try:
-        shape = native.solve_banded_keyed(k1, k2, scoring.match,
-                                          scoring.mismatch, scoring.gap,
-                                          band_margin)
-        if shape is None:  # certificate failed: full native DP
-            shape = native.solve_keyed(k1, k2, scoring.match,
-                                       scoring.mismatch, scoring.gap)
-    except (OverflowError, TypeError):
-        return needleman_wunsch_banded_keyed(seq1, seq2, keys1, keys2,
-                                             scoring, band_margin)
-    ops, score = shape
-    return result_from_ops(ops, score, seq1, seq2)
-
-
 # ---------------------------------------------------------------------------
 # Generic predicate front doors (registry entries)
 # ---------------------------------------------------------------------------
@@ -312,63 +272,13 @@ def needleman_wunsch_native(seq1: Sequence[T], seq2: Sequence[T],
     return result_from_ops(ops, score, seq1, seq2)
 
 
-def needleman_wunsch_banded_native(seq1: Sequence[T], seq2: Sequence[T],
-                                   equivalent: EquivalenceFn = _default_equivalence,
-                                   scoring: ScoringScheme = ScoringScheme(),
-                                   band_margin: Optional[int] = None
-                                   ) -> AlignmentResult[T]:
-    """Banded NW behind the generic predicate interface: the band attempt
-    runs in pure Python (it only touches O((n+m)*w) cells, and the
-    predicate dominates there anyway), the uncertified fallback runs the
-    native full kernel reusing every predicate answer already paid for."""
-    require_native("nw-banded-native")
-    if band_margin is None:
-        band_margin = max(DEFAULT_BAND_MARGIN, min(len(seq1), len(seq2)) // 8)
-    memo: dict = {}
-
-    def eq(i: int, j: int) -> bool:
-        key = (i, j)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = equivalent(seq1[i], seq2[j])
-        return value
-
-    result = _try_banded(seq1, seq2, eq, scoring, band_margin)
-    if result is not None:
-        return result
-    return _banded_fallback_native(seq1, seq2, equivalent, scoring, memo)
-
-
-def _banded_fallback_native(seq1, seq2, equivalent, scoring, memo):
-    """Full native DP reusing the banded attempt's memoised predicate."""
-    native = require_native("nw-native")
-    n, m = len(seq1), len(seq2)
-    if not _fits_native(n, m, scoring):
-        from .alignment import needleman_wunsch
-        return needleman_wunsch(seq1, seq2, equivalent, scoring)
-    eq_bytes = bytearray(n * m)
-    pos = 0
-    for i in range(n):
-        a = seq1[i]
-        for j in range(m):
-            value = memo.get((i, j))
-            if value is None:
-                value = equivalent(a, seq2[j])
-            if value:
-                eq_bytes[pos] = 1
-            pos += 1
-    ops, score = native.solve_matrix(bytes(eq_bytes), n, m, scoring.match,
-                                     scoring.mismatch, scoring.gap)
-    return result_from_ops(ops, score, seq1, seq2)
-
-
 # ---------------------------------------------------------------------------
 # Task-level solver (offload workers) and dispatch tables
 # ---------------------------------------------------------------------------
 
 def solve_keyed_alignment_native(keys1: Sequence[int], keys2: Sequence[int],
-                                 scoring: ScoringScheme = ScoringScheme(),
-                                 banded: bool = False) -> Tuple[str, int]:
+                                 scoring: ScoringScheme = ScoringScheme()
+                                 ) -> Tuple[str, int]:
     """Native task-level alignment over pure data: the C twin of
     :func:`repro.core.alignment.solve_keyed_alignment`.
 
@@ -378,32 +288,18 @@ def solve_keyed_alignment_native(keys1: Sequence[int], keys2: Sequence[int],
     skips the entry-rehydration step entirely - the C kernel already
     returns the shape.
     """
-    native = require_native("nw-banded-native" if banded else "nw-native")
+    native = require_native("nw-native")
     n, m = len(keys1), len(keys2)
-    if not _fits_native(n, m, scoring):
-        from .alignment import solve_keyed_alignment
-        return solve_keyed_alignment(keys1, keys2, scoring,
-                                     "nw-banded" if banded else
-                                     "needleman-wunsch")
-    k1, k2 = _as_key_list(keys1), _as_key_list(keys2)
-    try:
-        if banded:
-            shape = native.solve_banded_keyed(k1, k2, scoring.match,
-                                              scoring.mismatch, scoring.gap,
-                                              derive_band_margin(k1, k2))
-            if shape is not None:
-                return shape
-        return native.solve_keyed(k1, k2, scoring.match, scoring.mismatch,
-                                  scoring.gap)
-    except (OverflowError, TypeError):
-        from .alignment import solve_keyed_alignment
-        return solve_keyed_alignment(keys1, keys2, scoring,
-                                     "nw-banded" if banded else
-                                     "needleman-wunsch")
+    if _fits_native(n, m, scoring):
+        try:
+            return native.solve_keyed(_as_key_list(keys1),
+                                      _as_key_list(keys2), scoring.match,
+                                      scoring.mismatch, scoring.gap)
+        except (OverflowError, TypeError):
+            pass
+    from .alignment import solve_keyed_alignment
+    return solve_keyed_alignment(keys1, keys2, scoring)
 
 
 #: Keyed kernels by algorithm name, for the AlignmentStage dispatch table.
-KEYED_NATIVE_KERNELS = {
-    "nw-native": needleman_wunsch_native_keyed,
-    "nw-banded-native": needleman_wunsch_banded_native_keyed,
-}
+KEYED_NATIVE_KERNELS = {"nw-native": needleman_wunsch_native_keyed}

@@ -84,8 +84,9 @@ class FunctionMergingPass(Pass):
             keyed_alignment: use the fast integer-key alignment kernels
                 (identical alignments, fewer predicate evaluations).
             alignment_kernel: alignment algorithm override (any
-                ``ALGORITHMS`` name, ``"nw-numpy"`` / ``"nw-banded-numpy"``
-                for the vectorized NumPy backend, or ``"auto"``); defaults
+                ``ALGORITHMS`` name, ``"nw-numpy"`` for the vectorized NumPy
+                backend, ``"nw-native"`` for the C extension, or
+                ``"auto"``); defaults
                 to ``REPRO_ALIGN_KERNEL`` and then to
                 ``options.alignment_algorithm``.  Bit-identical decisions
                 for every kernel.
@@ -107,10 +108,10 @@ class FunctionMergingPass(Pass):
                 ``REPRO_ALIGN_CACHE_MAX_GEN`` environment variable, then
                 32; 0 disables).
             jobs / executor / batch_size / adaptive_batch: plan/commit
-                scheduler knobs - how many worklist entries are planned
-                concurrently, through which executor (``"process"``
-                offloads the alignment DPs to a worker pool as pure data;
-                default: ``REPRO_ENGINE_EXECUTOR``, then auto), in what
+                scheduler knobs - how many worker processes, through which
+                executor (``"process"`` offloads the alignment DPs to a
+                worker pool as pure data; default:
+                ``REPRO_ENGINE_EXECUTOR``, then auto), in what
                 batches, and whether the batch size retunes itself from
                 observed conflict rates (see
                 :class:`repro.core.engine.MergeScheduler`).  Merge

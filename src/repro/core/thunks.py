@@ -12,7 +12,7 @@ swapped edge by edge, and consumed bodies are unregistered before they are
 dropped - no O(module) ``rebuild()`` scans.  The returned
 :class:`AppliedMerge` records exactly which functions the commit touched
 (``rewritten_callers``, ``touched_callees``), which is what the plan/commit
-scheduler uses to detect conflicts between concurrently planned merges.
+scheduler uses to detect conflicts between merges planned in one batch.
 Passing ``incremental=False`` restores the historical rebuild-based protocol
 (the seed behaviour, kept for benchmarking the difference).
 """

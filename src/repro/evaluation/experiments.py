@@ -54,7 +54,7 @@ class EvaluationSettings:
     #: - linear candidate scans and a predicate-based aligner - so the
     #: harness pins the seed-equivalent configuration by default; the merge
     #: decisions are identical either way.  Flip these to profile the
-    #: optimized engine instead (benchmarks/bench_engine_stages.py does).
+    #: optimized engine instead (perfbench/run.py times the engine defaults).
     searcher: str = "linear"
     keyed_alignment: bool = False
     #: Alignment kernel override (``None`` = REPRO_ALIGN_KERNEL, then the
@@ -72,7 +72,7 @@ class EvaluationSettings:
     #: merge decisions for every value.
     jobs: Optional[int] = None
     #: Plan executor kind (``"auto"`` = the ``REPRO_ENGINE_EXECUTOR``
-    #: environment variable, then serial/thread by ``jobs``;
+    #: environment variable, then serial/process by ``jobs``;
     #: ``"process"`` offloads the alignment DPs to a worker pool as pure
     #: data).  Identical merge decisions for every executor.
     executor: str = "auto"

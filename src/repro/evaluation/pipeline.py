@@ -254,8 +254,7 @@ def compile_module(module: Module, technique: str, *,
     - e.g. ``"nw-numpy"`` for the vectorized one) and the plan/commit
     scheduler's parallelism (``executor="process"`` offloads the alignment
     DPs to a worker pool); every choice produces identical merge decisions
-    and only changes the stage timings (the knobs the engine
-    microbenchmarks sweep).
+    and only changes the stage timings.
 
     ``alignment_cache_path`` (default: the ``REPRO_ALIGN_CACHE`` environment
     variable) names a shared alignment-cache snapshot: every module compiled

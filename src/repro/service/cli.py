@@ -36,7 +36,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--unix-socket", default=None, metavar="PATH",
                         help="serve on a unix socket instead of TCP")
     parser.add_argument("--executor", default="auto",
-                        choices=("auto", "serial", "thread", "process"),
+                        choices=("auto", "serial", "process"),
                         help="plan executor leased to every request")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker count (default: cores - 1)")
@@ -77,7 +77,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--degrade-after", type=int, default=3,
                         help="consecutive worker-pool failures before the "
                              "executor steps down its ladder "
-                             "(process -> thread -> serial; 0 disables)")
+                             "(process -> serial; 0 disables)")
     parser.add_argument("--sanitize", action="store_true", default=None,
                         help="run the static-analysis sanitizer (verifier "
                              "v2 + merge linter) on every request; "

@@ -9,8 +9,8 @@ dominate (the compile-time setting of the paper's Figs. 12-13).  The
 daemon hoists all of them into one long-lived **warm engine context**:
 
 * a **persistent worker pool**: one keep-alive
-  :class:`~repro.core.engine.offload.ProcessExecutor` (or thread/serial
-  equivalent), *leased* to every request and surviving each run's
+  :class:`~repro.core.engine.offload.ProcessExecutor` (or the serial
+  executor), *leased* to every request and surviving each run's
   end-of-run :meth:`~repro.core.engine.scheduler.PlanExecutor.release`;
   failure paths still close the pool for real, and the next lease detects
   ``closed`` and rebuilds - that is the pool-recycling story for killed
@@ -118,7 +118,7 @@ class DaemonConfig:
     breaker_reset_seconds: float = 5.0
     #: Executor degradation ladder: after this many consecutive worker-pool
     #: failures the warm context steps the executor down one tier
-    #: (process -> thread -> serial) instead of rebuilding the same broken
+    #: (process -> serial) instead of rebuilding the same broken
     #: pool forever; a successful request resets the count.  0: off.
     degrade_after_failures: int = 3
 
@@ -161,7 +161,7 @@ class WarmContext:
         }
         self._requests_since_recycle = 0
         self._inflight = 0
-        #: Executor degradation ladder (process -> thread -> serial): the
+        #: Executor degradation ladder (process -> serial): the
         #: tier future leases build, stepped down by repeated worker-pool
         #: failures.  Decisions are executor-invariant, so a degraded
         #: daemon answers identically - only slower.
@@ -213,9 +213,9 @@ class WarmContext:
                 if self._executor is not None and not self._executor.closed:
                     self._executor.close()
 
-    #: Next-lower executor tier ("auto" resolves to the process pool, so
-    #: it degrades the same way).
-    _LADDER = {"auto": "thread", "process": "thread", "thread": "serial"}
+    #: Next-lower executor tier ("auto" resolves to the process pool for
+    #: jobs>1, so it degrades the same way).
+    _LADDER = {"auto": "serial", "process": "serial"}
 
     def note_worker_failure(self) -> None:
         """A run died on a broken pool: make sure the dead executor is

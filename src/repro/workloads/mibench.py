@@ -19,7 +19,8 @@ from ..ir.module import Module
 from .generators import (FamilySpec, FunctionSpec, add_call_sites, build_function,
                          clone_function, make_family, mutate_constants,
                          mutate_opcodes, add_extra_instructions)
-from .suites import BenchmarkConfig, GeneratedBenchmark, build_benchmark_module
+from .suites import (BenchmarkConfig, GeneratedBenchmark, benchmark_rng,
+                     build_benchmark_module)
 
 MIBENCH_BENCHMARKS: List[BenchmarkConfig] = [
     BenchmarkConfig("CRC32", "mibench", 4, 25),
@@ -68,7 +69,7 @@ def mibench_benchmark_names() -> List[str]:
 def _build_rijndael(config: BenchmarkConfig, seed: int) -> GeneratedBenchmark:
     """Special-cased rijndael model: a small program dominated by two large,
     partially similar functions (encrypt / decrypt)."""
-    rng = random.Random((hash(config.name) ^ seed) & 0xFFFFFFFF)
+    rng = benchmark_rng(config.name, seed)
     module = Module(config.name)
     result = GeneratedBenchmark(config, module)
 

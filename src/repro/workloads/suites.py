@@ -11,6 +11,7 @@ into a concrete IR module at a chosen scale.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -71,6 +72,16 @@ def _size_to_shape(avg_size: int, rng: random.Random) -> Tuple[int, int]:
     return blocks, per_block
 
 
+def benchmark_rng(name: str, seed: int) -> random.Random:
+    """The random stream a benchmark model is generated from.
+
+    Seeded from a CRC of the name, not ``hash(name)``: Python randomizes
+    string hashes per process, and a module must come out identical in
+    every process (paper-figure runs, daemon regenerative payloads).
+    """
+    return random.Random((zlib.crc32(name.encode("utf-8")) ^ seed) & 0xFFFFFFFF)
+
+
 def build_benchmark_module(config: BenchmarkConfig, scale: float = 0.01,
                            cap: int = 48, seed: int = 0) -> GeneratedBenchmark:
     """Generate the synthetic module for one benchmark.
@@ -84,7 +95,7 @@ def build_benchmark_module(config: BenchmarkConfig, scale: float = 0.01,
     * a synthetic execution profile (hot functions get ``hot_weight`` times
       the call count of cold ones).
     """
-    rng = random.Random((hash(config.name) ^ seed) & 0xFFFFFFFF)
+    rng = benchmark_rng(config.name, seed)
     module = Module(config.name)
     total = config.scaled_function_count(scale, cap)
 

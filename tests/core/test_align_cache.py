@@ -193,7 +193,7 @@ class TestEngineCache:
         # one big batch: every commit conflicts the rest of the batch, and
         # each replan re-aligns pairs whose bodies did not change
         report = FunctionMergingPass(exploration_threshold=2, jobs=1,
-                                     executor="thread",
+                                     executor="serial",
                                      batch_size=64).run(build_module(11, 6))
         assert report.scheduler_stats["replans"] > 0
         assert report.scheduler_stats["align_cache_hits"] > 0

@@ -1,11 +1,9 @@
-"""Property tests for the native (C) alignment kernels and the wavefront.
+"""Property tests for the native (C) alignment kernels.
 
 The contract mirrors :mod:`tests.core.test_align_numpy`: *bit-identical
-output*.  For every pair of sequences, every scoring scheme, and both the
-full and the banded variant (certified or fallen back), ``nw-native``,
-``nw-banded-native`` and ``nw-wavefront-numpy`` must return the same score
-and the same entry list - same tie-breaking included - as the pure-Python
-:func:`needleman_wunsch`.  The extension-absent behaviour (a clear error
+output*.  For every pair of sequences and every scoring scheme,
+``nw-native`` must return the same score and the same entry list - same
+tie-breaking included - as the pure-Python :func:`needleman_wunsch`.  The extension-absent behaviour (a clear error
 naming the build requirements for explicit requests, a warned downgrade to
 the NumPy or pure tier for the environment knob) is tested by simulating a
 failed build, mirroring the NumPy-absent leg.
@@ -17,19 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FunctionMergingPass, MergeEngine, align_np
+from repro.core import FunctionMergingPass, MergeEngine
 from repro.core import native as native_mod
-from repro.core.align_np import (needleman_wunsch_wavefront_numpy,
-                                 needleman_wunsch_wavefront_numpy_keyed,
-                                 numpy_available)
+from repro.core.align_np import numpy_available
 from repro.core.alignment import (ALGORITHMS, ScoringScheme, align,
                                   needleman_wunsch, needleman_wunsch_keyed,
                                   ops_string, solve_keyed_alignment)
 from repro.core.engine import ProcessExecutor
 from repro.core.engine.stages import AlignmentStage, resolve_alignment_kernel
 from repro.core.native import (native_available,
-                               needleman_wunsch_banded_native,
-                               needleman_wunsch_banded_native_keyed,
                                needleman_wunsch_native,
                                needleman_wunsch_native_keyed,
                                solve_keyed_alignment_native)
@@ -38,15 +32,11 @@ from repro.workloads import FamilySpec, FunctionSpec, make_family
 
 requires_native = pytest.mark.skipif(
     not native_available(), reason="native extension not buildable here")
-requires_numpy = pytest.mark.skipif(not numpy_available(),
-                                    reason="NumPy not installed")
-
 short_text = st.text(alphabet="ABCD", max_size=14)
 scorings = st.builds(ScoringScheme,
                      match=st.integers(1, 3),
                      mismatch=st.integers(-3, 0),
                      gap=st.integers(-3, 0))
-band_margins = st.one_of(st.none(), st.integers(min_value=0, max_value=6))
 
 
 def entry_pairs(result):
@@ -107,42 +97,12 @@ def test_native_keyed_matches_keyed_kernel(seq1, seq2, scoring):
 
 
 @requires_native
-@settings(max_examples=100, deadline=None)
-@given(short_text, short_text, scorings, band_margins)
-def test_native_banded_matches_nw_incl_fallback(seq1, seq2, scoring, margin):
-    """Tiny margins force the certificate to fail on dissimilar pairs, so
-    this exercises both the certified band and the full-DP fallback."""
-    want = needleman_wunsch(seq1, seq2, scoring=scoring)
-    keys1 = [ord(c) for c in seq1]
-    keys2 = [ord(c) for c in seq2]
-    assert_same(needleman_wunsch_banded_native_keyed(
-        seq1, seq2, keys1, keys2, scoring, band_margin=margin), want)
-    assert_same(needleman_wunsch_banded_native(
-        seq1, seq2, scoring=scoring, band_margin=margin), want)
-
-
-@requires_numpy
-@settings(max_examples=100, deadline=None)
-@given(short_text, short_text, scorings)
-def test_wavefront_matches_nw_entries_and_score(seq1, seq2, scoring):
-    want = needleman_wunsch(seq1, seq2, scoring=scoring)
-    keys1 = [ord(c) for c in seq1]
-    keys2 = [ord(c) for c in seq2]
-    assert_same(needleman_wunsch_wavefront_numpy(seq1, seq2, scoring=scoring),
-                want)
-    assert_same(needleman_wunsch_wavefront_numpy_keyed(
-        seq1, seq2, keys1, keys2, scoring), want)
-
-
-@requires_native
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 3), max_size=12),
-       st.lists(st.integers(0, 3), max_size=12), scorings,
-       st.booleans())
-def test_solve_keyed_native_matches_pure_solver(keys1, keys2, scoring, banded):
-    want = solve_keyed_alignment(keys1, keys2, scoring,
-                                 "nw-banded" if banded else "needleman-wunsch")
-    got = solve_keyed_alignment_native(keys1, keys2, scoring, banded=banded)
+       st.lists(st.integers(0, 3), max_size=12), scorings)
+def test_solve_keyed_native_matches_pure_solver(keys1, keys2, scoring):
+    want = solve_keyed_alignment(keys1, keys2, scoring)
+    got = solve_keyed_alignment_native(keys1, keys2, scoring)
     assert got == want
 
 
@@ -155,13 +115,6 @@ def test_native_degenerate_sequences(seq1, seq2):
     keys1, keys2 = [ord(c) for c in seq1], [ord(c) for c in seq2]
     assert_same(needleman_wunsch_native(seq1, seq2), want)
     assert_same(needleman_wunsch_native_keyed(seq1, seq2, keys1, keys2), want)
-    assert_same(needleman_wunsch_banded_native(seq1, seq2), want)
-    assert_same(needleman_wunsch_banded_native_keyed(seq1, seq2, keys1, keys2),
-                want)
-    if numpy_available():
-        assert_same(needleman_wunsch_wavefront_numpy(seq1, seq2), want)
-        assert_same(needleman_wunsch_wavefront_numpy_keyed(
-            seq1, seq2, keys1, keys2), want)
 
 
 @requires_native
@@ -195,38 +148,16 @@ def test_huge_scores_fall_back_to_pure_and_still_match():
 
 
 @requires_native
-def test_native_banded_certifies_near_identical_pair_without_fallback():
-    native = native_mod.require_native("nw-banded-native")
-    keys1 = list(range(300))
-    keys2 = list(range(300))
-    keys2[150] = 99999
-    from repro.core.alignment import derive_band_margin
-    shape = native.solve_banded_keyed(keys1, keys2, 1, -1, -1,
-                                      derive_band_margin(keys1, keys2))
-    assert shape is not None  # narrow band, certificate holds
-    want = needleman_wunsch_keyed(keys1, keys2, keys1, keys2)
-    assert shape == (ops_string(want.entries), want.score)
-
-
-@requires_native
 def test_front_door_dispatches_native_algorithms():
     want = needleman_wunsch("ABCA", "ABDA")
     assert_same(align("ABCA", "ABDA", algorithm="nw-native"), want)
-    assert_same(align("ABCA", "ABDA", algorithm="nw-banded-native"), want)
-    assert "nw-native" in ALGORITHMS and "nw-banded-native" in ALGORITHMS
-    if numpy_available():
-        assert_same(align("ABCA", "ABDA", algorithm="nw-wavefront-numpy"),
-                    want)
-        assert "nw-wavefront-numpy" in ALGORITHMS
+    assert "nw-native" in ALGORITHMS
 
 
 @requires_native
 def test_scores_are_plain_ints():
     result = needleman_wunsch_native_keyed("ABC", "ABD", [1, 2, 3], [1, 2, 4])
     assert type(result.score) is int
-    banded = needleman_wunsch_banded_native_keyed("ABC", "ABD",
-                                                  [1, 2, 3], [1, 2, 4])
-    assert type(banded.score) is int
     ops, score = solve_keyed_alignment_native([1, 2, 3], [1, 2, 4])
     assert type(ops) is str and type(score) is int
 
@@ -236,8 +167,6 @@ def test_scores_are_plain_ints():
 @requires_native
 def test_stage_kernel_argument_selects_native():
     assert AlignmentStage(kernel="nw-native").algorithm == "nw-native"
-    assert AlignmentStage(
-        kernel="nw-banded-native").algorithm == "nw-banded-native"
 
 
 @requires_native
@@ -262,30 +191,13 @@ class TestNativeEngineParity:
     def test_executor_jobs_parity_on_randomized_modules(self, seed):
         reference = FunctionMergingPass(
             exploration_threshold=2, **SEED_CONFIG).run(build_module(seed))
-        for executor, jobs in (("serial", 1), ("thread", 2), ("process", 2)):
+        for executor, jobs in (("serial", 1), ("process", 2)):
             module = build_module(seed)
             report = FunctionMergingPass(
                 exploration_threshold=2, alignment_kernel="nw-native",
                 executor=executor, jobs=jobs).run(module)
             assert decisions(report) == decisions(reference), (executor, jobs)
             verify_or_raise(module)
-
-    def test_banded_native_parity(self):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(11))
-        report = FunctionMergingPass(
-            exploration_threshold=2,
-            alignment_kernel="nw-banded-native").run(build_module(11))
-        assert decisions(report) == decisions(reference)
-
-    @requires_numpy
-    def test_wavefront_parity(self):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(5))
-        report = FunctionMergingPass(
-            exploration_threshold=2,
-            alignment_kernel="nw-wavefront-numpy").run(build_module(5))
-        assert decisions(report) == decisions(reference)
 
     def test_native_worker_leg(self):
         # workers pinned to the native solver (auto would pick it too when
@@ -328,7 +240,7 @@ class TestWithoutNative:
         with pytest.raises(ImportError, match="compil"):
             AlignmentStage(kernel="nw-native")
         with pytest.raises(ImportError, match="compil"):
-            AlignmentStage(algorithm="nw-banded-native")
+            AlignmentStage(algorithm="nw-native")
 
     def test_env_request_warns_and_downgrades(self, monkeypatch):
         monkeypatch.setenv("REPRO_ALIGN_KERNEL", "nw-native")
@@ -337,10 +249,6 @@ class TestWithoutNative:
         # the downgrade lands on the NumPy twin when available, pure else
         want = "nw-numpy" if numpy_available() else "needleman-wunsch"
         assert stage.algorithm == want
-        monkeypatch.setenv("REPRO_ALIGN_KERNEL", "nw-banded-native")
-        want = "nw-banded-numpy" if numpy_available() else "nw-banded"
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert AlignmentStage().algorithm == want
 
     def test_auto_skips_the_native_tier(self):
         want = "nw-numpy" if numpy_available() else "needleman-wunsch"

@@ -1,9 +1,8 @@
 """Property tests for the NumPy alignment backend.
 
 The contract of :mod:`repro.core.align_np` is *bit-identical output*: for
-every pair of sequences, every scoring scheme, and both the full and the
-banded variant (certified or fallen back), the vectorized kernels return the
-same score and the same entry list - same tie-breaking included - as the
+every pair of sequences and every scoring scheme, the vectorized kernels
+return the same score and the same entry list - same tie-breaking included - as the
 pure-Python :func:`needleman_wunsch`.  The NumPy-absent behaviour (a clear
 error naming the ``fast`` extra for explicit requests, a warned pure-Python
 downgrade for the environment knob) is tested by simulating a failed
@@ -15,9 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import align_np
-from repro.core.align_np import (needleman_wunsch_banded_numpy,
-                                 needleman_wunsch_banded_numpy_keyed,
-                                 needleman_wunsch_numpy,
+from repro.core.align_np import (needleman_wunsch_numpy,
                                  needleman_wunsch_numpy_keyed,
                                  numpy_available)
 from repro.core.alignment import (ALGORITHMS, ScoringScheme, align,
@@ -32,7 +29,6 @@ scorings = st.builds(ScoringScheme,
                      match=st.integers(1, 3),
                      mismatch=st.integers(-3, 0),
                      gap=st.integers(-3, 0))
-band_margins = st.one_of(st.none(), st.integers(min_value=0, max_value=6))
 
 
 def entry_pairs(result):
@@ -67,21 +63,6 @@ def test_numpy_keyed_matches_keyed_kernel(seq1, seq2, scoring):
 
 
 @requires_numpy
-@settings(max_examples=100, deadline=None)
-@given(short_text, short_text, scorings, band_margins)
-def test_numpy_banded_matches_nw_incl_fallback(seq1, seq2, scoring, margin):
-    """Tiny margins force the certificate to fail on dissimilar pairs, so
-    this exercises both the certified band and the full-DP fallback."""
-    want = needleman_wunsch(seq1, seq2, scoring=scoring)
-    keys1 = [ord(c) for c in seq1]
-    keys2 = [ord(c) for c in seq2]
-    assert_same(needleman_wunsch_banded_numpy_keyed(
-        seq1, seq2, keys1, keys2, scoring, band_margin=margin), want)
-    assert_same(needleman_wunsch_banded_numpy(
-        seq1, seq2, scoring=scoring, band_margin=margin), want)
-
-
-@requires_numpy
 @pytest.mark.parametrize("seq1,seq2", [("", ""), ("", "ABC"), ("ABC", ""),
                                        ("A", "A"), ("A", "B"),
                                        ("AAAA", "AAAA")])
@@ -90,46 +71,19 @@ def test_numpy_degenerate_sequences(seq1, seq2):
     keys1, keys2 = [ord(c) for c in seq1], [ord(c) for c in seq2]
     assert_same(needleman_wunsch_numpy(seq1, seq2), want)
     assert_same(needleman_wunsch_numpy_keyed(seq1, seq2, keys1, keys2), want)
-    assert_same(needleman_wunsch_banded_numpy(seq1, seq2), want)
-    assert_same(needleman_wunsch_banded_numpy_keyed(seq1, seq2, keys1, keys2),
-                want)
-
-
-@requires_numpy
-def test_numpy_banded_certifies_near_identical_pair_without_fallback():
-    import numpy as np
-    keys1 = list(range(300))
-    keys2 = list(range(300))
-    keys2[150] = 99999
-    k1 = np.asarray(keys1, dtype=np.int64)
-    k2 = np.asarray(keys2, dtype=np.int64)
-
-    def eq_row_fn(i, js):
-        return k1[i] == k2[js - 1]
-
-    certified = align_np._try_banded_numpy(
-        np, keys1, keys2, eq_row_fn,
-        lambda i, j: keys1[i] == keys2[j], ScoringScheme(),
-        align_np.derive_band_margin(keys1, keys2))
-    assert certified is not None  # narrow band, no full-DP fallback
-    assert_same(certified, needleman_wunsch_keyed(keys1, keys2, keys1, keys2))
 
 
 @requires_numpy
 def test_front_door_dispatches_numpy_algorithms():
     want = needleman_wunsch("ABCA", "ABDA")
     assert_same(align("ABCA", "ABDA", algorithm="nw-numpy"), want)
-    assert_same(align("ABCA", "ABDA", algorithm="nw-banded-numpy"), want)
-    assert "nw-numpy" in ALGORITHMS and "nw-banded-numpy" in ALGORITHMS
+    assert "nw-numpy" in ALGORITHMS
 
 
 @requires_numpy
 def test_scores_are_plain_ints():
     result = needleman_wunsch_numpy_keyed("ABC", "ABD", [1, 2, 3], [1, 2, 4])
     assert type(result.score) is int
-    banded = needleman_wunsch_banded_numpy_keyed("ABC", "ABD",
-                                                 [1, 2, 3], [1, 2, 4])
-    assert type(banded.score) is int
 
 
 # -- kernel resolution: explicit / env / auto ---------------------------------
@@ -145,8 +99,8 @@ def test_env_knob_selects_kernel(monkeypatch):
     monkeypatch.setenv("REPRO_ALIGN_KERNEL", "nw-numpy")
     assert AlignmentStage().algorithm == "nw-numpy"
     # an explicit kernel still wins over the environment
-    monkeypatch.setenv("REPRO_ALIGN_KERNEL", "nw-banded-numpy")
-    assert AlignmentStage(kernel="nw-banded").algorithm == "nw-banded"
+    assert AlignmentStage(
+        kernel="needleman-wunsch").algorithm == "needleman-wunsch"
 
 
 def test_auto_kernel_resolution(monkeypatch):
@@ -162,9 +116,21 @@ def test_auto_kernel_resolution(monkeypatch):
         "needleman-wunsch"
 
 
-def test_unknown_kernel_rejected():
-    with pytest.raises(ValueError, match="unknown alignment kernel"):
-        AlignmentStage(kernel="nw-gpu")
+#: What the unknown-kernel error must list: every remaining algorithm.
+REMAINING_KERNELS = ("['hirschberg', 'needleman-wunsch', 'nw', 'nw-native', "
+                     "'nw-numpy']")
+
+
+def test_unknown_kernel_rejected(monkeypatch):
+    # the nw-banded* and nw-wavefront-numpy names belong to removed kernels
+    for kernel in ("nw-gpu", "nw-banded", "nw-banded-numpy",
+                   "nw-wavefront-numpy", "nw-banded-native"):
+        with pytest.raises(ValueError, match="unknown alignment kernel"):
+            AlignmentStage(kernel=kernel)
+        monkeypatch.setenv("REPRO_ALIGN_KERNEL", kernel)
+        with pytest.raises(ValueError) as excinfo:
+            AlignmentStage()
+        assert REMAINING_KERNELS in str(excinfo.value)
 
 
 # -- behaviour without NumPy --------------------------------------------------
@@ -189,16 +155,13 @@ class TestWithoutNumpy:
         with pytest.raises(ImportError, match="fast"):
             AlignmentStage(kernel="nw-numpy")
         with pytest.raises(ImportError, match="fast"):
-            AlignmentStage(algorithm="nw-banded-numpy")
+            AlignmentStage(algorithm="nw-numpy")
 
     def test_env_request_warns_and_downgrades(self, monkeypatch):
         monkeypatch.setenv("REPRO_ALIGN_KERNEL", "nw-numpy")
         with pytest.warns(RuntimeWarning, match="falling back"):
             stage = AlignmentStage()
         assert stage.algorithm == "needleman-wunsch"
-        monkeypatch.setenv("REPRO_ALIGN_KERNEL", "nw-banded-numpy")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert AlignmentStage().algorithm == "nw-banded"
 
     def test_pure_python_engine_still_runs(self):
         import random

@@ -4,14 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (ScoringScheme, hirschberg, needleman_wunsch,
-                        needleman_wunsch_banded, needleman_wunsch_banded_keyed,
                         needleman_wunsch_keyed)
-from repro.core.alignment import (MIN_DERIVED_BAND_MARGIN, _try_banded,
-                                  derive_band_margin)
 
 short_text = st.text(alphabet="ABCD", max_size=14)
 tiny_text = st.text(alphabet="AB", max_size=7)
-band_margins = st.one_of(st.none(), st.integers(min_value=0, max_value=6))
 
 
 def entry_pairs(result):
@@ -90,27 +86,7 @@ def test_alignment_is_symmetric_in_score(seq1, seq2):
             == needleman_wunsch(seq2, seq1).score)
 
 
-# -- banded and keyed kernels: exact parity with the full DP -----------------
-
-@settings(max_examples=120, deadline=None)
-@given(short_text, short_text, band_margins)
-def test_banded_matches_full_nw_score_and_entries(seq1, seq2, margin):
-    full = needleman_wunsch(seq1, seq2)
-    banded = needleman_wunsch_banded(seq1, seq2, band_margin=margin)
-    assert banded.score == full.score
-    assert entry_pairs(banded) == entry_pairs(full)
-
-
-@settings(max_examples=60, deadline=None)
-@given(short_text, short_text,
-       st.integers(1, 3), st.integers(-3, 0), st.integers(-3, 0))
-def test_banded_matches_full_nw_under_any_scoring(seq1, seq2, match, mismatch, gap):
-    scoring = ScoringScheme(match=match, mismatch=mismatch, gap=gap)
-    full = needleman_wunsch(seq1, seq2, scoring=scoring)
-    banded = needleman_wunsch_banded(seq1, seq2, scoring=scoring, band_margin=1)
-    assert banded.score == full.score
-    assert entry_pairs(banded) == entry_pairs(full)
-
+# -- keyed kernel: exact parity with the predicate DP ------------------------
 
 @settings(max_examples=80, deadline=None)
 @given(short_text, short_text)
@@ -123,18 +99,6 @@ def test_keyed_kernel_matches_predicate_nw(seq1, seq2):
     assert entry_pairs(keyed) == entry_pairs(full)
 
 
-@settings(max_examples=80, deadline=None)
-@given(short_text, short_text, band_margins)
-def test_banded_keyed_kernel_matches_full_nw(seq1, seq2, margin):
-    keys1 = [ord(c) for c in seq1]
-    keys2 = [ord(c) for c in seq2]
-    full = needleman_wunsch(seq1, seq2)
-    banded = needleman_wunsch_banded_keyed(seq1, seq2, keys1, keys2,
-                                           band_margin=margin)
-    assert banded.score == full.score
-    assert entry_pairs(banded) == entry_pairs(full)
-
-
 @settings(max_examples=60, deadline=None)
 @given(short_text)
 def test_hirschberg_threads_score_out_of_divide_and_conquer(seq):
@@ -142,44 +106,3 @@ def test_hirschberg_threads_score_out_of_divide_and_conquer(seq):
     result = hirschberg(seq, seq)
     assert result.score == len(seq)
 
-
-# -- key-derived band margins (the banded kernel's default) ------------------
-
-@settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(0, 5), max_size=20),
-       st.lists(st.integers(0, 5), max_size=20))
-def test_derived_margin_counts_unmatchable_entries(keys1, keys2):
-    margin = derive_band_margin(keys1, keys2, floor=0)
-    # never below the forced length imbalance, never above everything
-    assert abs(len(keys1) - len(keys2)) <= margin <= len(keys1) + len(keys2)
-    # permutations have identical key multisets: zero unmatchable entries
-    assert derive_band_margin(keys1, list(reversed(keys1)), floor=0) == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=16),
-       st.lists(st.integers(0, 3), min_size=1, max_size=16))
-def test_banded_keyed_with_derived_margin_matches_full(keys1, keys2):
-    # band_margin=None now derives the margin from the key multisets; the
-    # certificate must still guarantee exact parity with the full DP
-    full = needleman_wunsch_keyed(keys1, keys2, keys1, keys2)
-    banded = needleman_wunsch_banded_keyed(keys1, keys2, keys1, keys2)
-    assert banded.score == full.score
-    assert entry_pairs(banded) == entry_pairs(full)
-
-
-def test_near_identical_sequences_certify_with_narrow_band():
-    # a large nearly-identical pair: the old fixed margin was min(n, m) // 8
-    # (wide); the derived margin stays at the floor and still certifies,
-    # which is the whole point of deriving it from the key distance
-    keys1 = list(range(400))
-    keys2 = list(range(400))
-    keys2[200] = 9999  # one mutated entry
-    margin = derive_band_margin(keys1, keys2)
-    assert margin == MIN_DERIVED_BAND_MARGIN
-    certified = _try_banded(keys1, keys2, lambda i, j: keys1[i] == keys2[j],
-                            ScoringScheme(), margin)
-    assert certified is not None  # no full-DP fallback
-    full = needleman_wunsch_keyed(keys1, keys2, keys1, keys2)
-    assert certified.score == full.score
-    assert entry_pairs(certified) == entry_pairs(full)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.core import (EquivalenceKeyInterner, FunctionMergingPass,
-                        IndexedCandidateSearcher, MergeEngine, MergeOptions,
+                        IndexedCandidateSearcher, MergeEngine,
                         entries_equivalent, linearize, linearize_with_keys)
 from repro.core.engine import STAGES
 from repro.ir import Module, verify_or_raise
@@ -14,7 +14,7 @@ from repro.passes.reg2mem import demote_phis
 from repro.workloads import (FamilySpec, FunctionSpec, clone_function,
                              make_family, mutate_constants, mutate_opcodes)
 
-from tests.helpers import make_binary_chain_function, make_caller, run_function
+from tests.helpers import make_binary_chain_function, make_caller
 
 
 def _module_with_families(num_families=2, clones_per_family=2, seed=5):
@@ -160,21 +160,6 @@ class TestStrategyParity:
         reference = self._run(oracle=True, **self.CONFIGS[0])
         for config in self.CONFIGS[1:]:
             assert self._run(oracle=True, **config) == reference
-
-    def test_banded_alignment_same_decisions_and_semantics(self):
-        options = MergeOptions(alignment_algorithm="nw-banded")
-        reference = self._run(**self.CONFIGS[0])
-        assert self._run(options=options) == reference
-
-        module, _ = _module_with_families()
-        pristine, _ = _module_with_families()
-        report = FunctionMergingPass(exploration_threshold=2,
-                                     options=options).run(module)
-        assert report.merge_count >= 1
-        verify_or_raise(module)
-        for n in (0, 3, 11):
-            assert (run_function(module, "main", [n])
-                    == run_function(pristine, "main", [n]))
 
     def test_caller_caches_invalidated_after_call_site_rewrite(self):
         # Regression: apply_merge rewrites call sites inside *caller*

@@ -150,8 +150,8 @@ class TestProcessExecutorParity:
     def test_executor_jobs_parity_on_randomized_modules(self, seed):
         reference = FunctionMergingPass(
             exploration_threshold=2, **SEED_CONFIG).run(build_module(seed))
-        for executor, jobs in (("serial", 1), ("thread", 2), ("thread", 8),
-                               ("process", 1), ("process", 2), ("process", 8)):
+        for executor, jobs in (("serial", 1), ("process", 1), ("process", 2),
+                               ("process", 8)):
             module = build_module(seed)
             report = FunctionMergingPass(
                 exploration_threshold=2, executor=executor,
@@ -235,8 +235,8 @@ class TestProcessExecutorParity:
         assert engine.executor_kind == "process"
         # explicit executor beats the environment
         explicit = MergeEngine(exploration_threshold=2, jobs=2,
-                               executor="thread")
-        assert explicit.executor_kind == "thread"
+                               executor="serial")
+        assert explicit.executor_kind == "serial"
         report = engine.run(build_module(3))
         assert report.scheduler_stats["offload_rounds"] > 0
 
@@ -482,7 +482,7 @@ class TestKeepAliveExecutors:
     def test_borrowed_transient_executor_is_released_by_the_run(self):
         # a caller-provided executor without keep_alive is closed by the
         # engine's release path at the end of a successful run
-        executor = make_executor("thread", 2)
+        executor = make_executor("process", 2)
         assert not executor.keep_alive
         report = MergeEngine(exploration_threshold=2, jobs=2,
                              executor=executor).run(build_module(3))
@@ -553,12 +553,17 @@ class TestAdaptiveBatching:
 
     def test_adaptive_shrinks_batches_under_conflict_pressure(self):
         # batching the whole worklist of a clone-heavy module conflicts
-        # heavily; the controller must react by shrinking
-        report = FunctionMergingPass(
+        # heavily; the controller must react by shrinking, and so throw
+        # away no more planning than fixed batching does
+        runs = {adaptive: FunctionMergingPass(
             exploration_threshold=2, jobs=2, batch_size=64,
-            adaptive_batch=True).run(build_module(7, families=6, clones=3))
-        trace = report.scheduler_stats["batch_size_trace"]
+            adaptive_batch=adaptive).run(build_module(7, families=6, clones=3))
+            for adaptive in (False, True)}
+        trace = runs[True].scheduler_stats["batch_size_trace"]
         assert min(trace) < 64
+        assert decisions(runs[True]) == decisions(runs[False])
+        assert (runs[True].scheduler_stats["replans"]
+                <= runs[False].scheduler_stats["replans"])
 
     def test_env_knob_enables_adaptivity(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_ADAPTIVE_BATCH", "1")

@@ -70,14 +70,6 @@ class TestSchedulerParity:
                                      batch_size=batch_size).run(build_module(seed))
         assert decisions(report) == decisions(reference)
 
-    def test_thread_executor_parity_under_oracle(self):
-        reference = FunctionMergingPass(oracle=True, oracle_prune=False,
-                                        **SEED_CONFIG).run(build_module(3))
-        for jobs in (2, 8):
-            report = FunctionMergingPass(oracle=True, jobs=jobs,
-                                         batch_size=8).run(build_module(3))
-            assert decisions(report) == decisions(reference)
-
     def test_stale_entries_match_seed_silent_skips(self):
         # the seed engine silently dropped consumed worklist names; the
         # scheduler must count exactly those
@@ -96,7 +88,7 @@ class TestSchedulerParity:
                                      batch_size=1).run(build_module(7, families=6))
         batched_module = build_module(7, families=6)
         batched = FunctionMergingPass(exploration_threshold=2, jobs=1,
-                                      executor="thread",
+                                      executor="serial",
                                       batch_size=64).run(batched_module)
         assert decisions(batched) == decisions(serial)
         stats = batched.scheduler_stats
@@ -110,10 +102,8 @@ class TestSchedulerParity:
 
 
 #: Every selectable alignment kernel (None = the engine default); the NumPy
-#: backends join in when the ``fast`` extra is installed.
-KERNELS = [None, "nw-banded"] + (
-    ["nw-numpy", "nw-banded-numpy", "nw-wavefront-numpy"]
-    if numpy_available() else [])
+#: backend joins in when the ``fast`` extra is installed.
+KERNELS = [None] + (["nw-numpy"] if numpy_available() else [])
 
 
 class TestKernelParity:
@@ -285,14 +275,6 @@ class TestExecutors:
         assert executor.jobs == 1
         assert executor.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
 
-    def test_thread_executor_maps_in_order(self):
-        executor = make_executor("thread", 4)
-        try:
-            assert executor.map(lambda x: x * x, list(range(20))) == \
-                [x * x for x in range(20)]
-        finally:
-            executor.close()
-
     def test_process_executor_offloads_and_maps_in_process(self):
         # planning (map) stays in the calling process - plans hold live IR -
         # while run_tasks is the offload seam
@@ -306,16 +288,29 @@ class TestExecutors:
         finally:
             executor.close()
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            make_executor("gpu", 2)
-        with pytest.raises(ValueError):
-            MergeEngine(executor="gpu", jobs=2).run(Module("empty"))
+    def test_auto_picks_process_for_several_jobs(self):
+        executor = make_executor("auto", 2)
+        try:
+            assert executor.offloads_alignment
+            assert executor.jobs == 2
+        finally:
+            executor.close()
+
+    def test_unknown_executor_rejected(self, monkeypatch):
+        # "thread" names the removed thread-pool executor
+        for kind in ("gpu", "thread"):
+            with pytest.raises(ValueError, match=r"\['process', 'serial'\]"):
+                make_executor(kind, 2)
+            with pytest.raises(ValueError):
+                MergeEngine(executor=kind, jobs=2).run(Module("empty"))
+            monkeypatch.setenv("REPRO_ENGINE_EXECUTOR", kind)
+            with pytest.raises(ValueError, match=r"\['process', 'serial'\]"):
+                MergeEngine(jobs=2).run(Module("empty"))
 
 
 class TestPlanningErrors:
     """A planner exception names the worklist entry it came from, and the
-    thread pool is still shut down through the engine's finally path."""
+    worker pool is still shut down through the engine's finally path."""
 
     class _ExplodingSearcher:
         """Delegating searcher that raises when ranking one specific name."""
@@ -338,11 +333,12 @@ class TestPlanningErrors:
             make_searcher("indexed", exploration_threshold=2), poison)
         return MergeEngine(exploration_threshold=2, searcher=searcher, **kwargs)
 
-    def test_error_names_the_entry_under_thread_executor(self):
+    def test_error_names_the_entry_under_process_executor(self):
         from repro.core.engine import PlanningError
         module = build_module(5)
         poison = sorted(f.name for f in module.defined_functions())[3]
-        engine = self._poisoned_engine(poison, jobs=2, batch_size=8)
+        engine = self._poisoned_engine(poison, jobs=2, batch_size=8,
+                                       executor="process")
         schedulers = []
         original = engine.make_scheduler
         engine.make_scheduler = lambda: schedulers.append(original()) or schedulers[-1]
@@ -351,12 +347,9 @@ class TestPlanningErrors:
         assert isinstance(excinfo.value.__cause__, KeyError)
         assert excinfo.value.entry == poison
         # the engine's finally path closed the pool despite the error
-        # (shutdown flag name differs between thread and process pools,
-        # and the ambient REPRO_ENGINE_EXECUTOR may select either)
         [scheduler] = schedulers
-        pool = scheduler.executor._pool
-        assert (getattr(pool, "_shutdown", False)
-                or getattr(pool, "_shutdown_thread", False))
+        assert scheduler.executor.closed
+        assert scheduler.executor._pool._shutdown_thread
 
     def test_error_names_the_entry_serially_too(self):
         from repro.core.engine import PlanningError
@@ -391,11 +384,11 @@ class TestCacheAwarePlanning:
         return build_module(seed, families=families, clones=3)
 
     def test_duplicates_deferred_and_never_recomputed(self):
-        # executor pinned to thread: under the process offload, worker
+        # executor pinned to serial: under the process offload, worker
         # results are stored without a counted miss, so the miss==entries
         # invariant below is specific to in-process planning
         report = FunctionMergingPass(
-            exploration_threshold=2, jobs=4, executor="thread",
+            exploration_threshold=2, executor="serial",
             batch_size=64).run(self.clone_heavy_module())
         stats = report.scheduler_stats
         assert stats["content_dup_deferred"] > 0

@@ -3,7 +3,7 @@ tested over random seeded fault schedules.
 
 Each schedule draws 1-3 fault sites with random triggers (always / nth /
 budgeted / probabilistic) from a seeded RNG and runs a full merge under a
-rotating engine configuration (serial / thread / process executor, auto /
+rotating engine configuration (serial / process executor, auto /
 pure kernel, cold / warm alignment cache).  The invariant, for EVERY
 schedule:
 
@@ -39,7 +39,6 @@ MODULE_SEED = 5
 #: expensive one (real worker pools) and therefore appears once.
 CONFIGS = (
     ("serial", 1, None),
-    ("thread", 2, None),
     ("serial", 1, "nw"),
     ("process", 2, None),
 )

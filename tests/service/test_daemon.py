@@ -3,7 +3,7 @@
 Everything runs against a real daemon bound to an ephemeral localhost port
 (or a unix socket), talked to through the real client - the full wire
 path.  Covers: request/response happy paths, bit-identical decisions vs
-the direct (daemon-less) pipeline under serial/thread/process executors,
+the direct (daemon-less) pipeline under serial/process executors,
 warm-request accounting, wire-level rejections (malformed JSON, oversized
 payloads, unknown methods/sessions), bounded-queue backpressure (429),
 concurrent clients hammering one daemon, session TTL eviction, killed
@@ -151,7 +151,7 @@ class TestBasics:
 # -- bit-identity vs the direct path ------------------------------------------
 
 class TestDecisionParity:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_daemon_decisions_match_direct_compile(self, executor):
         daemon = make_daemon(executor=executor, jobs=2)
         try:
@@ -159,7 +159,7 @@ class TestDecisionParity:
                 served = client.compile_module(WORKLOAD)
         finally:
             daemon.shutdown()
-        for direct_executor in ("serial", "thread", "process"):
+        for direct_executor in ("serial", "process"):
             assert served["decisions"] == direct_decisions(
                 WORKLOAD, executor=direct_executor, jobs=2), direct_executor
 
@@ -310,7 +310,7 @@ class TestBackpressure:
 # -- concurrency --------------------------------------------------------------
 
 class TestConcurrentClients:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_hammering_clients_get_bit_identical_decisions(self, executor):
         daemon = make_daemon(executor=executor, jobs=2, queue_limit=16)
         payloads = [

@@ -2,7 +2,7 @@
 timeout, mid-response disconnects are absorbed and counted, repeated
 internal failures trip the circuit breaker (503 + Retry-After, then a
 half-open probe heals it), and consecutive worker-pool failures step the
-executor degradation ladder (process -> thread -> serial) while the daemon
+executor degradation ladder (process -> serial) while the daemon
 keeps serving bit-identical answers."""
 
 import socket
@@ -132,9 +132,9 @@ class TestExecutorLadder:
                 result = client.compile_module(WORKLOAD)
                 assert result["merge_count"] >= 1
                 stats = client.stats()
-                assert stats["executor_kind"] == "thread"
+                assert stats["executor_kind"] == "serial"
                 assert any(e["component"] == "service-executor"
-                           and e["from"] == "process" and e["to"] == "thread"
+                           and e["from"] == "process" and e["to"] == "serial"
                            for e in stats["degradations"])
                 assert client.health()["degraded"] is True
         finally:

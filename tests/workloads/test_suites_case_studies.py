@@ -136,3 +136,38 @@ class TestCaseStudies:
         combined = f1.instruction_count() + f2.instruction_count()
         reduction = 1.0 - result.merged.instruction_count() / combined
         assert reduction > 0.25
+
+
+class TestCrossProcessDeterminism:
+    """Generated modules depend only on the benchmark name and seed, never
+    on the interpreter's per-process string-hash randomization."""
+
+    CHILD = (
+        "import hashlib\n"
+        "from repro.ir.printer import module_to_str\n"
+        "from repro.workloads import build_mibench_benchmark, build_spec_benchmark\n"
+        "modules = [build_spec_benchmark('462.libquantum').module,\n"
+        "           build_mibench_benchmark('rijndael').module,\n"
+        "           build_mibench_benchmark('gsm').module]\n"
+        "for module in modules:\n"
+        "    text = module_to_str(module).encode('utf-8')\n"
+        "    print(module.name, hashlib.sha256(text).hexdigest())\n"
+    )
+
+    def _digests(self, hash_seed):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run([sys.executable, "-c", self.CHILD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_modules_identical_under_two_hash_seeds(self):
+        first = self._digests(1)
+        assert len(first) == 3
+        assert first == self._digests(2)
