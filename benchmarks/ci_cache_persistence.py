@@ -1,9 +1,10 @@
-"""CI driver: two-pass suite evaluation through a shared alignment cache.
+"""CI driver: two-pass suite compilation through a shared alignment cache.
 
-Runs the same (small) MiBench evaluation twice with ``REPRO_ALIGN_CACHE``
-pointing at one snapshot file.  The first pass populates the snapshot (its
-later benchmark x configuration compilations already warm-start from the
-earlier ones); the second pass must warm-start virtually everything.  The
+Compiles every (small) MiBench module at thresholds 1 and 5 through the
+FMSA engine twice, with ``REPRO_ALIGN_CACHE`` pointing at one snapshot
+file.  The first pass populates the snapshot (its later benchmark x
+threshold compilations already warm-start from the earlier ones); the
+second pass must warm-start virtually everything.  The
 run fails when the second pass records no cross-run hits, when its hit rate
 drops below 90%, or when the two passes disagree on any merge decision -
 the regression tripwires for the cache-persistence path.
@@ -32,37 +33,38 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.core.engine.align_cache import ALIGN_CACHE_ENV  # noqa: E402
-from repro.evaluation.experiments import (EvaluationSettings,  # noqa: E402
-                                          evaluate_suite)
+from repro.evaluation import compile_module  # noqa: E402
+from repro.workloads.mibench import (build_mibench_benchmark,  # noqa: E402
+                                     mibench_benchmark_names)
+
+THRESHOLDS = (1, 5)
 
 
-def _settings(cache_path):
+def _scale() -> float:
     try:
-        scale = float(os.environ.get("REPRO_BENCH_SCALE", 0.02))
+        return float(os.environ.get("REPRO_BENCH_SCALE", 0.02))
     except ValueError:
-        scale = 0.02
-    return EvaluationSettings(
-        suite="mibench", targets=("x86-64",), thresholds=(1, 5), scale=scale,
-        # the optimized engine configuration: the cache only serves the
-        # keyed alignment path
-        searcher="indexed", keyed_alignment=True,
-        alignment_cache_path=cache_path)
+        return 0.02
 
 
-def _cache_stats(evaluation):
-    """Summed alignment-cache counters over every FMSA compilation."""
+def _compile_pass(cache_path, scale):
+    """Compile every module at every threshold against the shared snapshot;
+    returns the summed alignment-cache counters and every decision."""
     totals = {"hits": 0, "misses": 0, "cross_run_hits": 0}
     decisions = {}
-    for key, result in sorted(evaluation.results.items()):
-        report = result.merge_report
-        if report is None:
-            continue
-        stats = report.scheduler_stats
-        totals["hits"] += stats.get("align_cache_hits", 0)
-        totals["misses"] += stats.get("align_cache_misses", 0)
-        totals["cross_run_hits"] += stats.get("align_cache_cross_run_hits", 0)
-        decisions[key] = [(m.function1, m.function2, m.merged_name,
-                           m.rank_position, m.delta) for m in report.merges]
+    for benchmark in mibench_benchmark_names():
+        for threshold in THRESHOLDS:
+            module = build_mibench_benchmark(benchmark, scale=scale, cap=40).module
+            report = compile_module(
+                module, "fmsa", benchmark=benchmark, threshold=threshold,
+                alignment_cache_path=cache_path).merge_report
+            stats = report.scheduler_stats
+            totals["hits"] += stats.get("align_cache_hits", 0)
+            totals["misses"] += stats.get("align_cache_misses", 0)
+            totals["cross_run_hits"] += stats.get("align_cache_cross_run_hits", 0)
+            decisions[(benchmark, threshold)] = [
+                (m.function1, m.function2, m.merged_name, m.rank_position,
+                 m.delta) for m in report.merges]
     total = totals["hits"] + totals["misses"]
     totals["hit_rate"] = totals["hits"] / total if total else 0.0
     return totals, decisions
@@ -113,10 +115,10 @@ def check_concurrent_writers(entries_per_writer: int = 40) -> list:
 def main() -> int:
     cache_path = os.environ.get(ALIGN_CACHE_ENV, "").strip() \
         or "align-cache.json"
-    settings = _settings(cache_path)
+    scale = _scale()
 
-    first_stats, first_decisions = _cache_stats(evaluate_suite(settings))
-    second_stats, second_decisions = _cache_stats(evaluate_suite(settings))
+    first_stats, first_decisions = _compile_pass(cache_path, scale)
+    second_stats, second_decisions = _compile_pass(cache_path, scale)
 
     print(f"pass 1: hit rate {first_stats['hit_rate']:.0%} "
           f"({first_stats['hits']}/{first_stats['hits'] + first_stats['misses']}), "

@@ -178,7 +178,6 @@ class StructuralFunctionMergingPass(Pass):
                             result.merged.drop_body()
                             continue
                         applied = apply_merge(module, result, graph, self.allow_deletion)
-                        graph.rebuild()
                         available.discard(f1.name)
                         available.discard(f2.name)
                         available.add(result.merged.name)

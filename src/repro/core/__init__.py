@@ -5,6 +5,8 @@ Public API:
 * :func:`merge_functions` — merge one pair of functions (pure, no module
   mutation).
 * :class:`FunctionMergingPass` — the full ranked exploration framework.
+* :class:`ReferenceMergingPass` — the same exploration as the paper's plain
+  loop: the engine's test oracle and the paper-figure driver.
 * :func:`align`, :func:`needleman_wunsch`, :func:`hirschberg` — sequence
   alignment.
 * :func:`linearize` — CFG linearization.
@@ -24,7 +26,7 @@ from .codegen import (CodegenError, MergeCodeGenerator, MergeOptions,
                       merge_return_types)
 from .engine import (AlignmentCache, IndexedCandidateSearcher, MergeEngine,
                      MergeSession, ModuleEdit, SessionUpdateReport, Stage,
-                     StageStats, apply_edit, make_searcher)
+                     StageStats, apply_edit)
 from .equivalence import (EquivalenceKeyInterner, decode_canonical_keys,
                           encode_equivalence_key, entries_equivalent,
                           entry_equivalence_key, instructions_equivalent,
@@ -40,6 +42,7 @@ from .native import (native_available, needleman_wunsch_native,
 from .pass_ import (FunctionMergingPass, MergeRecord, MergeReport, STAGES,
                     make_hotness_filter)
 from .profitability import MergeEvaluation, estimate_profit
+from .reference import ReferenceMergingPass
 from .ranking import CandidateRanker, RankedCandidate
 from .thunks import AppliedMerge, apply_merge, build_thunk
 
@@ -56,7 +59,6 @@ __all__ = [
     "merge_functions", "merge_parameter_lists", "merge_return_types",
     "IndexedCandidateSearcher", "MergeEngine", "MergeSession", "ModuleEdit",
     "SessionUpdateReport", "Stage", "StageStats", "apply_edit",
-    "make_searcher",
     "EquivalenceKeyInterner", "encode_equivalence_key", "entries_equivalent",
     "entry_equivalence_key",
     "instructions_equivalent", "labels_equivalent", "type_equivalence_key",
@@ -65,7 +67,7 @@ __all__ = [
     "LinearEntry", "LinearizedFunction", "linearize", "linearize_with_keys",
     "sequence_signature",
     "FunctionMergingPass", "MergeRecord", "MergeReport", "STAGES",
-    "make_hotness_filter",
+    "make_hotness_filter", "ReferenceMergingPass",
     "MergeEvaluation", "estimate_profit",
     "CandidateRanker", "RankedCandidate",
     "AppliedMerge", "apply_merge", "build_thunk",

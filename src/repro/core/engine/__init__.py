@@ -17,8 +17,8 @@ Public API:
   incremental session: a long-lived engine over one module that accepts
   edits and replans only the affected slice, bit-identical to a cold rerun
   (:mod:`repro.core.engine.session`).
-* :class:`IndexedCandidateSearcher` / :func:`make_searcher` — exact indexed
-  candidate search (inverted feature index + early-exit bounds).
+* :class:`IndexedCandidateSearcher` — exact indexed candidate search
+  (inverted feature index + early-exit bounds).
 * :class:`ProfitBoundIndex` — sound per-pair profit upper bounds used to
   prune oracle-mode candidate evaluation.
 * The stage classes and :class:`StageStats`, for building custom pipelines
@@ -39,7 +39,7 @@ from .report import STAGES, MergeRecord, MergeReport, SessionUpdateReport
 from .scheduler import (ENGINE_EXECUTOR_ENV, EXECUTORS, AdaptiveBatchSizer,
                         MergeScheduler, PlanExecutor, PlanningError,
                         SerialExecutor, make_executor)
-from .search import (SEARCHERS, IndexedCandidateSearcher, make_searcher)
+from .search import IndexedCandidateSearcher
 from .session import (DirtySet, MergeSession, ModuleEdit, PlanRecord,
                       apply_edit)
 from .stages import (AlignmentStage, CandidateSearchStage, CodegenStage,
@@ -59,7 +59,7 @@ __all__ = [
     "Stage", "StageStats",
     "STAGES", "MergeRecord", "MergeReport", "SessionUpdateReport",
     "MergeSession", "ModuleEdit", "DirtySet", "PlanRecord", "apply_edit",
-    "SEARCHERS", "IndexedCandidateSearcher", "make_searcher",
+    "IndexedCandidateSearcher",
     "AlignmentStage", "CandidateSearchStage", "CodegenStage", "CommitStage",
     "FingerprintStage", "LinearizeStage", "PreprocessStage",
     "ProfitabilityStage",

@@ -7,10 +7,15 @@ explicit pipeline of strategy stages::
                 -> codegen -> profitability -> commit
 
 Each stage is a small object (see :mod:`repro.core.engine.stages`) with its
-own statistics, and the hot stages are swappable: candidate search defaults
-to the inverted-index searcher (exact top-``t``, no O(N²) scan) and
-alignment defaults to the integer-key kernels (per-cell int compares instead
-of the structural equivalence predicate).
+own statistics.  Candidate search runs on the inverted-index searcher (exact
+top-``t``, no O(N²) scan), alignment on the integer-key kernels (per-cell int
+compares instead of the structural equivalence predicate), commits maintain
+the call graph incrementally and merged functions are fingerprinted from
+their alignment columns instead of by rescanning.  The paper's plain loop -
+linear ranking, predicate alignment, a call-graph rebuild and a fingerprint
+rescan per commit - lives on as
+:class:`~repro.core.reference.ReferenceMergingPass`, the oracle the engine is
+tested against and the driver the paper-figure harness times.
 
 Since the plan/commit refactor the driver itself is split in two: every
 stage before commit is *read-only* and runs inside
@@ -20,9 +25,8 @@ immutable :class:`~repro.core.engine.plan.MergePlan`; only
 call-graph rebuilds).  The :class:`~repro.core.engine.scheduler.MergeScheduler`
 batches entries, plans them through a pluggable executor (``jobs=`` selects
 the process offload) and commits serially with conflict detection.  Merge
-*decisions* are identical to the original monolithic pass in every
-configuration - searcher, kernel, job count, batch size - only the time
-spent reaching them changes.
+*decisions* are identical to the reference pass in every configuration -
+kernel, job count, batch size - only the time spent reaching them changes.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .prune import ProfitBoundIndex
 from .report import STAGES, MergeRecord, MergeReport
 from .scheduler import (ENGINE_EXECUTOR_ENV, MergeScheduler, PlanExecutor,
                         PlanningError, make_executor)
-from .search import make_searcher
+from .search import IndexedCandidateSearcher
 from .stages import (AlignmentStage, CandidateSearchStage, CodegenStage,
                      CommitStage, FingerprintStage, LinearizeStage,
                      PreprocessStage, ProfitabilityStage)
@@ -80,8 +84,6 @@ class MergeEngine:
                  allow_deletion: bool = True,
                  hot_function_filter: Optional[Callable[[Function], bool]] = None,
                  minimum_function_size: int = 1,
-                 searcher: Union[str, object] = "indexed",
-                 keyed_alignment: bool = True,
                  alignment_kernel: Optional[str] = None,
                  alignment_cache: Union[bool, int, AlignmentCache] = True,
                  alignment_cache_path: Optional[str] = None,
@@ -90,10 +92,7 @@ class MergeEngine:
                  jobs: Optional[int] = None,
                  executor: Union[str, PlanExecutor] = "auto",
                  batch_size: Optional[int] = None,
-                 adaptive_batch: Optional[bool] = None,
-                 incremental_callgraph: bool = True,
-                 oracle_prune: bool = True,
-                 incremental_fingerprints: bool = True,
+                 adaptive_batch: bool = False,
                  verify_fingerprints: Optional[bool] = None,
                  sanitize: Optional[bool] = None,
                  sanitizer: Optional["Sanitizer"] = None,
@@ -107,7 +106,10 @@ class MergeEngine:
                 function before giving up (the paper's ``t``).
             oracle: evaluate *all* candidates and commit the best profitable
                 one - the exhaustive strategy the paper uses as an upper
-                bound (quadratic; see ``oracle_prune``).
+                bound.  Candidates whose profit upper bound (see
+                :class:`ProfitBoundIndex`) provably cannot beat the best
+                profitable merge found so far are skipped, not evaluated;
+                decisions are those of the unpruned search.
             options: code-generation options (also selects the alignment
                 algorithm and scoring scheme).
             allow_deletion: permit deleting originals whose call sites can
@@ -117,12 +119,6 @@ class MergeEngine:
                 used in Section V-D to protect hot code).
             minimum_function_size: functions with fewer instructions are not
                 considered (they cannot possibly yield a profit).
-            searcher: candidate-search strategy - ``"indexed"`` (default),
-                ``"linear"``, or a pre-built searcher instance (which must
-                offer the :class:`CandidateRanker` interface including
-                ``clear()``; the engine clears it at the start of each run).
-            keyed_alignment: use the integer-key alignment kernels (same
-                results as the predicate-based algorithms, much faster).
             alignment_kernel: alignment algorithm override - any
                 ``ALGORITHMS`` name (``"nw-numpy"`` selects the vectorized
                 NumPy backend, ``"nw-native"`` the C extension) or
@@ -186,23 +182,13 @@ class MergeEngine:
                 observed conflict/replan rate (multiplicative
                 increase/decrease, bounded, deterministic in the stats
                 stream; the trace lands in
-                ``scheduler_stats["batch_size_trace"]``).  Default: the
-                ``REPRO_ENGINE_ADAPTIVE_BATCH`` environment variable, else
-                off.  Decisions are identical either way - adaptivity only
+                ``scheduler_stats["batch_size_trace"]``).  Decisions are
+                identical either way - adaptivity only
                 changes how much planning work conflicts throw away.
-            incremental_callgraph: maintain the call graph incrementally
-                across commits (default).  ``False`` restores the seed's
-                rebuild-per-commit protocol, kept for benchmarking.
-            oracle_prune: in oracle mode, skip candidates whose profit
-                upper bound (see :class:`ProfitBoundIndex`) provably cannot
-                beat the best profitable merge found so far.  Decisions are
-                identical with pruning on or off.
-            incremental_fingerprints: compute each merged function's
-                fingerprint from the alignment columns plus the codegen
-                delta (:meth:`Fingerprint.of_merged`) instead of rescanning
-                the new body.  The result is element-wise identical either
-                way; ``False`` restores the rescan, kept for benchmarking.
-            verify_fingerprints: cross-check every incremental fingerprint
+            verify_fingerprints: each merged function's fingerprint is
+                computed from the alignment columns plus the codegen delta
+                (:meth:`Fingerprint.of_merged`) instead of rescanning the new
+                body; with this flag every such fingerprint is cross-checked
                 against a from-scratch ``Fingerprint.of`` after each commit
                 (defaults to the ``REPRO_VERIFY_FINGERPRINTS`` environment
                 variable; the test suite turns it on).
@@ -251,16 +237,9 @@ class MergeEngine:
                 executor = env_kind
         self.executor_kind = executor
         self.batch_size = batch_size
-        if adaptive_batch is None:
-            adaptive_batch = _env_flag("REPRO_ENGINE_ADAPTIVE_BATCH")
-        self.adaptive_batch = bool(adaptive_batch)
-        self.incremental_callgraph = incremental_callgraph
-        self.oracle_prune = oracle_prune
-        self.incremental_fingerprints = incremental_fingerprints
+        self.adaptive_batch = adaptive_batch
         if verify_fingerprints is None:
-            value = os.environ.get("REPRO_VERIFY_FINGERPRINTS", "")
-            verify_fingerprints = value.strip().lower() not in (
-                "", "0", "false", "no", "off")
+            verify_fingerprints = _env_flag("REPRO_VERIFY_FINGERPRINTS")
         self.verify_fingerprints = verify_fingerprints
         if sanitizer is not None:
             self.sanitizer: Optional[Sanitizer] = sanitizer
@@ -280,12 +259,8 @@ class MergeEngine:
         self._executor_degradation_marks: \
             "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-        if isinstance(searcher, str):
-            searcher = make_searcher(searcher,
-                                     exploration_threshold=self.exploration_threshold)
-        self.searcher = searcher
-        self.profit_bounds = (ProfitBoundIndex(self.target)
-                              if oracle and oracle_prune else None)
+        self.searcher = IndexedCandidateSearcher(self.exploration_threshold)
+        self.profit_bounds = ProfitBoundIndex(self.target) if oracle else None
 
         if isinstance(alignment_cache, AlignmentCache):
             self.align_cache: Optional[AlignmentCache] = alignment_cache
@@ -305,18 +280,16 @@ class MergeEngine:
         self.alignment_cache_path = alignment_cache_path
 
         self.preprocess = PreprocessStage()
-        self.fingerprint = FingerprintStage(searcher, self.profit_bounds)
-        self.candidate_search = CandidateSearchStage(searcher)
+        self.fingerprint = FingerprintStage(self.searcher, self.profit_bounds)
+        self.candidate_search = CandidateSearchStage(self.searcher)
         self.linearize = LinearizeStage(self.options.traversal)
         self.alignment = AlignmentStage(self.options.scoring,
                                         self.options.alignment_algorithm,
-                                        keyed=keyed_alignment,
                                         kernel=alignment_kernel,
                                         cache=self.align_cache)
         self.codegen = CodegenStage(self.options)
         self.profitability = ProfitabilityStage(self.target, allow_deletion)
-        self.commit = CommitStage(allow_deletion,
-                                  incremental=incremental_callgraph)
+        self.commit = CommitStage(allow_deletion)
 
         #: The pipeline, in execution order.
         self.stages: List[Stage] = [
@@ -397,7 +370,7 @@ class MergeEngine:
             function2 = module.get_function(candidate.function_name)
             if function2 is None:
                 continue
-            if self.profit_bounds is not None and self.oracle:
+            if self.profit_bounds is not None:
                 floor = best.evaluation.delta if best is not None else 0
                 bound = self.profit_bounds.delta_bound(
                     name, candidate.function_name, floor)
@@ -436,14 +409,14 @@ class MergeEngine:
     def _merged_fingerprint(self, result, applied, fp_merged) -> Fingerprint:
         """Fingerprint for the just-committed merged function.
 
-        Incremental (the pre-commit :meth:`Fingerprint.of_merged` result)
-        when enabled, falling back to a body rescan when the commit rewrote
-        the merged body itself (it called one of its own originals, so
-        ``apply_merge`` widened call sites inside it and the alignment no
-        longer describes the body).
+        Incremental (the pre-commit :meth:`Fingerprint.of_merged` result),
+        falling back to a body rescan when the commit rewrote the merged
+        body itself (it called one of its own originals, so ``apply_merge``
+        widened call sites inside it and the alignment no longer describes
+        the body).
         """
         merged = result.merged
-        if fp_merged is None or merged.name in applied.rewritten_callers:
+        if merged.name in applied.rewritten_callers:
             self.fingerprint.stats.bump("rescans")
             return Fingerprint.of(merged)
         fp = fp_merged
@@ -541,7 +514,7 @@ class MergeEngine:
             function2 = module.get_function(partner)
             if function2 is None:
                 continue
-            if self.profit_bounds is not None and self.oracle:
+            if self.profit_bounds is not None:
                 bound = self.profit_bounds.delta_bound(name, partner, 0)
                 if bound is not None and bound <= 0:
                     continue
@@ -628,12 +601,10 @@ class MergeEngine:
         # even drops its operands), while of_merged composes the originals'
         # live fingerprints with the alignment - both describing exactly
         # the bodies the plan was computed against
-        fp_merged = None
-        if self.incremental_fingerprints:
-            fp1 = self.fingerprint.live_fingerprint(result.function1)
-            fp2 = self.fingerprint.live_fingerprint(result.function2)
-            fp_merged = Fingerprint.of_merged(result.alignment, fp1, fp2,
-                                              result.fingerprint_delta)
+        fp1 = self.fingerprint.live_fingerprint(result.function1)
+        fp2 = self.fingerprint.live_fingerprint(result.function2)
+        fp_merged = Fingerprint.of_merged(result.alignment, fp1, fp2,
+                                          result.fingerprint_delta)
 
         applied = self.commit.apply(module, result, call_graph)
 
@@ -658,9 +629,6 @@ class MergeEngine:
         self.fingerprint.refresh_profit_bounds(
             [f for f in (module.get_function(n) for n in applied.rewritten_callers
                          if n in self._available) if f is not None])
-
-        if not self.incremental_callgraph:
-            self.commit.rebuild(call_graph)
 
         func_id = result.func_id
         extra_ops = 0

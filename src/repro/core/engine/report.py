@@ -51,8 +51,7 @@ class MergeReport:
     #: case provably could not beat the best profitable merge found so far).
     candidates_pruned: int = 0
     #: Worklist entries whose function was consumed (or removed) between
-    #: enqueue and commit.  The seed engine silently skipped these; the
-    #: scheduler surfaces them so dropped work stays visible.
+    #: enqueue and commit, counted so that dropped work stays visible.
     stale_entries: int = 0
     #: Plan/commit scheduler counters: jobs, batch_size, batches, planned,
     #: committed, conflicts, replans, stale_entries, wasted_evaluations,

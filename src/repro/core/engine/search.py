@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ...ir.function import Function
 from ..fingerprint import Fingerprint
-from ..ranking import CandidateRanker, RankedCandidate
+from ..ranking import RankedCandidate
 
 
 class _IndexedFingerprint:
@@ -280,21 +280,3 @@ class IndexedCandidateSearcher:
         ordered = sorted(heap, key=lambda item: (-item[0], item[1]))
         return [RankedCandidate(n, s, i + 1) for i, (s, n) in enumerate(ordered)]
 
-
-#: Searcher kinds selectable by name (the candidate-search stage strategy).
-SEARCHERS = {
-    "indexed": IndexedCandidateSearcher,
-    "linear": CandidateRanker,
-}
-
-
-def make_searcher(kind: str = "indexed", exploration_threshold: int = 1,
-                  minimum_similarity: float = 0.0):
-    """Instantiate a candidate searcher by name (``indexed`` or ``linear``)."""
-    try:
-        cls = SEARCHERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown candidate searcher {kind!r}; "
-                         f"available: {sorted(SEARCHERS)}") from None
-    return cls(exploration_threshold=exploration_threshold,
-               minimum_similarity=minimum_similarity)

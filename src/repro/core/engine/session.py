@@ -71,10 +71,9 @@ replays to a consistent, cold-identical result.
 Caveats
 -------
 
-* The engine's candidate searcher must support order-preserving re-indexing
-  (``add_fingerprint(fp, order=...)`` / ``order_of`` - the indexed searcher
-  does); rollback must restore consumed functions at their original ranking
-  positions or replayed decisions could diverge from a cold run.
+* Rollback restores consumed functions at their original ranking positions
+  (the indexed searcher's ``add_fingerprint(fp, order=...)`` / ``order_of``);
+  otherwise replayed decisions could diverge from a cold run.
 * ``hot_function_filter`` must be a pure function of the IR it is given: the
   session re-evaluates it for added/replaced functions only.
 * ``alignment_cache_path`` snapshots are not loaded/saved per update (the
@@ -289,13 +288,6 @@ class MergeSession:
 
     def __init__(self, engine: MergeEngine, module: Module,
                  executor=None):
-        searcher = engine.searcher
-        if getattr(searcher, "order_of", None) is None \
-                or getattr(searcher, "add_fingerprint", None) is None:
-            raise ValueError(
-                "MergeSession needs an order-preserving indexed candidate "
-                "searcher (add_fingerprint(order=...)/order_of); got "
-                f"{type(searcher).__name__}")
         self.engine = engine
         self.module = module
         self.updates = 0

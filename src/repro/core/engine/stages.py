@@ -3,8 +3,8 @@
 Each stage wraps one phase of the FMSA optimization - fingerprint, candidate
 search, linearize, align, codegen, profitability, commit - as a strategy
 object with its own statistics.  Stages hold the per-run caches (fingerprint
-index, linearization/key cache) and the swappable strategy (searcher kind,
-alignment kernel), so optimizing or replacing one phase never touches the
+index, linearization/key cache) and the swappable strategy (the alignment
+kernel), so optimizing or replacing one phase never touches the
 driver loop in :class:`~repro.core.engine.engine.MergeEngine`.
 """
 
@@ -133,29 +133,18 @@ class FingerprintStage(Stage):
         #: not bump it (live fingerprints never influence rankings).
         self.generation = 0
 
-    def _index(self, function: Function, fp: Fingerprint) -> None:
-        add = getattr(self.searcher, "add_fingerprint", None)
-        if add is not None:
-            add(fp)
-        else:  # custom searcher without the fingerprint fast path
-            self.searcher.add_function(function)
-
     def _add(self, functions: List[Function]) -> None:
         self.generation += 1
         for function in functions:
             fp = Fingerprint.of(function)
             self._live[fp.function_name] = fp
-            self._index(function, fp)
+            self.searcher.add_fingerprint(fp)
         if self.profit_bounds is not None:
             self.profit_bounds.add_functions(functions)
 
     def add_functions(self, functions: List[Function]) -> None:
         self.stats.bump("functions", len(functions))
         self.timed(self._add, functions)
-
-    def add_function(self, function: Function) -> None:
-        self.stats.bump("functions")
-        self.timed(self._add, [function])
 
     def add_merged(self, function: Function, fp: Fingerprint) -> None:
         """Index a merged function under a fingerprint computed elsewhere
@@ -165,7 +154,7 @@ class FingerprintStage(Stage):
         def _do() -> None:
             self.generation += 1
             self._live[function.name] = fp
-            self._index(function, fp)
+            self.searcher.add_fingerprint(fp)
             if self.profit_bounds is not None:
                 self.profit_bounds.add_function(function)
 
@@ -185,14 +174,7 @@ class FingerprintStage(Stage):
         def _do() -> None:
             self.generation += 1
             self._live[fp.function_name] = fp
-            add = getattr(self.searcher, "add_fingerprint", None)
-            if add is not None:
-                try:
-                    add(fp, order=order)
-                except TypeError:  # searcher without explicit-order support
-                    add(fp)
-            else:
-                self.searcher.add_function(function)
+            self.searcher.add_fingerprint(fp, order=order)
             if self.profit_bounds is not None:
                 self.profit_bounds.add_function(function)
 
@@ -323,9 +305,10 @@ class LinearizeStage(Stage):
 class AlignmentStage(Stage):
     """Runs the sequence-alignment kernel on two linearized functions.
 
-    With ``keyed=True`` (the default) the selected algorithm is dispatched
-    to its fast integer-key kernel when one exists; results are identical to
-    the predicate-based algorithms, only cheaper per cell.  ``kernel``
+    The selected algorithm is dispatched to its fast integer-key kernel when
+    one exists; results are identical to the predicate-based algorithms,
+    only cheaper per cell (``hirschberg`` has no keyed kernel and runs the
+    structural equivalence predicate).  ``kernel``
     overrides the algorithm name (falling back to the ``REPRO_ALIGN_KERNEL``
     environment variable, then to ``algorithm``); ``nw-numpy`` runs the
     vectorized backend of :mod:`repro.core.align_np`, ``nw-native`` the C
@@ -353,13 +336,12 @@ class AlignmentStage(Stage):
     KEYED_KERNELS.update(KEYED_NATIVE_KERNELS)
 
     def __init__(self, scoring: ScoringScheme = ScoringScheme(),
-                 algorithm: str = "needleman-wunsch", keyed: bool = True,
+                 algorithm: str = "needleman-wunsch",
                  kernel: Optional[str] = None,
                  cache: Optional[AlignmentCache] = None):
         super().__init__()
         self.scoring = scoring
         self.algorithm = resolve_alignment_kernel(kernel, algorithm)
-        self.keyed = keyed
         self.cache = cache
         self._scoring_key = (scoring.match, scoring.mismatch, scoring.gap)
         #: Kernel-ladder transitions (``degradation_event`` dicts): a keyed
@@ -371,10 +353,9 @@ class AlignmentStage(Stage):
     @property
     def uses_cache(self) -> bool:
         """True when this stage's configuration actually consults the
-        cache: a cache is attached *and* the keyed dispatch is active (the
-        generic predicate path never reads it)."""
-        return (self.cache is not None and self.keyed
-                and self.algorithm in self.KEYED_KERNELS)
+        cache: a cache is attached *and* the algorithm has a keyed kernel
+        (the generic predicate path never reads it)."""
+        return self.cache is not None and self.algorithm in self.KEYED_KERNELS
 
     @property
     def scoring_key(self) -> tuple:
@@ -388,7 +369,7 @@ class AlignmentStage(Stage):
 
     def _align(self, lin1: LinearizedFunction, lin2: LinearizedFunction):
         self.stats.bump("cells", len(lin1.entries) * len(lin2.entries))
-        if self.keyed and self.algorithm in self.KEYED_KERNELS:
+        if self.algorithm in self.KEYED_KERNELS:
             cache = self.cache
             if cache is None:
                 self.stats.bump("keyed")
@@ -495,27 +476,18 @@ class ProfitabilityStage(Stage):
 
 
 class CommitStage(Stage):
-    """Applies a profitable merge to the module and updates the call graph.
-
-    With ``incremental=True`` (the default) :func:`apply_merge` maintains the
-    call graph in place and no O(module) rebuilds happen; the legacy
-    rebuild-per-commit protocol remains selectable for benchmarking.
-    """
+    """Applies a profitable merge to the module; :func:`apply_merge`
+    maintains the call graph in place, so no O(module) rebuilds happen."""
 
     name = "commit"
     legacy_stage = "updating_calls"
 
-    def __init__(self, allow_deletion: bool, incremental: bool = True):
+    def __init__(self, allow_deletion: bool):
         super().__init__()
         self.allow_deletion = allow_deletion
-        self.incremental = incremental
 
     def apply(self, module: Module, result: MergeResult,
               call_graph: CallGraph) -> AppliedMerge:
         self.stats.bump("merges")
         return self.timed(apply_merge, module, result, call_graph,
-                          self.allow_deletion, self.incremental)
-
-    def rebuild(self, call_graph: CallGraph) -> None:
-        self.stats.bump("rebuilds")
-        self.timed(call_graph.rebuild)
+                          self.allow_deletion)

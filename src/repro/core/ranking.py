@@ -6,9 +6,9 @@ priority queue so that the per-function cost is O(N log t) over N candidate
 functions.  The exploration threshold ``t`` is the knob evaluated in the
 paper (t = 1, 5, 10, plus the exhaustive "oracle").
 
-:class:`CandidateRanker` is the straightforward linear-scan reference; the
-merge engine's default searcher,
-:class:`repro.core.engine.IndexedCandidateSearcher`, answers the same queries
+:class:`CandidateRanker` is the straightforward linear scan that the
+reference pass (:mod:`repro.core.reference`) ranks with; the merge engine's
+:class:`repro.core.engine.IndexedCandidateSearcher` answers the same queries
 with identical results from an inverted feature index.
 """
 

@@ -13,8 +13,6 @@ dropped - no O(module) ``rebuild()`` scans.  The returned
 :class:`AppliedMerge` records exactly which functions the commit touched
 (``rewritten_callers``, ``touched_callees``), which is what the plan/commit
 scheduler uses to detect conflicts between merges planned in one batch.
-Passing ``incremental=False`` restores the historical rebuild-based protocol
-(the seed behaviour, kept for benchmarking the difference).
 """
 
 from __future__ import annotations
@@ -102,21 +100,16 @@ def _replace_call_site(site: Instruction, original: Function,
 
 def apply_merge(module: Module, result: MergeResult,
                 call_graph: Optional[CallGraph] = None,
-                allow_deletion: bool = True,
-                incremental: bool = True) -> AppliedMerge:
+                allow_deletion: bool = True) -> AppliedMerge:
     """Commit a merge into ``module``.
 
     The merged function is added to the module; each original either becomes
     a thunk or - when deletion is safe and ``allow_deletion`` holds - has all
     of its direct call sites redirected and is removed from the module.
 
-    With ``incremental=True`` (the default) ``call_graph`` must be accurate
-    for the current module state; it is updated in place as the commit
-    mutates the module and is exactly equal to a from-scratch rebuild when
-    ``apply_merge`` returns.  With ``incremental=False`` the historical
-    protocol is used instead: the graph is fully rebuilt before each
-    original's call sites are queried (and the caller is expected to rebuild
-    again afterwards), which tolerates a stale input graph.
+    ``call_graph`` must be accurate for the current module state; it is
+    updated in place as the commit mutates the module and is exactly equal
+    to a from-scratch rebuild when ``apply_merge`` returns.
     """
     graph = call_graph or CallGraph(module)
     merged = result.merged
@@ -130,40 +123,33 @@ def apply_merge(module: Module, result: MergeResult,
         touched.update(graph.callees.get(original.name, ()))
     record.touched_callees = sorted(touched)
 
-    if incremental:
-        graph.add_function(merged)
+    graph.add_function(merged)
     rewritten = set()
 
     for original in (result.function1, result.function2):
-        if not incremental:
-            graph.rebuild()
         sites = graph.direct_call_sites(original)
         deletable = (allow_deletion and original.can_be_deleted()
                      and not graph.is_address_taken(original))
         if deletable:
             for site in sites:
                 caller = site.parent.parent if site.parent is not None else None
-                if incremental and caller is not None:
+                if caller is not None:
                     # before the rewrite: erasing the site drops its operands
                     graph.unregister_instruction(caller.name, site)
                 new_site = _replace_call_site(site, original, result)
-                if incremental and caller is not None:
-                    graph.register_instruction(caller.name, new_site)
                 if caller is not None:
+                    graph.register_instruction(caller.name, new_site)
                     rewritten.add(caller.name)
                 record.updated_call_sites += 1
             if not original.users:
-                if incremental:
-                    graph.remove_function(original)
+                graph.remove_function(original)
                 module.remove_function(original)
                 record.disposition.append("deleted")
                 continue
             # a stray non-call reference appeared: fall back to a thunk
-        if incremental:
-            graph.unregister_body(original)
+        graph.unregister_body(original)
         build_thunk(original, result)
-        if incremental:
-            graph.register_body(original)
+        graph.register_body(original)
         record.disposition.append("thunk")
 
     record.rewritten_callers = sorted(rewritten)

@@ -26,6 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.pass_ import make_hotness_filter
+from ..core.reference import ReferenceMergingPass
+from ..targets.cost_model import get_target
 from ..workloads.mibench import build_mibench_benchmark, mibench_benchmark_names
 from ..workloads.spec2006 import build_spec_benchmark, spec_benchmark_names
 from .pipeline import CompilationResult, compile_module, technique_label
@@ -49,39 +52,6 @@ class EvaluationSettings:
     include_hot_exclusion: bool = False
     targets: Tuple[str, ...] = ("x86-64", "arm-thumb")
     seed: int = 0
-    #: Stage strategies used while reproducing the paper's figures.  The
-    #: compile-time figures (12/13) characterize the *paper's* implementation
-    #: - linear candidate scans and a predicate-based aligner - so the
-    #: harness pins the seed-equivalent configuration by default; the merge
-    #: decisions are identical either way.  Flip these to profile the
-    #: optimized engine instead (perfbench/run.py times the engine defaults).
-    searcher: str = "linear"
-    keyed_alignment: bool = False
-    #: Alignment kernel override (``None`` = REPRO_ALIGN_KERNEL, then the
-    #: merge options; ``"nw-numpy"`` selects the vectorized backend).
-    #: Identical merge decisions for every kernel.
-    alignment_kernel: Optional[str] = None
-    #: Shared alignment-cache snapshot path (``None`` = REPRO_ALIGN_CACHE):
-    #: every benchmark x configuration of the suite warm-starts the
-    #: alignment cache from this file and saves back to it, so repeated
-    #: suite runs (and the later configurations of one run) skip alignment
-    #: DPs an earlier compilation already computed.  Only effective with
-    #: ``keyed_alignment=True``; identical merge decisions either way.
-    alignment_cache_path: Optional[str] = None
-    #: Plan/commit scheduler parallelism (None = engine default); identical
-    #: merge decisions for every value.
-    jobs: Optional[int] = None
-    #: Plan executor kind (``"auto"`` = the ``REPRO_ENGINE_EXECUTOR``
-    #: environment variable, then serial/process by ``jobs``;
-    #: ``"process"`` offloads the alignment DPs to a worker pool as pure
-    #: data).  Identical merge decisions for every executor.
-    executor: str = "auto"
-    #: Run the static-analysis sanitizer (verifier v2 + merge linter) at
-    #: every stage boundary of every compilation (``None`` = the
-    #: ``REPRO_SANITIZE`` environment variable).  A violation aborts the
-    #: run with :class:`repro.analysis.AnalysisError`; decisions are
-    #: bit-identical with it on or off.
-    sanitize: Optional[bool] = None
 
 
 @dataclass
@@ -149,6 +119,13 @@ def evaluate_suite(settings: Optional[EvaluationSettings] = None,
 
     Accepts either an :class:`EvaluationSettings` or keyword overrides, e.g.
     ``evaluate_suite(suite="mibench", scale=0.5, thresholds=(1,))``.
+
+    FMSA configurations run :class:`ReferenceMergingPass`, the paper's
+    plain exploration loop: the compile-time figures (12 and 13)
+    characterize the paper's algorithm - linear candidate scans, the
+    predicate aligner, a call-graph rebuild per commit - not this
+    repository's optimized engine, whose merge decisions are identical
+    (``perfbench/run.py`` times the engine).
     """
     if settings is None:
         settings = EvaluationSettings(**overrides)
@@ -164,19 +141,21 @@ def evaluate_suite(settings: Optional[EvaluationSettings] = None,
             for config in configs:
                 generated = builder(benchmark, scale=settings.scale,
                                     cap=settings.cap, seed=settings.seed)
+                threshold = config.get("threshold", 1)
+                oracle = config.get("oracle", False)
+                merge_pass = None
+                if config["technique"] == "fmsa":
+                    merge_pass = ReferenceMergingPass(
+                        target=get_target(target),
+                        exploration_threshold=threshold, oracle=oracle,
+                        hot_function_filter=(make_hotness_filter()
+                                             if config.get("exclude_hot")
+                                             else None))
                 result = compile_module(
                     generated.module, config["technique"],
                     benchmark=benchmark, target=target,
-                    threshold=config.get("threshold", 1),
-                    oracle=config.get("oracle", False),
-                    exclude_hot=config.get("exclude_hot", False),
-                    searcher=settings.searcher,
-                    keyed_alignment=settings.keyed_alignment,
-                    alignment_kernel=settings.alignment_kernel,
-                    alignment_cache_path=settings.alignment_cache_path,
-                    jobs=settings.jobs,
-                    executor=settings.executor,
-                    sanitize=settings.sanitize)
+                    threshold=threshold, oracle=oracle,
+                    merge_pass=merge_pass)
                 result.technique = _config_label(config)
                 evaluation.results[(benchmark, target, result.technique)] = result
     return evaluation

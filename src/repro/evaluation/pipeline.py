@@ -33,6 +33,7 @@ from ..ir.module import Module
 from ..ir.printer import function_to_str
 from ..ir.verifier import verify_module
 from ..passes.dce import DeadCodeElimination, DeadFunctionElimination
+from ..passes.pass_manager import Pass
 from ..passes.simplify_cfg import SimplifyCFG
 from ..targets.cost_model import TargetCostModel, get_target
 
@@ -165,7 +166,6 @@ def open_compile_session(module: Module, *,
                          exclude_hot: bool = False,
                          hot_threshold: float = 0.01,
                          merge_options: Optional[MergeOptions] = None,
-                         keyed_alignment: bool = True,
                          alignment_kernel: Optional[str] = None,
                          alignment_cache_path: Optional[str] = None,
                          jobs: Optional[int] = None,
@@ -210,7 +210,6 @@ def open_compile_session(module: Module, *,
         target=cost_model, exploration_threshold=threshold, oracle=oracle,
         options=merge_options or MergeOptions(),
         hot_function_filter=hot_filter,
-        searcher="indexed", keyed_alignment=keyed_alignment,
         alignment_kernel=alignment_kernel,
         alignment_cache=(alignment_cache if alignment_cache is not None
                          else True),
@@ -230,13 +229,11 @@ def compile_module(module: Module, technique: str, *,
                    hot_threshold: float = 0.01,
                    merge_options: Optional[MergeOptions] = None,
                    run_identical_first: bool = True,
-                   searcher: str = "indexed",
-                   keyed_alignment: bool = True,
                    alignment_kernel: Optional[str] = None,
                    alignment_cache_path: Optional[str] = None,
                    jobs: Optional[int] = None,
                    executor: str = "auto",
-                   merge_pass: Optional[FunctionMergingPass] = None,
+                   merge_pass: Optional[Pass] = None,
                    sanitize: Optional[bool] = None,
                    fault_plan=None,
                    retry_policy=None
@@ -248,13 +245,11 @@ def compile_module(module: Module, technique: str, *,
     compare techniques must regenerate the module per configuration (the
     workload generators are deterministic, so this is cheap and exact).
 
-    ``searcher``, ``keyed_alignment``, ``alignment_kernel``, ``jobs`` and
-    ``executor`` select the merge engine's candidate-search /
-    alignment-kernel strategies (``alignment_kernel`` picks the DP backend
-    - e.g. ``"nw-numpy"`` for the vectorized one) and the plan/commit
-    scheduler's parallelism (``executor="process"`` offloads the alignment
-    DPs to a worker pool); every choice produces identical merge decisions
-    and only changes the stage timings.
+    ``alignment_kernel``, ``jobs`` and ``executor`` select the merge
+    engine's DP backend (e.g. ``"nw-numpy"`` for the vectorized one) and the
+    plan/commit scheduler's parallelism (``executor="process"`` offloads the
+    alignment DPs to a worker pool); every choice produces identical merge
+    decisions and only changes the stage timings.
 
     ``alignment_cache_path`` (default: the ``REPRO_ALIGN_CACHE`` environment
     variable) names a shared alignment-cache snapshot: every module compiled
@@ -263,15 +258,17 @@ def compile_module(module: Module, technique: str, *,
     the Needleman-Wunsch work across its benchmarks.  Decisions stay
     bit-identical with the cache cold, warm or absent.
 
-    ``merge_pass`` injects a pre-built :class:`FunctionMergingPass` for
-    ``technique="fmsa"`` instead of constructing one from the knobs above -
-    the warm-engine seam: a long-lived host (the merge daemon) reuses one
-    pass whose engine carries a resident alignment cache, warm interner and
-    keep-alive executor across calls.  The knobs that would configure a
-    fresh pass (threshold, oracle, searcher, kernels, jobs, ...) are
-    ignored when a pass is injected; decisions depend only on the pass's
-    own configuration, so a warm pass and the equivalent cold knobs produce
-    bit-identical results.
+    ``merge_pass`` injects a pre-built merging pass for ``technique="fmsa"``
+    instead of constructing a :class:`FunctionMergingPass` from the knobs
+    above.  It is the warm-engine seam - a long-lived host (the merge
+    daemon) reuses one pass whose engine carries a resident alignment
+    cache, warm interner and keep-alive executor across calls - and the
+    way the paper-figure harness runs
+    :class:`~repro.core.reference.ReferenceMergingPass`.  The knobs that
+    would configure a fresh pass (threshold, oracle, kernels, jobs, ...)
+    are ignored when a pass is injected; decisions depend only on the
+    pass's own configuration, so a warm pass, the reference pass and the
+    equivalent cold knobs produce bit-identical results.
 
     ``sanitize`` (default: the ``REPRO_SANITIZE`` environment variable)
     runs the static-analysis sanitizer - verifier v2 plus the
@@ -328,7 +325,6 @@ def compile_module(module: Module, technique: str, *,
                     target=cost_model, exploration_threshold=threshold, oracle=oracle,
                     options=merge_options or MergeOptions(),
                     hot_function_filter=hot_filter,
-                    searcher=searcher, keyed_alignment=keyed_alignment,
                     alignment_kernel=alignment_kernel,
                     alignment_cache_path=alignment_cache_path, jobs=jobs,
                     executor=executor, sanitize=sanitize,

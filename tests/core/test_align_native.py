@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FunctionMergingPass, MergeEngine
+from repro.core import FunctionMergingPass, MergeEngine, ReferenceMergingPass
 from repro.core import native as native_mod
 from repro.core.align_np import numpy_available
 from repro.core.alignment import (ALGORITHMS, ScoringScheme, align,
@@ -67,11 +67,6 @@ def build_module(seed=7, families=4, clones=2):
 def decisions(report):
     return [(m.function1, m.function2, m.merged_name, m.rank_position, m.delta)
             for m in report.merges]
-
-
-#: The seed engine configuration (the pre-scheduler implementation).
-SEED_CONFIG = dict(searcher="linear", keyed_alignment=False,
-                   jobs=1, batch_size=1, incremental_callgraph=False)
 
 
 # -- exact parity with the pure-Python kernels --------------------------------
@@ -184,13 +179,13 @@ def test_auto_resolves_to_native_when_available():
 
 @requires_native
 class TestNativeEngineParity:
-    """The native-kernel engine reproduces the seed engine bit for bit."""
+    """The native-kernel engine reproduces the reference pass bit for bit."""
 
     @settings(max_examples=3, deadline=None)
     @given(st.integers(0, 10_000))
     def test_executor_jobs_parity_on_randomized_modules(self, seed):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(seed))
+        reference = ReferenceMergingPass(
+            exploration_threshold=2).run(build_module(seed))
         for executor, jobs in (("serial", 1), ("process", 2)):
             module = build_module(seed)
             report = FunctionMergingPass(
@@ -202,8 +197,7 @@ class TestNativeEngineParity:
     def test_native_worker_leg(self):
         # workers pinned to the native solver (auto would pick it too when
         # the build cache is warm; pinning makes the leg deterministic)
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(9))
+        reference = ReferenceMergingPass(exploration_threshold=2).run(build_module(9))
         engine = MergeEngine(exploration_threshold=2, batch_size=8)
         executor = ProcessExecutor(2, kernel="native")
         scheduler = engine.make_scheduler(executor=executor)
@@ -255,8 +249,7 @@ class TestWithoutNative:
         assert resolve_alignment_kernel("auto", "needleman-wunsch") == want
 
     def test_engine_still_runs_and_decisions_match(self):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(3))
+        reference = ReferenceMergingPass(exploration_threshold=2).run(build_module(3))
         report = FunctionMergingPass(
             exploration_threshold=2).run(build_module(3))
         assert decisions(report) == decisions(reference)

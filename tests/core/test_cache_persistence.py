@@ -286,10 +286,12 @@ class TestEnginePersistence:
         assert not os.path.exists(path)
 
     def test_unkeyed_alignment_skips_snapshot_and_wave_planning(self, tmp_path):
-        # the generic predicate path never consults the cache, so a run on
-        # it must neither touch the snapshot nor pay for content grouping
+        # the generic predicate path (hirschberg has no keyed kernel) never
+        # consults the cache, so a run on it must neither touch the
+        # snapshot nor pay for content grouping
         path = str(tmp_path / "cache.json")
-        engine = MergeEngine(exploration_threshold=2, keyed_alignment=False,
+        engine = MergeEngine(exploration_threshold=2,
+                             alignment_kernel="hirschberg",
                              alignment_cache_path=path)
         assert not engine.alignment.uses_cache
         scheduler = engine.make_scheduler()

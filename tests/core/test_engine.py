@@ -1,13 +1,12 @@
-"""Tests for the staged MergeEngine: pipeline structure, strategy parity and
-the integer equivalence keys backing the fast alignment kernel."""
+"""Tests for the staged MergeEngine: pipeline structure, parity with the
+reference pass and the integer equivalence keys backing the fast alignment
+kernel."""
 
 import random
 
-import pytest
-
 from repro.core import (EquivalenceKeyInterner, FunctionMergingPass,
-                        IndexedCandidateSearcher, MergeEngine,
-                        entries_equivalent, linearize, linearize_with_keys)
+                        MergeEngine, ReferenceMergingPass, entries_equivalent,
+                        linearize, linearize_with_keys)
 from repro.core.engine import STAGES
 from repro.ir import Module, verify_or_raise
 from repro.passes.reg2mem import demote_phis
@@ -114,12 +113,6 @@ class TestEnginePipeline:
             _module_with_families(num_families=3)[0])
         assert _decisions(first) == _decisions(second) == _decisions(fresh)
         assert second.stage_stats["commit"]["merges"] == second.merge_count
-        # custom searcher instances are cleared per run too
-        reused = IndexedCandidateSearcher(exploration_threshold=1)
-        shared = MergeEngine(exploration_threshold=1, searcher=reused)
-        shared.run(_module_with_families(num_families=3)[0])
-        repeat = shared.run(_module_with_families(num_families=3)[0])
-        assert _decisions(repeat) == _decisions(fresh)
 
     def test_engine_behind_pass_facade(self):
         pass_ = FunctionMergingPass(exploration_threshold=2)
@@ -128,38 +121,30 @@ class TestEnginePipeline:
         assert pass_.oracle is False
         assert pass_.options is pass_.engine.options
 
-    def test_unknown_searcher_rejected(self):
-        with pytest.raises(ValueError):
-            MergeEngine(searcher="nope")
-
 
 class TestStrategyParity:
-    """Every stage strategy combination makes identical merge decisions."""
+    """The engine (indexed search, keyed kernels, incremental commits) makes
+    the merge decisions of the reference pass (linear ranking, predicate
+    alignment, a call-graph rebuild per commit)."""
 
-    CONFIGS = (
-        dict(searcher="linear", keyed_alignment=False),   # seed-equivalent
-        dict(searcher="linear", keyed_alignment=True),
-        dict(searcher="indexed", keyed_alignment=False),
-        dict(searcher="indexed", keyed_alignment=True),   # engine default
-    )
+    #: The reference pass first, then the engine with its defaults.
+    DRIVERS = (ReferenceMergingPass, FunctionMergingPass)
 
-    def _run(self, threshold=2, oracle=False, **kwargs):
+    def _run(self, driver, threshold=2, oracle=False):
         module, _ = _module_with_families(num_families=3)
-        report = FunctionMergingPass(exploration_threshold=threshold,
-                                     oracle=oracle, **kwargs).run(module)
+        report = driver(exploration_threshold=threshold,
+                        oracle=oracle).run(module)
         verify_or_raise(module)
         return _decisions(report)
 
     def test_all_strategies_agree(self):
-        reference = self._run(**self.CONFIGS[0])
+        reference = self._run(ReferenceMergingPass)
         assert reference  # at least one merge so the comparison means something
-        for config in self.CONFIGS[1:]:
-            assert self._run(**config) == reference
+        assert self._run(FunctionMergingPass) == reference
 
     def test_strategies_agree_under_oracle(self):
-        reference = self._run(oracle=True, **self.CONFIGS[0])
-        for config in self.CONFIGS[1:]:
-            assert self._run(oracle=True, **config) == reference
+        assert (self._run(FunctionMergingPass, oracle=True)
+                == self._run(ReferenceMergingPass, oracle=True))
 
     def test_caller_caches_invalidated_after_call_site_rewrite(self):
         # Regression: apply_merge rewrites call sites inside *caller*
@@ -197,10 +182,9 @@ class TestStrategyParity:
             return module
 
         decisions = []
-        for config in self.CONFIGS:
+        for driver in self.DRIVERS:
             module = build()
-            report = FunctionMergingPass(exploration_threshold=1,
-                                         **config).run(module)
+            report = driver(exploration_threshold=1).run(module)
             verify_or_raise(module)
             decisions.append(_decisions(report))
         assert all(d == decisions[0] for d in decisions[1:])
@@ -211,10 +195,9 @@ class TestStrategyParity:
 
     def test_generated_module_parity(self):
         decisions = []
-        for config in self.CONFIGS:
+        for driver in self.DRIVERS:
             module = _generated_module()
-            report = FunctionMergingPass(exploration_threshold=3,
-                                         **config).run(module)
+            report = driver(exploration_threshold=3).run(module)
             verify_or_raise(module)
             decisions.append(_decisions(report))
         assert all(d == decisions[0] for d in decisions[1:])

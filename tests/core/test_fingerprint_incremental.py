@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (Fingerprint, FunctionMergingPass, MergeEngine,
-                        MergeOptions, merge_functions)
+                        MergeOptions, ReferenceMergingPass, merge_functions)
 from repro.core.fingerprint import FingerprintDelta
 from repro.ir import IRBuilder, Module
 from repro.ir import types as ty
@@ -142,10 +142,10 @@ class TestEngineIntegration:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
     def test_decisions_identical_with_and_without_incremental(self, seed):
+        # the reference pass fingerprints every merged function by rescan
         incremental = FunctionMergingPass(exploration_threshold=2).run(
             build_module(seed))
-        rescan = FunctionMergingPass(exploration_threshold=2,
-                                     incremental_fingerprints=False).run(
+        rescan = ReferenceMergingPass(exploration_threshold=2).run(
             build_module(seed))
         assert decisions(incremental) == decisions(rescan)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (CandidateRanker, Fingerprint, IndexedCandidateSearcher,
-                        fingerprint_module, make_searcher, similarity)
+                        fingerprint_module, similarity)
 from repro.ir import Module
 from repro.ir import types as ty
 from repro.workloads import clone_function, mutate_opcodes
@@ -218,12 +218,6 @@ class TestIndexedSearcherParity:
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
             IndexedCandidateSearcher(exploration_threshold=0)
-
-    def test_make_searcher_factory(self):
-        assert isinstance(make_searcher("indexed"), IndexedCandidateSearcher)
-        assert isinstance(make_searcher("linear"), CandidateRanker)
-        with pytest.raises(ValueError):
-            make_searcher("nope")
 
 
 class TestOracleModeParity:

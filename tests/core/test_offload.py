@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (FunctionMergingPass, MergeEngine,
-                        decode_canonical_keys, needleman_wunsch_keyed,
-                        numpy_available, ops_string)
+                        ReferenceMergingPass, decode_canonical_keys,
+                        needleman_wunsch_keyed, numpy_available, ops_string)
 from repro.core.engine import (AdaptiveBatchSizer, AlignmentTask,
                                MergeScheduler, PlanningError,
                                ProcessExecutor, SerialExecutor, TaskFailure,
@@ -54,11 +54,6 @@ def build_module(seed=7, families=4, clones=2):
 def decisions(report):
     return [(m.function1, m.function2, m.merged_name, m.rank_position, m.delta)
             for m in report.merges]
-
-
-#: The seed engine configuration (the pre-scheduler implementation).
-SEED_CONFIG = dict(searcher="linear", keyed_alignment=False,
-                   jobs=1, batch_size=1, incremental_callgraph=False)
 
 
 # -- task codec ---------------------------------------------------------------
@@ -143,13 +138,13 @@ class TestTaskCodec:
 # -- executor parity ----------------------------------------------------------
 
 class TestProcessExecutorParity:
-    """The offloaded engine reproduces the seed engine bit for bit."""
+    """The offloaded engine reproduces the reference pass bit for bit."""
 
     @settings(max_examples=3, deadline=None)
     @given(st.integers(0, 10_000))
     def test_executor_jobs_parity_on_randomized_modules(self, seed):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(seed))
+        reference = ReferenceMergingPass(
+            exploration_threshold=2).run(build_module(seed))
         for executor, jobs in (("serial", 1), ("process", 1), ("process", 2),
                                ("process", 8)):
             module = build_module(seed)
@@ -161,8 +156,7 @@ class TestProcessExecutorParity:
 
     def test_cache_state_parity_cold_warm_persisted(self, tmp_path):
         path = str(tmp_path / "cache.json")
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(11))
+        reference = ReferenceMergingPass(exploration_threshold=2).run(build_module(11))
         # cold in-memory cache
         cold = FunctionMergingPass(
             exploration_threshold=2, executor="process",
@@ -185,8 +179,7 @@ class TestProcessExecutorParity:
         assert warm.scheduler_stats["align_cache_cross_run_hits"] > 0
 
     def test_oracle_parity_under_process_executor(self):
-        reference = FunctionMergingPass(oracle=True, oracle_prune=False,
-                                        **SEED_CONFIG).run(build_module(3))
+        reference = ReferenceMergingPass(oracle=True).run(build_module(3))
         report = FunctionMergingPass(oracle=True, executor="process", jobs=2,
                                      batch_size=8).run(build_module(3))
         assert decisions(report) == decisions(reference)
@@ -194,8 +187,7 @@ class TestProcessExecutorParity:
     def test_pure_python_worker_leg(self):
         # the no-NumPy process-executor leg, pinned rather than hoping the
         # environment lacks numpy: workers solve with the pure kernel
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(9))
+        reference = ReferenceMergingPass(exploration_threshold=2).run(build_module(9))
         engine = MergeEngine(exploration_threshold=2, batch_size=8)
         executor = ProcessExecutor(2, kernel="pure")
         scheduler = engine.make_scheduler(executor=executor)
@@ -208,8 +200,7 @@ class TestProcessExecutorParity:
         assert report.scheduler_stats["offload_tasks"] > 0
 
     def test_offload_disabled_without_cache_but_still_correct(self):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(7))
+        reference = ReferenceMergingPass(exploration_threshold=2).run(build_module(7))
         report = FunctionMergingPass(
             exploration_threshold=2, executor="process", jobs=2,
             alignment_cache=False).run(build_module(7))
@@ -328,8 +319,8 @@ class TestRankReuse:
     step (same fingerprint-index generation), skipping the re-query."""
 
     def test_offloaded_runs_reuse_rankings(self):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(5, families=5))
+        reference = ReferenceMergingPass(
+            exploration_threshold=2).run(build_module(5, families=5))
         report = FunctionMergingPass(
             exploration_threshold=2, executor="process",
             jobs=2).run(build_module(5, families=5))
@@ -347,8 +338,7 @@ class TestRankReuse:
         # a commit bumps the fingerprint-index generation, so rankings
         # hydrated before it must be dropped, not reused: decisions stay
         # bit-identical even with batches large enough to straddle commits
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(
+        reference = ReferenceMergingPass(exploration_threshold=2).run(
                 build_module(7, families=6, clones=3))
         report = FunctionMergingPass(
             exploration_threshold=2, executor="process", jobs=2,
@@ -490,8 +480,7 @@ class TestKeepAliveExecutors:
         assert executor.closed
 
     def test_decisions_identical_between_fresh_and_warm_pools(self):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(11))
+        reference = ReferenceMergingPass(exploration_threshold=2).run(build_module(11))
         executor = ProcessExecutor(2, kernel="pure", keep_alive=True)
         try:
             warm_runs = []
@@ -533,8 +522,8 @@ class TestAdaptiveBatching:
         assert sizer2.after_batch(16, 2) == 16
 
     def test_engine_trace_is_reproducible_and_decisions_unchanged(self):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(7, families=6))
+        reference = ReferenceMergingPass(
+            exploration_threshold=2).run(build_module(7, families=6))
         runs = []
         for _ in range(2):
             report = FunctionMergingPass(
@@ -565,15 +554,9 @@ class TestAdaptiveBatching:
         assert (runs[True].scheduler_stats["replans"]
                 <= runs[False].scheduler_stats["replans"])
 
-    def test_env_knob_enables_adaptivity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_ADAPTIVE_BATCH", "1")
-        assert MergeEngine(exploration_threshold=2).adaptive_batch
-        monkeypatch.setenv("REPRO_ENGINE_ADAPTIVE_BATCH", "0")
-        assert not MergeEngine(exploration_threshold=2).adaptive_batch
-
     def test_adaptive_process_executor_parity(self):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(13, families=5))
+        reference = ReferenceMergingPass(
+            exploration_threshold=2).run(build_module(13, families=5))
         report = FunctionMergingPass(
             exploration_threshold=2, executor="process", jobs=2,
             batch_size=32, adaptive_batch=True).run(build_module(13, families=5))

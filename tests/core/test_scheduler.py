@@ -1,5 +1,5 @@
-"""Tests for the plan/commit scheduler: bit-identical parity with the seed
-serial engine across executors / job counts / batch sizes, incremental
+"""Tests for the plan/commit scheduler: bit-identical parity with the
+reference pass across executors / job counts / batch sizes, incremental
 call-graph maintenance verified against from-scratch rebuilds after every
 commit, oracle profit-bound pruning, and the stale/conflict accounting."""
 
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FunctionMergingPass, MergeEngine, numpy_available
+from repro.core import (FunctionMergingPass, MergeEngine,
+                        ReferenceMergingPass, numpy_available)
 from repro.core.engine import make_executor
 from repro.ir import Module, verify_or_raise
 from repro.ir.callgraph import CallGraph
@@ -38,20 +39,14 @@ def decisions(report):
             for m in report.merges]
 
 
-#: The seed engine configuration: linear scan, predicate alignment, serial
-#: loop with rebuild-per-commit - the pre-scheduler implementation.
-SEED_CONFIG = dict(searcher="linear", keyed_alignment=False,
-                   jobs=1, batch_size=1, incremental_callgraph=False)
-
-
 class TestSchedulerParity:
-    """The parallel scheduler reproduces the seed engine bit for bit."""
+    """The parallel scheduler reproduces the reference pass bit for bit."""
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 5))
     def test_jobs_parity_on_randomized_modules(self, seed, families):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(seed, families))
+        reference = ReferenceMergingPass(
+            exploration_threshold=2).run(build_module(seed, families))
         for jobs in (1, 2, 8):
             module = build_module(seed, families)
             report = FunctionMergingPass(exploration_threshold=2,
@@ -64,18 +59,20 @@ class TestSchedulerParity:
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 32))
     def test_batch_size_never_changes_decisions(self, seed, batch_size):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(seed))
+        reference = ReferenceMergingPass(
+            exploration_threshold=2).run(build_module(seed))
         report = FunctionMergingPass(exploration_threshold=2, jobs=2,
                                      batch_size=batch_size).run(build_module(seed))
         assert decisions(report) == decisions(reference)
 
     def test_stale_entries_match_seed_silent_skips(self):
-        # the seed engine silently dropped consumed worklist names; the
-        # scheduler must count exactly those
+        # the scheduler must count exactly the consumed worklist names the
+        # reference pass skips
         module = build_module(5)
         report = FunctionMergingPass(exploration_threshold=2).run(module)
         assert report.stale_entries > 0
+        assert report.stale_entries == ReferenceMergingPass(
+            exploration_threshold=2).run(build_module(5)).stale_entries
         # every committed merge consumes its candidate, whose own worklist
         # entry then pops stale (unless it was already popped earlier)
         assert report.stale_entries <= report.functions_considered
@@ -107,14 +104,14 @@ KERNELS = [None] + (["nw-numpy"] if numpy_available() else [])
 
 
 class TestKernelParity:
-    """Merge decisions are bit-identical to the seed serial engine for every
+    """Merge decisions are bit-identical to the reference pass for every
     alignment kernel x jobs x batch-size combination."""
 
     @settings(max_examples=5, deadline=None)
     @given(st.integers(0, 10_000))
     def test_kernel_jobs_batch_parity(self, seed):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(build_module(seed))
+        reference = ReferenceMergingPass(
+            exploration_threshold=2).run(build_module(seed))
         for kernel in KERNELS:
             for jobs, batch_size in ((1, 1), (2, 8), (8, 32)):
                 module = build_module(seed)
@@ -127,7 +124,7 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("kernel", [k for k in KERNELS if k])
     def test_kernel_parity_without_cache_and_under_oracle(self, kernel):
-        reference = FunctionMergingPass(oracle=True, **SEED_CONFIG).run(
+        reference = ReferenceMergingPass(oracle=True).run(
             build_module(3, families=5))
         report = FunctionMergingPass(
             oracle=True, alignment_kernel=kernel,
@@ -180,10 +177,10 @@ class TestIncrementalCallGraph:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
     def test_incremental_and_rebuild_engines_agree(self, seed):
+        # the reference pass rebuilds the call graph after every commit
         incremental = FunctionMergingPass(exploration_threshold=2).run(
             build_module(seed))
-        rebuild = FunctionMergingPass(exploration_threshold=2,
-                                      incremental_callgraph=False).run(
+        rebuild = ReferenceMergingPass(exploration_threshold=2).run(
             build_module(seed))
         assert decisions(incremental) == decisions(rebuild)
 
@@ -195,7 +192,8 @@ class TestOraclePruning:
     @given(st.integers(0, 10_000), st.integers(2, 4))
     def test_prune_parity_on_randomized_modules(self, seed, families):
         pruned = FunctionMergingPass(oracle=True).run(build_module(seed, families))
-        unpruned = FunctionMergingPass(oracle=True, oracle_prune=False).run(
+        # the reference pass evaluates every candidate
+        unpruned = ReferenceMergingPass(oracle=True).run(
             build_module(seed, families))
         assert decisions(pruned) == decisions(unpruned)
         # pruned candidates were skipped, not evaluated
@@ -312,26 +310,18 @@ class TestPlanningErrors:
     """A planner exception names the worklist entry it came from, and the
     worker pool is still shut down through the engine's finally path."""
 
-    class _ExplodingSearcher:
-        """Delegating searcher that raises when ranking one specific name."""
-
-        def __init__(self, inner, poison):
-            self._inner = inner
-            self._poison = poison
-
-        def rank_candidates(self, name, limit=None):
-            if name == self._poison:
-                raise KeyError("boom")
-            return self._inner.rank_candidates(name, limit)
-
-        def __getattr__(self, attribute):
-            return getattr(self._inner, attribute)
-
     def _poisoned_engine(self, poison, **kwargs):
-        from repro.core.engine.search import make_searcher
-        searcher = self._ExplodingSearcher(
-            make_searcher("indexed", exploration_threshold=2), poison)
-        return MergeEngine(exploration_threshold=2, searcher=searcher, **kwargs)
+        """An engine whose searcher raises when ranking one specific name."""
+        engine = MergeEngine(exploration_threshold=2, **kwargs)
+        rank_candidates = engine.searcher.rank_candidates
+
+        def exploding(name, limit=None):
+            if name == poison:
+                raise KeyError("boom")
+            return rank_candidates(name, limit)
+
+        engine.searcher.rank_candidates = exploding
+        return engine
 
     def test_error_names_the_entry_under_process_executor(self):
         from repro.core.engine import PlanningError
@@ -398,8 +388,8 @@ class TestCacheAwarePlanning:
                                                + stats["align_cache_evictions"])
 
     def test_wave_planning_keeps_decisions_identical(self):
-        reference = FunctionMergingPass(
-            exploration_threshold=2, **SEED_CONFIG).run(self.clone_heavy_module())
+        reference = ReferenceMergingPass(
+            exploration_threshold=2).run(self.clone_heavy_module())
         for jobs, batch_size in ((2, 16), (4, 64)):
             report = FunctionMergingPass(
                 exploration_threshold=2, jobs=jobs,

@@ -441,10 +441,6 @@ class TestEditValidation:
             ModuleEdit(kind="replace", name="x")
         assert ModuleEdit.remove("x").function is None
 
-    def test_session_requires_order_preserving_searcher(self):
-        with pytest.raises(ValueError, match="order-preserving"):
-            MergeSession(MergeEngine(searcher="linear"), Module("m"))
-
 
 class TestApplyEdit:
     """The shared cold-path edit semantics ``MergeSession`` mirrors."""

@@ -8,13 +8,14 @@ import os
 import warnings
 
 from repro.core.pass_ import FunctionMergingPass
+from repro.core.reference import ReferenceMergingPass
 from repro.resilience import FaultPlan, active_faults
-from tests.core.test_offload import SEED_CONFIG, build_module, decisions
+from tests.core.test_offload import build_module, decisions
 
 
 def reference_decisions(seed=11):
-    return decisions(FunctionMergingPass(
-        exploration_threshold=2, **SEED_CONFIG).run(build_module(seed)))
+    return decisions(ReferenceMergingPass(
+        exploration_threshold=2).run(build_module(seed)))
 
 
 def run_with_cache(path, fault_plan=None, seed=11):

@@ -26,10 +26,11 @@ import time
 import pytest
 
 from repro.core.pass_ import FunctionMergingPass
+from repro.core.reference import ReferenceMergingPass
 from repro.ir import verify_or_raise
 from repro.resilience import (FAULT_SITES, FaultPlan, ResilienceError,
                               RetryPolicy, SiteTrigger)
-from tests.core.test_offload import SEED_CONFIG, build_module, decisions
+from tests.core.test_offload import build_module, decisions
 
 SCHEDULES = int(os.environ.get("REPRO_CHAOS_SCHEDULES", "12"))
 
@@ -49,9 +50,8 @@ _REFERENCE = None
 def reference_decisions():
     global _REFERENCE
     if _REFERENCE is None:
-        _REFERENCE = decisions(FunctionMergingPass(
-            exploration_threshold=2,
-            **SEED_CONFIG).run(build_module(MODULE_SEED)))
+        _REFERENCE = decisions(ReferenceMergingPass(
+            exploration_threshold=2).run(build_module(MODULE_SEED)))
     return _REFERENCE
 
 

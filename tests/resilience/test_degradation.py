@@ -10,13 +10,14 @@ import pytest
 from repro.core import numpy_available
 from repro.core.engine import MergeEngine
 from repro.core.pass_ import FunctionMergingPass
+from repro.core.reference import ReferenceMergingPass
 from repro.resilience import FaultPlan, ResilienceError, RetryPolicy
-from tests.core.test_offload import SEED_CONFIG, build_module, decisions
+from tests.core.test_offload import build_module, decisions
 
 
 def reference_decisions(seed=5):
-    return decisions(FunctionMergingPass(
-        exploration_threshold=2, **SEED_CONFIG).run(build_module(seed)))
+    return decisions(ReferenceMergingPass(
+        exploration_threshold=2).run(build_module(seed)))
 
 
 class TestKernelLadder:

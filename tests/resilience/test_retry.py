@@ -10,11 +10,12 @@ import pytest
 
 from repro.core.engine import PlanningError, TaskFailure
 from repro.core.pass_ import FunctionMergingPass
+from repro.core.reference import ReferenceMergingPass
 from repro.ir import verify_or_raise
 from repro.resilience import FaultPlan, ResilienceError, RetryPolicy
 from repro.resilience.retry import (RETRY_ATTEMPTS_ENV, RETRY_BACKOFF_ENV,
                                     RETRY_FALLBACK_ENV, TASK_DEADLINE_ENV)
-from tests.core.test_offload import SEED_CONFIG, build_module, decisions
+from tests.core.test_offload import build_module, decisions
 
 #: A forgiving policy for the recovery tests: quick backoff, short-but-fair
 #: deadline, no fallback (recovery must come from the retry itself).
@@ -23,8 +24,8 @@ RECOVERING = RetryPolicy(max_attempts=3, task_deadline=60.0,
 
 
 def reference_decisions(seed=5):
-    return decisions(FunctionMergingPass(
-        exploration_threshold=2, **SEED_CONFIG).run(build_module(seed)))
+    return decisions(ReferenceMergingPass(
+        exploration_threshold=2).run(build_module(seed)))
 
 
 class TestRetryPolicy:
