@@ -12,17 +12,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..ir import types as ty
-from ..ir.basicblock import BasicBlock
 from ..ir.builder import IRBuilder
 from ..ir.callgraph import CallGraph
 from ..ir.function import Function
-from ..ir.instructions import Call, Instruction
 from ..ir.module import Module
-from ..ir.function import Function as _FunctionValue
-from ..ir.values import Argument, Constant, GlobalVariable
+from ..ir.values import Constant, GlobalVariable
 from ..passes.pass_manager import Pass
 
 
@@ -105,11 +102,11 @@ def functions_identical(f1: Function, f2: Function) -> bool:
                     if not (isinstance(o1, Constant) and isinstance(o2, Constant) and o1 == o2):
                         return False
                     continue
-                if isinstance(o1, _FunctionValue) or isinstance(o2, _FunctionValue):
+                if isinstance(o1, Function) or isinstance(o2, Function):
                     # callees compare by name and signature so that identical
                     # functions from different modules still compare equal
-                    if not (isinstance(o1, _FunctionValue)
-                            and isinstance(o2, _FunctionValue)
+                    if not (isinstance(o1, Function)
+                            and isinstance(o2, Function)
                             and o1.name == o2.name
                             and o1.function_type == o2.function_type):
                         return False
@@ -171,15 +168,26 @@ class IdenticalFunctionMergingPass(Pass):
     def _fold(self, module: Module, graph: CallGraph,
               representative: Function, duplicate: Function) -> None:
         """Redirect callers of ``duplicate`` to ``representative``; delete the
-        duplicate when safe, otherwise leave a thunk behind."""
-        graph.rebuild()
+        duplicate when safe, otherwise leave a thunk behind.
+
+        ``graph`` is exact for the module on entry and is kept exact
+        incrementally (the same register/unregister protocol as
+        ``apply_merge``), so ``run`` builds the call graph only once.
+        Redirected sites are filed under the representative, so a
+        duplicate's site list only ever shrinks and stays in module order.
+        """
         for site in graph.direct_call_sites(duplicate):
+            caller = site.parent.parent.name
+            graph.unregister_instruction(caller, site)
             site.set_operand(0, representative)
+            graph.register_instruction(caller, site)
         deletable = (self.allow_deletion and duplicate.can_be_deleted()
                      and not graph.is_address_taken(duplicate) and not duplicate.users)
         if deletable:
+            graph.remove_function(duplicate)
             module.remove_function(duplicate)
             return
+        graph.unregister_body(duplicate)
         duplicate.drop_body()
         block = duplicate.append_block("thunk")
         builder = IRBuilder(block)
@@ -188,3 +196,4 @@ class IdenticalFunctionMergingPass(Pass):
             builder.ret_void()
         else:
             builder.ret(call)
+        graph.register_body(duplicate)

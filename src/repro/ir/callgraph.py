@@ -9,15 +9,19 @@ O(module) work per commit, three times per merge (twice inside
 ``apply_merge``, once in the engine).  The graph now supports *incremental*
 maintenance: bodies are registered/unregistered instruction by instruction
 with reference-counted edges and address-taken counts, so a commit only
-touches the functions a merge actually changed.  ``rebuild()`` remains
-available and is the reference semantics: after any sequence of incremental
-updates the graph is element-wise equal to a freshly built one (the engine's
-test suite asserts this after every commit).
+touches the functions a merge actually changed.  Two passes maintain the
+graph this way: the FMSA commit path (``core/thunks.py:apply_merge``) and
+the Identical pre-merge, whose folds (``IdenticalFunctionMergingPass._fold``)
+redirect call sites and delete or thunk duplicates against one graph built
+at the start of the pass.  ``rebuild()`` remains available and is the
+reference semantics: after any sequence of incremental updates the graph is
+element-wise equal to a freshly built one (the engine's and the Identical
+pass's test suites assert this after every commit and every fold).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Set, Tuple
 
 from .function import Function
 from .instructions import Instruction

@@ -3,13 +3,27 @@ comparison utilities built on the interpreter."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.ir import IRBuilder, Module, verify_or_raise
+from repro.ir import IRBuilder, Module
 from repro.ir import types as ty
 from repro.ir import values as vals
+from repro.ir.callgraph import CallGraph
 from repro.ir.function import Function
 from repro.interp import Interpreter, standard_externals
+
+
+def assert_matches_rebuild(graph: CallGraph, module: Module) -> None:
+    """An incrementally maintained call graph must equal a from-scratch
+    build of the same module (edges, address-taken set, live call sites)."""
+    fresh = CallGraph(module)
+    assert graph.callees == fresh.callees
+    assert graph.callers == fresh.callers
+    assert graph.address_taken == fresh.address_taken
+    for name in set(graph.call_sites) | set(fresh.call_sites):
+        live = {id(s) for s in graph.call_sites.get(name, ())
+                if s.parent is not None}
+        assert live == {id(s) for s in fresh.call_sites.get(name, ())}
 
 
 def make_binary_chain_function(module: Module, name: str, opcodes: Sequence[str],

@@ -4,19 +4,9 @@ from-scratch rebuild of the same module."""
 
 from repro.ir import IRBuilder, Module
 from repro.ir import types as ty
-from repro.ir import values as vals
 from repro.ir.callgraph import CallGraph
 
-
-def assert_matches_rebuild(graph, module):
-    fresh = CallGraph(module)
-    assert graph.callees == fresh.callees
-    assert graph.callers == fresh.callers
-    assert graph.address_taken == fresh.address_taken
-    for name in set(graph.call_sites) | set(fresh.call_sites):
-        live = {id(s) for s in graph.call_sites.get(name, ())
-                if s.parent is not None}
-        assert live == {id(s) for s in fresh.call_sites.get(name, ())}
+from tests.helpers import assert_matches_rebuild
 
 
 def make_fn(module, name, callees=(), address_of=None):
