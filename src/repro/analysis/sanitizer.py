@@ -5,6 +5,9 @@ engine routes every structural boundary through one :class:`Sanitizer`:
 
 * after each committed merge (``after_commit``) — verifier v2 over the
   functions the commit touched plus the merge-correctness linter;
+* for every candidate the engine costs (``check_merge_cost``) — the
+  merged body is built as well, and its cost and parameter count must
+  equal what the IR-free counting walk reported;
 * at the end of an engine run (``after_run``) — whole-module verification
   and call-graph reconciliation;
 * after a session rollback (``after_rollback``) — the restored module must
@@ -103,6 +106,26 @@ class Sanitizer:
         diagnostics.extend(lint_commit(module, result, applied, call_graph))
         return self._finish(diagnostics, started,
                             f"after commit of {applied.merged_name}")
+
+    def check_merge_cost(self, name1: str, name2: str,
+                         counted: Optional[tuple], built: Optional[tuple]
+                         ) -> List[AnalysisDiagnostic]:
+        """Compare a candidate's counted cost with its built one.
+
+        Both are ``(size_merged, merged_param_count)``, or ``None`` when
+        code generation raised ``CodegenError``.  The engine costs every
+        candidate without building IR; under the sanitizer it also builds
+        each one and checks the two agree.
+        """
+        started = time.perf_counter()
+        diagnostics: List[AnalysisDiagnostic] = []
+        if counted != built:
+            diagnostics.append(error(
+                "sanitizer.cost-divergence", name1, name2,
+                f"counted merge cost {counted} differs from the cost "
+                f"{built} of the built merged body"))
+        return self._finish(diagnostics, started,
+                            f"cost check of {name1} + {name2}")
 
     def after_run(self, module: Module,
                   call_graph: Optional[CallGraph] = None

@@ -34,10 +34,11 @@ from ..passes.pass_manager import Pass
 from ..targets.cost_model import TargetCostModel
 from ..targets.x86_64 import X86_64
 from ..core.alignment import AlignedEntry, AlignmentResult
-from ..core.codegen import CodegenError, MergeOptions, merge_functions
+from ..core.codegen import (CodegenError, MergeOptions, merge_cost,
+                            merge_functions)
 from ..core.equivalence import entries_equivalent, types_equivalent
 from ..core.linearizer import LinearEntry, linearize
-from ..core.profitability import estimate_profit
+from ..core.profitability import evaluate_merge
 from ..core.thunks import apply_merge
 
 
@@ -169,14 +170,16 @@ class StructuralFunctionMergingPass(Pass):
                             continue
                         try:
                             alignment = structural_alignment(f1, f2)
-                            result = merge_functions(f1, f2, self.options, alignment)
+                            cost = merge_cost(f1, f2, self.target, self.options,
+                                              alignment)
                         except CodegenError:
                             continue
-                        evaluation = estimate_profit(result, self.target, graph,
-                                                     self.allow_deletion)
+                        evaluation = evaluate_merge(f1, f2, *cost, self.target,
+                                                    graph, self.allow_deletion)
                         if not evaluation.profitable:
-                            result.merged.drop_body()
                             continue
+                        # like the FMSA engine: build only the merge it commits
+                        result = merge_functions(f1, f2, self.options, alignment)
                         applied = apply_merge(module, result, graph, self.allow_deletion)
                         available.discard(f1.name)
                         available.discard(f2.name)

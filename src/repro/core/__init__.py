@@ -3,7 +3,8 @@
 Public API:
 
 * :func:`merge_functions` — merge one pair of functions (pure, no module
-  mutation).
+  mutation); :func:`merge_cost` — the same decisions, costed without
+  building the merged body.
 * :class:`FunctionMergingPass` — the full ranked exploration framework.
 * :class:`ReferenceMergingPass` — the same exploration as the paper's plain
   loop: the engine's test oracle and the paper-figure driver.
@@ -12,7 +13,8 @@ Public API:
 * :func:`linearize` — CFG linearization.
 * :class:`Fingerprint`, :func:`similarity`, :class:`CandidateRanker` — the
   ranking infrastructure.
-* :func:`estimate_profit` — the profitability cost model.
+* :func:`estimate_profit`, :func:`evaluate_merge` — the profitability cost
+  model, for a built or a costed candidate.
 * :func:`apply_merge` — commit a merge into a module (thunks / call updates).
 """
 
@@ -22,8 +24,8 @@ from .alignment import (AlignedEntry, AlignmentResult, ScoringScheme, align,
                         hirschberg, needleman_wunsch, needleman_wunsch_keyed,
                         ops_string, solve_keyed_alignment)
 from .codegen import (CodegenError, MergeCodeGenerator, MergeOptions,
-                      MergeResult, merge_functions, merge_parameter_lists,
-                      merge_return_types)
+                      MergeResult, merge_cost, merge_functions,
+                      merge_parameter_lists, merge_return_types)
 from .engine import (AlignmentCache, IndexedCandidateSearcher, MergeEngine,
                      MergeSession, ModuleEdit, SessionUpdateReport, Stage,
                      StageStats, apply_edit)
@@ -41,7 +43,7 @@ from .native import (native_available, needleman_wunsch_native,
                      solve_keyed_alignment_native)
 from .pass_ import (FunctionMergingPass, MergeRecord, MergeReport, STAGES,
                     make_hotness_filter)
-from .profitability import MergeEvaluation, estimate_profit
+from .profitability import MergeEvaluation, estimate_profit, evaluate_merge
 from .reference import ReferenceMergingPass
 from .ranking import CandidateRanker, RankedCandidate
 from .thunks import AppliedMerge, apply_merge, build_thunk
@@ -56,7 +58,8 @@ __all__ = [
     "AlignmentCache",
     "ops_string", "solve_keyed_alignment", "decode_canonical_keys",
     "CodegenError", "MergeCodeGenerator", "MergeOptions", "MergeResult",
-    "merge_functions", "merge_parameter_lists", "merge_return_types",
+    "merge_cost", "merge_functions", "merge_parameter_lists",
+    "merge_return_types",
     "IndexedCandidateSearcher", "MergeEngine", "MergeSession", "ModuleEdit",
     "SessionUpdateReport", "Stage", "StageStats", "apply_edit",
     "EquivalenceKeyInterner", "encode_equivalence_key", "entries_equivalent",
@@ -68,7 +71,7 @@ __all__ = [
     "sequence_signature",
     "FunctionMergingPass", "MergeRecord", "MergeReport", "STAGES",
     "make_hotness_filter", "ReferenceMergingPass",
-    "MergeEvaluation", "estimate_profit",
+    "MergeEvaluation", "estimate_profit", "evaluate_merge",
     "CandidateRanker", "RankedCandidate",
     "AppliedMerge", "apply_merge", "build_thunk",
 ]

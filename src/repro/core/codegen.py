@@ -18,6 +18,23 @@ The four responsibilities described in the paper:
   sequence: the first creates blocks and cloned instructions together with
   the guarding "diamonds" around non-matching segments, the second assigns
   operands through the value maps.
+
+All of these decisions live in one walk, :class:`MergeCodeGenerator`, which
+emits what it decides into a *sink*.  There are two sinks:
+
+* the IR sink builds the merged :class:`Function` (:func:`merge_functions`,
+  returning a :class:`MergeResult` with value maps and the fingerprint
+  delta);
+* the counting sink builds nothing.  Its blocks and values are small
+  records carrying just what the walk inspects (a type, a terminated flag,
+  a leading landing pad), and it adds up the target cost of every emitted
+  instruction (:func:`merge_cost`, returning ``(size_merged,
+  merged_param_count)``).
+
+Because both sinks are driven by the same walk, the counted cost equals
+``TargetCostModel.function_cost`` of the body the IR sink would build, and
+both raise :class:`CodegenError` at the same points.  The merge engine costs
+every candidate with the counting sink and builds IR only for the winner.
 """
 
 from __future__ import annotations
@@ -31,7 +48,8 @@ from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import Branch, Cast, Instruction, Select
 from ..ir.values import Argument, Constant, GlobalVariable, Value
-from .alignment import AlignedEntry, AlignmentResult, ScoringScheme, align
+from ..targets.cost_model import TargetCostModel
+from .alignment import AlignmentResult, ScoringScheme, align
 from .equivalence import entries_equivalent, types_equivalent
 from .fingerprint import FingerprintDelta
 from .linearizer import LinearEntry, linearize
@@ -272,11 +290,231 @@ def convert_value(value: Value, to_type: ty.Type, block: BasicBlock,
 
 
 # ---------------------------------------------------------------------------
-# The merger itself
+# The merger itself: one decision walk over the alignment, two sinks
 # ---------------------------------------------------------------------------
 
+class _IRSink:
+    """Builds the merged :class:`Function` the walk describes, recording
+    every instruction it adds beyond the aligned clones in a
+    :class:`FingerprintDelta` for :meth:`Fingerprint.of_merged`."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.merged: Optional[Function] = None
+        self.fp_delta = FingerprintDelta()
+
+    def _extra(self, inst: Instruction) -> Instruction:
+        self.fp_delta.count(inst)
+        return inst
+
+    def begin(self, return_type: ty.Type, param_types: List[ty.Type],
+              param_names: List[str]) -> List[Argument]:
+        fnty = ty.function_type(return_type, param_types)
+        self.merged = Function(self.name, fnty, linkage="internal",
+                               arg_names=param_names)
+        return self.merged.arguments
+
+    def new_block(self, name: str) -> BasicBlock:
+        return self.merged.append_block(name)
+
+    def clone(self, block: BasicBlock, original: Instruction) -> Instruction:
+        return block.append(original.clone())
+
+    def branch(self, block: BasicBlock, *operands: Value) -> None:
+        block.append(self._extra(Branch(*operands)))
+
+    def move_to_front(self, block: BasicBlock) -> None:
+        blocks = self.merged.blocks
+        if blocks[0] is not block:
+            blocks.remove(block)
+            blocks.insert(0, block)
+
+    def dispatch(self, func_id: Value, entry1: BasicBlock,
+                 entry2: BasicBlock) -> None:
+        dispatch = BasicBlock("entry.dispatch", self.merged)
+        dispatch.append(self._extra(Branch(func_id, entry1, entry2)))
+        self.merged.blocks.insert(0, dispatch)
+
+    def set_operand(self, inst: Instruction, index: int, value: Value) -> None:
+        inst.set_operand(index, value)
+
+    def cast(self, opcode: str, value: Value, to_type: ty.Type,
+             before: Instruction) -> Value:
+        cast = self._extra(Cast(opcode, value, to_type))
+        before.parent.insert_before(before, cast)
+        return cast
+
+    def select(self, cond: Value, v1: Value, v2: Value,
+               before: Instruction) -> Value:
+        select = self._extra(Select(cond, v1, v2, name="op.sel"))
+        before.parent.insert_before(before, select)
+        return select
+
+    @staticmethod
+    def leads_with_landing_pad(block: BasicBlock) -> bool:
+        return block.is_landing_block
+
+    def hoist_landing_pads(self, router: BasicBlock, block1: BasicBlock,
+                           block2: BasicBlock) -> None:
+        lp1, lp2 = block1.instructions[0], block2.instructions[0]
+        hoisted = router.append(self._extra(lp1.clone()))
+        for lp, block in ((lp1, block1), (lp2, block2)):
+            self.fp_delta.uncount(lp)
+            lp.replace_all_uses_with(hoisted)
+            block.remove(lp)
+            lp.drop_all_operands()
+
+    def add_return_operand(self, ret: Instruction, value: Value) -> None:
+        ret.append_operand(value)
+        self.fp_delta.add_operand(value.type)
+
+    def retype_return(self, ret: Instruction, old_type: ty.Type,
+                      value: Value) -> None:
+        ret.set_operand(0, value)
+        self.fp_delta.retype_operand(old_type, value.type)
+
+    def abandon(self) -> None:
+        """Release the partial body's uses of the originals' values."""
+        if self.merged is not None:
+            self.merged.drop_body()
+
+    def finish(self, walk: "MergeCodeGenerator", alignment: AlignmentResult,
+               uses_func_id: bool) -> MergeResult:
+        merged = self.merged
+        func_id: Optional[Argument] = merged.arguments[0]
+        if not uses_func_id:
+            merged.arguments.pop(0)
+            for i, arg in enumerate(merged.arguments):
+                arg.index = i
+            new_type = ty.function_type(merged.function_type.return_type,
+                                        [a.type for a in merged.arguments])
+            merged.function_type = new_type
+            merged.type = ty.pointer(new_type)
+            func_id = None
+        f1, f2 = walk.f1, walk.f2
+        arg_map1 = {arg: walk.value_map1[id(arg)] for arg in f1.arguments}
+        arg_map2 = {arg: walk.value_map2[id(arg)] for arg in f2.arguments}
+        merged.merged_from = (f1.name, f2.name)
+        return MergeResult(merged, f1, f2, func_id, arg_map1, arg_map2,
+                           alignment, self.fp_delta)
+
+
+class _CostBlock:
+    """Counting-sink stand-in for a merged block."""
+
+    __slots__ = ("is_terminated", "empty", "landing_pad")
+
+    def __init__(self):
+        self.is_terminated = False
+        self.empty = True
+        #: the original landing pad this block starts with, if any
+        self.landing_pad: Optional[Instruction] = None
+
+
+class _CostValue:
+    """Counting-sink stand-in for a merged parameter, select or cast."""
+
+    __slots__ = ("type",)
+
+    def __init__(self, vtype: ty.Type):
+        self.type = vtype
+
+
+class _CostSink:
+    """Adds up the target code-size cost of the merged function the walk
+    describes, building no IR.
+
+    A clone costs what its original costs (same opcode, same operand
+    count), so the original itself stands in for its clone: it carries the
+    right type and is a distinct object per clone, which is all the walk's
+    identity and type checks need.  Every extra ``br``, ``select`` or cast
+    adds its opcode cost; hoisting two landing pads into a router keeps one.
+    """
+
+    def __init__(self, target: TargetCostModel):
+        self.target = target
+        self.instruction_cost = target.instruction_cost
+        self.opcode_costs = target.opcode_costs
+        self.default_cost = target.default_cost
+        self.branch_cost = self.opcode_costs.get("br", self.default_cost)
+        self.select_cost = self.opcode_costs.get("select", self.default_cost)
+        self.size = 0
+        self.param_count = 0
+
+    def begin(self, return_type: ty.Type, param_types: List[ty.Type],
+              param_names: List[str]) -> List[_CostValue]:
+        self.param_count = len(param_types)
+        return [_CostValue(t) for t in param_types]
+
+    def new_block(self, name: str) -> _CostBlock:
+        return _CostBlock()
+
+    def clone(self, block: _CostBlock, original: Instruction) -> Instruction:
+        self.size += self.instruction_cost(original)
+        if block.empty:
+            block.empty = False
+            if original.opcode == "landingpad":
+                block.landing_pad = original
+        block.is_terminated = original.is_terminator
+        return original
+
+    def branch(self, block: _CostBlock, *operands) -> None:
+        self.size += self.branch_cost
+        block.empty = False
+        block.is_terminated = True
+
+    def move_to_front(self, block: _CostBlock) -> None:
+        pass
+
+    def dispatch(self, func_id, entry1, entry2) -> None:
+        self.size += self.branch_cost
+
+    def set_operand(self, inst, index: int, value) -> None:
+        pass
+
+    def cast(self, opcode: str, value, to_type: ty.Type, before) -> _CostValue:
+        self.size += self.opcode_costs.get(opcode, self.default_cost)
+        return _CostValue(to_type)
+
+    def select(self, cond, v1, v2, before) -> _CostValue:
+        self.size += self.select_cost
+        return _CostValue(v1.type)
+
+    @staticmethod
+    def leads_with_landing_pad(block: _CostBlock) -> bool:
+        return block.landing_pad is not None
+
+    def hoist_landing_pads(self, router: _CostBlock, block1: _CostBlock,
+                           block2: _CostBlock) -> None:
+        # the router gains a clone of the first pad; both pads leave
+        self.size -= self.instruction_cost(block2.landing_pad)
+        router.empty = False
+        router.landing_pad = block1.landing_pad
+        block1.landing_pad = block2.landing_pad = None
+
+    def add_return_operand(self, ret, value) -> None:
+        pass
+
+    def retype_return(self, ret, old_type, value) -> None:
+        pass
+
+    def abandon(self) -> None:
+        pass
+
+    def finish(self, walk: "MergeCodeGenerator", alignment: AlignmentResult,
+               uses_func_id: bool) -> Tuple[int, int]:
+        params = self.param_count if uses_func_id else self.param_count - 1
+        return self.target.defined_function_cost(self.size, params), params
+
+
 class MergeCodeGenerator:
-    """Generates the merged function for one pair of originals."""
+    """Merges one pair of originals: the decision walk over their alignment.
+
+    :meth:`generate` runs the walk into the IR sink and returns the
+    :class:`MergeResult`; :meth:`cost` runs the same walk into the counting
+    sink and returns ``(size_merged, merged_param_count)`` without building
+    anything.  Both raise :class:`CodegenError` at the same points.
+    """
 
     def __init__(self, function1: Function, function2: Function,
                  options: Optional[MergeOptions] = None,
@@ -286,59 +524,25 @@ class MergeCodeGenerator:
         self.options = options or MergeOptions()
         self._given_alignment = alignment
 
+        # per-walk state, reset by every generate() / cost()
         self.value_map1: Dict[int, Value] = {}
         self.value_map2: Dict[int, Value] = {}
-        self.merged: Optional[Function] = None
-        self.func_id: Optional[Argument] = None
+        self.sink = None
+        self.func_id = None
         self.return_type: Optional[ty.Type] = None
-        self._merged_entry_candidates: Tuple[Optional[BasicBlock], Optional[BasicBlock]] = (None, None)
-        # everything emitted beyond the aligned clones, for the incremental
-        # merged-function fingerprint (Fingerprint.of_merged)
-        self.fp_delta = FingerprintDelta()
-
-    def _emit_extra(self, inst: Instruction) -> Instruction:
-        """Record an instruction the aligned columns do not account for."""
-        self.fp_delta.count(inst)
-        return inst
-
-    def _convert(self, value: Value, to_type: ty.Type, block: BasicBlock,
-                 before: Optional[Instruction] = None) -> Value:
-        """``convert_value`` with fingerprint accounting of the cast."""
-        converted = convert_value(value, to_type, block, before)
-        if converted is not value and isinstance(converted, Instruction):
-            self.fp_delta.count(converted)
-        return converted
+        # instructions emitted on func_id; none means the originals are
+        # identical and the parameter is dropped
+        self._func_id_uses = 0
 
     # -- public API ----------------------------------------------------------
     def generate(self) -> MergeResult:
-        alignment = self._given_alignment or self.align()
-        param_types, param_names, binding1, binding2 = merge_parameter_lists(
-            self.f1, self.f2, alignment, self.options)
-        self.return_type = merge_return_types(self.f1, self.f2)
-
         name = self.options.merged_name or f"__merged_{self.f1.name}_{self.f2.name}"
-        fnty = ty.function_type(self.return_type, param_types)
-        merged = Function(name, fnty, linkage="internal", arg_names=param_names)
-        self.merged = merged
-        self.func_id = merged.arguments[0]
+        return self._walk(_IRSink(name))
 
-        # seed the value maps with argument bindings
-        for arg in self.f1.arguments:
-            self.value_map1[id(arg)] = merged.arguments[binding1[arg.index]]
-        for arg in self.f2.arguments:
-            self.value_map2[id(arg)] = merged.arguments[binding2[arg.index]]
-
-        self._build_skeleton(alignment)
-        self._fix_entry_block()
-        self._assign_operands(alignment)
-        func_id = self._finalize_func_id()
-
-        arg_map1 = {arg: self.value_map1[id(arg)] for arg in self.f1.arguments}
-        arg_map2 = {arg: self.value_map2[id(arg)] for arg in self.f2.arguments}
-        result = MergeResult(merged, self.f1, self.f2, func_id, arg_map1, arg_map2,
-                             alignment, self.fp_delta)
-        merged.merged_from = (self.f1.name, self.f2.name)
-        return result
+    def cost(self, target: TargetCostModel) -> Tuple[int, int]:
+        """``(size_merged, merged_param_count)`` of the merge
+        :meth:`generate` would build, under ``target``'s cost model."""
+        return self._walk(_CostSink(target))
 
     def align(self) -> AlignmentResult:
         """Linearize both functions and align the sequences."""
@@ -347,15 +551,38 @@ class MergeCodeGenerator:
         return align(entries1, entries2, entries_equivalent,
                      self.options.scoring, self.options.alignment_algorithm)
 
+    def _walk(self, sink):
+        alignment = self._given_alignment or self.align()
+        param_types, param_names, binding1, binding2 = merge_parameter_lists(
+            self.f1, self.f2, alignment, self.options)
+        self.return_type = merge_return_types(self.f1, self.f2)
+        self.sink = sink
+        self.value_map1, self.value_map2 = {}, {}
+        self._func_id_uses = 0
+        arguments = sink.begin(self.return_type, param_types, param_names)
+        self.func_id = arguments[0]
+
+        # seed the value maps with argument bindings
+        for arg in self.f1.arguments:
+            self.value_map1[id(arg)] = arguments[binding1[arg.index]]
+        for arg in self.f2.arguments:
+            self.value_map2[id(arg)] = arguments[binding2[arg.index]]
+
+        try:
+            self._build_skeleton(alignment)
+            self._fix_entry_block()
+            self._assign_operands(alignment)
+        except Exception:
+            sink.abandon()
+            raise
+        return sink.finish(self, alignment, self._func_id_uses > 0)
+
     # -- pass 1: blocks, clones and guard diamonds ------------------------------
     def _build_skeleton(self, alignment: AlignmentResult) -> None:
-        merged = self.merged
-        assert merged is not None
-        cur_merged: Optional[BasicBlock] = None
-        cur_left: Optional[BasicBlock] = None
-        cur_right: Optional[BasicBlock] = None
+        sink = self.sink
+        cur_merged = cur_left = cur_right = None
 
-        def unterminated(block: Optional[BasicBlock]) -> bool:
+        def unterminated(block) -> bool:
             return block is not None and not block.is_terminated
 
         for entry in alignment.entries:
@@ -364,25 +591,24 @@ class MergeCodeGenerator:
                 right: LinearEntry = entry.right
                 if left.is_label:
                     # a new merged block shared by both functions
-                    new_block = merged.append_block(f"m.{left.value.name or 'bb'}")
+                    new_block = sink.new_block(f"m.{left.value.name or 'bb'}")
                     for block in (cur_merged, cur_left, cur_right):
                         if unterminated(block):
-                            block.append(self._emit_extra(Branch(new_block)))
+                            sink.branch(block, new_block)
                     self.value_map1[id(left.value)] = new_block
                     self.value_map2[id(right.value)] = new_block
                     cur_merged, cur_left, cur_right = new_block, None, None
                 else:
                     if cur_merged is None or cur_merged.is_terminated:
                         # re-convergence point after a divergent region
-                        join = merged.append_block("m.join")
+                        join = sink.new_block("m.join")
                         for block in (cur_left, cur_right):
                             if unterminated(block):
-                                block.append(self._emit_extra(Branch(join)))
+                                sink.branch(block, join)
                         if cur_left is None and cur_right is None and unterminated(cur_merged):
-                            cur_merged.append(self._emit_extra(Branch(join)))
+                            sink.branch(cur_merged, join)
                         cur_merged, cur_left, cur_right = join, None, None
-                    clone = left.value.clone()
-                    cur_merged.append(clone)
+                    clone = sink.clone(cur_merged, left.value)
                     self.value_map1[id(left.value)] = clone
                     self.value_map2[id(right.value)] = clone
             elif entry.is_left_only:
@@ -394,21 +620,19 @@ class MergeCodeGenerator:
                     entry.right, side=1, cur=cur_right, other=cur_left,
                     cur_merged=cur_merged)
 
-    def _emit_one_sided(self, lentry: LinearEntry, side: int,
-                        cur: Optional[BasicBlock], other: Optional[BasicBlock],
-                        cur_merged: Optional[BasicBlock]):
+    def _emit_one_sided(self, lentry: LinearEntry, side: int, cur, other,
+                        cur_merged):
         """Emit a non-matching entry for one side.
 
         Returns the updated ``(cur, other, cur_merged)`` triple (from the
         perspective of the side being processed).
         """
-        merged = self.merged
-        assert merged is not None
+        sink = self.sink
         value_map = self.value_map1 if side == 0 else self.value_map2
         prefix = "l" if side == 0 else "r"
 
         if lentry.is_label:
-            new_block = merged.append_block(f"{prefix}.{lentry.value.name or 'bb'}")
+            new_block = sink.new_block(f"{prefix}.{lentry.value.name or 'bb'}")
             value_map[id(lentry.value)] = new_block
             return new_block, other, cur_merged
 
@@ -416,11 +640,10 @@ class MergeCodeGenerator:
         if cur is None or cur.is_terminated:
             if cur_merged is not None and not cur_merged.is_terminated:
                 # transition from a matched region: guard with a diamond
-                left_block = merged.append_block("guard.l")
-                right_block = merged.append_block("guard.r")
-                assert self.func_id is not None
-                cur_merged.append(
-                    self._emit_extra(Branch(self.func_id, left_block, right_block)))
+                left_block = sink.new_block("guard.l")
+                right_block = sink.new_block("guard.r")
+                sink.branch(cur_merged, self.func_id, left_block, right_block)
+                self._func_id_uses += 1
                 if side == 0:
                     cur, other = left_block, right_block
                 else:
@@ -430,27 +653,19 @@ class MergeCodeGenerator:
                 raise CodegenError(
                     f"dangling instruction for {'first' if side == 0 else 'second'} "
                     f"function: {lentry.value.opcode} has no block to live in")
-        clone = lentry.value.clone()
-        cur.append(clone)
-        value_map[id(lentry.value)] = clone
+        value_map[id(lentry.value)] = sink.clone(cur, lentry.value)
         return cur, other, cur_merged
 
     def _fix_entry_block(self) -> None:
         """Ensure the merged function's first block transfers control to the
         right code for both originals."""
-        merged = self.merged
-        assert merged is not None
         entry1 = self.value_map1[id(self.f1.entry_block)]
         entry2 = self.value_map2[id(self.f2.entry_block)]
         if entry1 is entry2:
-            if merged.blocks and merged.blocks[0] is not entry1:
-                merged.blocks.remove(entry1)
-                merged.blocks.insert(0, entry1)
+            self.sink.move_to_front(entry1)
             return
-        assert self.func_id is not None
-        dispatch = BasicBlock("entry.dispatch", merged)
-        dispatch.append(self._emit_extra(Branch(self.func_id, entry1, entry2)))
-        merged.blocks.insert(0, dispatch)
+        self.sink.dispatch(self.func_id, entry1, entry2)
+        self._func_id_uses += 1
 
     # -- pass 2: operands ---------------------------------------------------------
     def _assign_operands(self, alignment: AlignmentResult) -> None:
@@ -467,46 +682,62 @@ class MergeCodeGenerator:
 
     def _resolve(self, value: Value, side: int) -> Value:
         """Map an original value to its merged counterpart."""
+        mapped = (self.value_map1 if side == 0 else self.value_map2).get(id(value))
+        if mapped is not None:
+            return mapped
         if isinstance(value, (Constant, GlobalVariable, Function)):
             return value
-        value_map = self.value_map1 if side == 0 else self.value_map2
-        mapped = value_map.get(id(value))
-        if mapped is None:
-            raise CodegenError(f"value {value!r} was never mapped during pass 1")
-        return mapped
+        raise CodegenError(f"value {value!r} was never mapped during pass 1")
+
+    def _convert(self, value: Value, to_type: ty.Type, before) -> Value:
+        """``convert_value`` through the sink: the cast (if any) goes right
+        before the merged instruction ``before``."""
+        if value.type == to_type:
+            return value
+        if isinstance(value, vals.UndefValue):
+            return vals.undef(to_type)
+        return self.sink.cast(_conversion_opcode(value.type, to_type), value,
+                              to_type, before)
 
     def _assign_single_operands(self, original: Instruction, side: int) -> None:
         clone = self._resolve(original, side)
-        assert isinstance(clone, Instruction)
+        resolved = None
         for index, operand in enumerate(original.operands):
             resolved = self._resolve(operand, side)
-            if (not isinstance(resolved, BasicBlock)
-                    and resolved.type != operand.type
-                    and types_equivalent(resolved.type, operand.type)):
-                resolved = self._convert(resolved, operand.type, clone.parent, clone)
-            clone.set_operand(index, resolved)
-        self._fixup_return(clone, original, side)
+            if not isinstance(operand, BasicBlock):
+                have, want = resolved.type, operand.type
+                if have is not want and have != want and types_equivalent(have, want):
+                    resolved = self._convert(resolved, want, clone)
+            self.sink.set_operand(clone, index, resolved)
+        if original.opcode == "ret" and not self.return_type.is_void:
+            if original.operands:
+                self._fixup_return(clone, resolved)
+            else:
+                # the original returned void but the merged function does not
+                self.sink.add_return_operand(clone, vals.undef(self.return_type))
 
     def _assign_matched_operands(self, inst1: Instruction, inst2: Instruction) -> None:
         clone = self._resolve(inst1, 0)
-        assert isinstance(clone, Instruction)
-        operands2 = list(inst2.operands)
+        operands2 = inst2.operands
 
-        if (self.options.reorder_commutative and clone.is_commutative
+        if (self.options.reorder_commutative and inst1.is_commutative
                 and len(inst1.operands) >= 2 and len(operands2) >= 2):
             operands2 = self._reorder_commutative(inst1, operands2)
 
+        merged_operand = None
         for index, operand1 in enumerate(inst1.operands):
             operand2 = operands2[index]
             v1 = self._resolve(operand1, 0)
             v2 = self._resolve(operand2, 1)
-            if isinstance(v1, BasicBlock) or isinstance(v2, BasicBlock):
+            if isinstance(operand1, BasicBlock) or isinstance(operand2, BasicBlock):
                 merged_operand = self._merge_label_operand(v1, v2)
             else:
-                merged_operand = self._merge_value_operand(v1, v2, operand1, operand2, clone)
-            clone.set_operand(index, merged_operand)
+                merged_operand = self._merge_value_operand(v1, v2, clone)
+            self.sink.set_operand(clone, index, merged_operand)
 
-        self._fixup_matched_return(clone, inst1, inst2)
+        if (inst1.opcode == "ret" and not self.return_type.is_void
+                and inst1.operands):
+            self._fixup_return(clone, merged_operand)
 
     def _reorder_commutative(self, inst1: Instruction, operands2: List[Value]) -> List[Value]:
         """Swap the first two operands of the second instruction when doing so
@@ -525,34 +756,22 @@ class MergeCodeGenerator:
             operands2[0], operands2[1] = operands2[1], operands2[0]
         return operands2
 
-    def _merge_label_operand(self, block1: Value, block2: Value) -> Value:
+    def _merge_label_operand(self, block1, block2):
         """Operand selection for labels: identical targets pass through,
         different targets are routed through a new block that branches on the
         function identifier (with landing-pad hoisting when needed)."""
         if block1 is block2:
             return block1
-        assert isinstance(block1, BasicBlock) and isinstance(block2, BasicBlock)
-        merged = self.merged
-        assert merged is not None and self.func_id is not None
-        router = merged.append_block("route")
-        lp1 = block1.instructions[0] if (block1.instructions
-                                         and block1.instructions[0].opcode == "landingpad") else None
-        lp2 = block2.instructions[0] if (block2.instructions
-                                         and block2.instructions[0].opcode == "landingpad") else None
-        if lp1 is not None and lp2 is not None:
+        sink = self.sink
+        router = sink.new_block("route")
+        if sink.leads_with_landing_pad(block1) and sink.leads_with_landing_pad(block2):
             # hoist the landing pad into the router block (Section III-E)
-            hoisted = lp1.clone()
-            router.append(self._emit_extra(hoisted))
-            for lp, block in ((lp1, block1), (lp2, block2)):
-                self.fp_delta.uncount(lp)
-                lp.replace_all_uses_with(hoisted)
-                block.remove(lp)
-                lp.drop_all_operands()
-        router.append(self._emit_extra(Branch(self.func_id, block1, block2)))
+            sink.hoist_landing_pads(router, block1, block2)
+        sink.branch(router, self.func_id, block1, block2)
+        self._func_id_uses += 1
         return router
 
-    def _merge_value_operand(self, v1: Value, v2: Value, operand1: Value,
-                             operand2: Value, clone: Instruction) -> Value:
+    def _merge_value_operand(self, v1: Value, v2: Value, clone) -> Value:
         """Operand selection for regular values: identical values (or equal
         constants) pass through, anything else becomes a select on the
         function identifier."""
@@ -560,63 +779,18 @@ class MergeCodeGenerator:
             return v1
         if isinstance(v1, Constant) and isinstance(v2, Constant) and v1 == v2:
             return v1
-        assert clone.parent is not None and self.func_id is not None
-        if v2.type != v1.type and types_equivalent(v2.type, v1.type):
-            v2 = self._convert(v2, v1.type, clone.parent, clone)
-        select = self._emit_extra(Select(self.func_id, v1, v2, name="op.sel"))
-        clone.parent.insert_before(clone, select)
-        return select
+        type1, type2 = v1.type, v2.type
+        if type2 is not type1 and type2 != type1 and types_equivalent(type2, type1):
+            v2 = self._convert(v2, type1, clone)
+        self._func_id_uses += 1
+        return self.sink.select(self.func_id, v1, v2, clone)
 
     # -- return handling ---------------------------------------------------------
-    def _fixup_return(self, clone: Instruction, original: Instruction, side: int) -> None:
-        if clone.opcode != "ret":
-            return
-        assert self.return_type is not None
-        if self.return_type.is_void:
-            return
-        if not clone.operands:
-            # the original returned void but the merged function does not
-            clone.append_operand(vals.undef(self.return_type))
-            self.fp_delta.add_operand(self.return_type)
-            return
-        value = clone.operands[0]
+    def _fixup_return(self, ret, value: Value) -> None:
+        """Convert a returned ``value`` to the merged return type."""
         if value.type != self.return_type:
-            converted = self._convert(value, self.return_type, clone.parent, clone)
-            clone.set_operand(0, converted)
-            self.fp_delta.retype_operand(value.type, self.return_type)
-
-    def _fixup_matched_return(self, clone: Instruction, inst1: Instruction,
-                              inst2: Instruction) -> None:
-        if clone.opcode != "ret":
-            return
-        assert self.return_type is not None
-        if self.return_type.is_void or not clone.operands:
-            return
-        value = clone.operands[0]
-        if value.type != self.return_type:
-            converted = self._convert(value, self.return_type, clone.parent, clone)
-            clone.set_operand(0, converted)
-            self.fp_delta.retype_operand(value.type, self.return_type)
-
-    # -- func_id cleanup ------------------------------------------------------------
-    def _finalize_func_id(self) -> Optional[Argument]:
-        """Remove the function-identifier parameter when it ended up unused
-        (identical functions), mirroring the paper's special case."""
-        merged = self.merged
-        assert merged is not None and self.func_id is not None
-        if self.func_id.users:
-            return self.func_id
-        merged.arguments.pop(0)
-        for i, arg in enumerate(merged.arguments):
-            arg.index = i
-        new_type = ty.function_type(merged.function_type.return_type,
-                                    [a.type for a in merged.arguments])
-        merged.function_type = new_type
-        merged.type = ty.pointer(new_type)
-        removed = self.func_id
-        self.func_id = None
-        del removed
-        return None
+            converted = self._convert(value, self.return_type, ret)
+            self.sink.retype_return(ret, value.type, converted)
 
 
 def merge_functions(function1: Function, function2: Function,
@@ -631,3 +805,15 @@ def merge_functions(function1: Function, function2: Function,
     """
     generator = MergeCodeGenerator(function1, function2, options, alignment)
     return generator.generate()
+
+
+def merge_cost(function1: Function, function2: Function,
+               target: TargetCostModel,
+               options: Optional[MergeOptions] = None,
+               alignment: Optional[AlignmentResult] = None) -> Tuple[int, int]:
+    """``(size_merged, merged_param_count)`` of ``merge_functions`` on the
+    same arguments, under ``target``'s cost model, with no IR built.
+
+    Raises :class:`CodegenError` exactly when ``merge_functions`` does.
+    """
+    return MergeCodeGenerator(function1, function2, options, alignment).cost(target)

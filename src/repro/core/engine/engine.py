@@ -9,9 +9,12 @@ explicit pipeline of strategy stages::
 Each stage is a small object (see :mod:`repro.core.engine.stages`) with its
 own statistics.  Candidate search runs on the inverted-index searcher (exact
 top-``t``, no O(N²) scan), alignment on the integer-key kernels (per-cell int
-compares instead of the structural equivalence predicate), commits maintain
-the call graph incrementally and merged functions are fingerprinted from
-their alignment columns instead of by rescanning.  The paper's plain loop -
+compares instead of the structural equivalence predicate), codegen costs each
+candidate by running the code generator's decision walk into its counting
+sink - no merged body is built - and only the candidate that will be
+committed is materialized as IR, commits maintain the call graph
+incrementally and merged functions are fingerprinted from their alignment
+columns instead of by rescanning.  The paper's plain loop -
 linear ranking, predicate alignment, a call-graph rebuild and a fingerprint
 rescan per commit - lives on as
 :class:`~repro.core.reference.ReferenceMergingPass`, the oracle the engine is
@@ -44,7 +47,7 @@ from ...ir.function import Function
 from ...ir.module import Module
 from ...targets.cost_model import TargetCostModel
 from ...targets.x86_64 import X86_64
-from ..codegen import CodegenError, MergeOptions
+from ..codegen import CodegenError, MergeOptions, merge_functions
 from ..fingerprint import Fingerprint
 from .align_cache import ALIGN_CACHE_ENV, AlignmentCache
 from .base import Stage
@@ -287,7 +290,7 @@ class MergeEngine:
                                         self.options.alignment_algorithm,
                                         kernel=alignment_kernel,
                                         cache=self.align_cache)
-        self.codegen = CodegenStage(self.options)
+        self.codegen = CodegenStage(self.options, self.target)
         self.profitability = ProfitabilityStage(self.target, allow_deletion)
         self.commit = CommitStage(allow_deletion)
 
@@ -338,7 +341,10 @@ class MergeEngine:
         Runs candidate search, linearization, alignment, code generation and
         profitability for the entry's ranked candidates - stopping at the
         first profitable one (or, under oracle, keeping the best of all) -
-        and packages the outcome as an immutable plan.  Returns ``None``
+        and packages the outcome as an immutable plan.  Candidates are
+        costed without building IR; only the chosen one's merged body is
+        built.  Under the sanitizer every costed candidate is also built
+        and the two costs are compared.  Returns ``None``
         when the entry is stale (consumed or removed since it was enqueued).
         Read-only, so a batch of entries can be planned before any of
         them commits.
@@ -363,7 +369,9 @@ class MergeEngine:
             candidates = self.candidate_search.query(name, limit)
         plan = MergePlan(name=name, limit=limit, candidates=candidates)
 
-        best: Optional[PlanDecision] = None
+        # (evaluation, candidate, function2, alignment) of the best
+        # profitable candidate so far
+        best: Optional[tuple] = None
         for candidate in candidates:
             if candidate.function_name not in self._available:
                 continue
@@ -371,7 +379,7 @@ class MergeEngine:
             if function2 is None:
                 continue
             if self.profit_bounds is not None:
-                floor = best.evaluation.delta if best is not None else 0
+                floor = best[0].delta if best is not None else 0
                 bound = self.profit_bounds.delta_bound(
                     name, candidate.function_name, floor)
                 if bound is not None and bound <= floor:
@@ -384,27 +392,45 @@ class MergeEngine:
             lin2 = self.linearize.get(function2)
             alignment = self.alignment.align_pair(lin1, lin2)
             try:
-                result = self.codegen.generate(function1, function2, alignment)
-                evaluation = self.profitability.evaluate(result, self._call_graph)
+                cost = self.codegen.generate(function1, function2, alignment)
             except CodegenError:
+                cost = None
+            if self.sanitizer is not None:
+                self._check_counted_cost(function1, function2, alignment, cost)
+            if cost is None:
                 plan.codegen_failures += 1
                 continue
-
+            evaluation = self.profitability.evaluate(function1, function2, cost,
+                                                     self._call_graph)
             if evaluation.profitable:
-                if self.oracle:
-                    if best is None or evaluation.delta > best.evaluation.delta:
-                        if best is not None:
-                            best.result.merged.drop_body()
-                        best = PlanDecision(candidate, result, evaluation)
-                    else:
-                        result.merged.drop_body()
-                    continue
-                best = PlanDecision(candidate, result, evaluation)
-                break
-            result.merged.drop_body()
+                if best is None or evaluation.delta > best[0].delta:
+                    best = (evaluation, candidate, function2, alignment)
+                if not self.oracle:
+                    break
 
-        plan.decision = best
+        if best is not None:
+            # the winner is the only candidate whose merged body is built
+            evaluation, candidate, function2, alignment = best
+            result = self.codegen.materialize(function1, function2, alignment)
+            plan.decision = PlanDecision(candidate, result, evaluation)
         return plan
+
+    def _check_counted_cost(self, function1: Function, function2: Function,
+                            alignment, cost) -> None:
+        """Sanitizer cross-check: the counting walk's cost (``None`` for a
+        ``CodegenError``) must equal the cost of the body the IR sink
+        builds for the same alignment."""
+        try:
+            result = merge_functions(function1, function2,
+                                     self.codegen.options, alignment)
+        except CodegenError:
+            built = None
+        else:
+            built = (self.target.function_cost(result.merged),
+                     len(result.merged.arguments))
+            result.merged.drop_body()
+        self.sanitizer.check_merge_cost(function1.name, function2.name,
+                                        cost, built)
 
     def _merged_fingerprint(self, result, applied, fp_merged) -> Fingerprint:
         """Fingerprint for the just-committed merged function.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ...ir.callgraph import CallGraph
 from ...ir.function import Function
@@ -25,11 +25,11 @@ from ..alignment import (ALGORITHMS, AlignmentResult, ScoringScheme, align,
                          needleman_wunsch_keyed)
 from ..native import (KEYED_NATIVE_KERNELS, NATIVE_KERNELS, native_available,
                       native_fallback, require_native)
-from ..codegen import MergeOptions, MergeResult, merge_functions
+from ..codegen import MergeOptions, MergeResult, merge_cost, merge_functions
 from ..equivalence import EquivalenceKeyInterner, entries_equivalent
 from ..fingerprint import Fingerprint
 from ..linearizer import LinearizedFunction, linearize_with_keys
-from ..profitability import MergeEvaluation, estimate_profit
+from ..profitability import MergeEvaluation, evaluate_merge
 from ..ranking import RankedCandidate
 from ..thunks import AppliedMerge, apply_merge
 from ...resilience import InjectedFault, degradation_event, fault_triggered
@@ -440,23 +440,37 @@ class AlignmentStage(Stage):
 
 
 class CodegenStage(Stage):
-    """Generates the merged function for one aligned pair."""
+    """Code generation for one aligned pair.
+
+    :meth:`generate` is the per-candidate step: it runs the code
+    generator's decision walk into the counting sink and returns
+    ``(size_merged, merged_param_count)`` with no IR built.
+    :meth:`materialize` runs the same walk into the IR sink; the engine
+    calls it only for the candidate it commits to.
+    """
 
     name = "codegen"
     legacy_stage = "codegen"
 
-    def __init__(self, options: MergeOptions):
+    def __init__(self, options: MergeOptions, target):
         super().__init__()
         self.options = options
+        self.target = target
 
     def generate(self, function1: Function, function2: Function,
-                 alignment: AlignmentResult) -> MergeResult:
+                 alignment: AlignmentResult) -> Tuple[int, int]:
+        return self.timed(merge_cost, function1, function2, self.target,
+                          self.options, alignment)
+
+    def materialize(self, function1: Function, function2: Function,
+                    alignment: AlignmentResult) -> MergeResult:
+        self.stats.bump("materialized")
         return self.timed(merge_functions, function1, function2,
                           self.options, alignment)
 
 
 class ProfitabilityStage(Stage):
-    """Evaluates the code-size profit of a merge result."""
+    """Evaluates the code-size profit of a costed merge candidate."""
 
     name = "profitability"
     # the original pass accounted profitability inside the codegen bucket
@@ -467,10 +481,12 @@ class ProfitabilityStage(Stage):
         self.target = target
         self.allow_deletion = allow_deletion
 
-    def evaluate(self, result: MergeResult,
-                 call_graph: CallGraph) -> MergeEvaluation:
-        evaluation = self.timed(estimate_profit, result, self.target,
-                                call_graph, self.allow_deletion)
+    def evaluate(self, function1: Function, function2: Function,
+                 cost: Tuple[int, int], call_graph: CallGraph) -> MergeEvaluation:
+        """``cost`` is :meth:`CodegenStage.generate`'s
+        ``(size_merged, merged_param_count)``."""
+        evaluation = self.timed(evaluate_merge, function1, function2, *cost,
+                                self.target, call_graph, self.allow_deletion)
         self.stats.bump("profitable" if evaluation.profitable else "unprofitable")
         return evaluation
 

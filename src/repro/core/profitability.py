@@ -1,7 +1,8 @@
 """Profitability cost model (Section IV-A of the paper).
 
-Given a candidate merged function, we estimate the code-size benefit of
-replacing the original pair with it:
+Given a candidate merged function - built, or only costed by the code
+generator's counting sink - we estimate the code-size benefit of replacing
+the original pair with it:
 
     delta({f1, f2}, f12) = (c(f1) + c(f2)) - (c(f12) + epsilon)
 
@@ -55,16 +56,16 @@ class MergeEvaluation:
                 f"{self.size_merged}+{self.epsilon})>")
 
 
-def _replacement_cost(original: Function, result: MergeResult,
+def _replacement_cost(original: Function, merged_param_count: int,
                       target: TargetCostModel, call_graph: Optional[CallGraph],
                       allow_deletion: bool) -> tuple:
-    """Extra cost (epsilon contribution) of retargeting one original.
+    """Extra cost (epsilon contribution) of retargeting one original to a
+    merged function taking ``merged_param_count`` parameters.
 
     Returns ``(cost, deletable)``.
     """
-    merged_args = len(result.merged.arguments)
     original_args = len(original.arguments)
-    per_call_growth = max(0, target.call_site_cost(merged_args)
+    per_call_growth = max(0, target.call_site_cost(merged_param_count)
                           - target.call_site_cost(original_args))
 
     deletable = allow_deletion and original.can_be_deleted()
@@ -80,21 +81,35 @@ def _replacement_cost(original: Function, result: MergeResult,
 
     # a thunk must be kept: prologue overhead + one call + return
     thunk_cost = (target.function_overhead
-                  + target.call_site_cost(merged_args)
+                  + target.call_site_cost(merged_param_count)
                   + target.opcode_costs.get("ret", target.default_cost))
     return thunk_cost, False
+
+
+def evaluate_merge(function1: Function, function2: Function,
+                   size_merged: int, merged_param_count: int,
+                   target: TargetCostModel,
+                   call_graph: Optional[CallGraph] = None,
+                   allow_deletion: bool = True) -> MergeEvaluation:
+    """Evaluate the profitability of merging ``function1`` and
+    ``function2`` into a function of cost ``size_merged`` taking
+    ``merged_param_count`` parameters (as :func:`~repro.core.codegen.merge_cost`
+    reports them, with no merged body built)."""
+    size1 = target.function_cost(function1)
+    size2 = target.function_cost(function2)
+    extra1, deletable1 = _replacement_cost(function1, merged_param_count, target,
+                                           call_graph, allow_deletion)
+    extra2, deletable2 = _replacement_cost(function2, merged_param_count, target,
+                                           call_graph, allow_deletion)
+    return MergeEvaluation(size1, size2, size_merged, extra1, extra2,
+                           deletable1, deletable2)
 
 
 def estimate_profit(result: MergeResult, target: TargetCostModel,
                     call_graph: Optional[CallGraph] = None,
                     allow_deletion: bool = True) -> MergeEvaluation:
     """Evaluate the profitability of a generated merge candidate."""
-    size1 = target.function_cost(result.function1)
-    size2 = target.function_cost(result.function2)
-    size_merged = target.function_cost(result.merged)
-    extra1, deletable1 = _replacement_cost(result.function1, result, target,
-                                           call_graph, allow_deletion)
-    extra2, deletable2 = _replacement_cost(result.function2, result, target,
-                                           call_graph, allow_deletion)
-    return MergeEvaluation(size1, size2, size_merged, extra1, extra2,
-                           deletable1, deletable2)
+    return evaluate_merge(result.function1, result.function2,
+                          target.function_cost(result.merged),
+                          len(result.merged.arguments), target, call_graph,
+                          allow_deletion)

@@ -80,8 +80,13 @@ class TargetCostModel:
         if function.is_declaration:
             return 0
         body = sum(self.block_cost(block) for block in function.blocks)
-        args = max(0, len(function.arguments) - self.free_argument_registers)
-        return body + self.function_overhead + args * self.per_argument_overhead
+        return self.defined_function_cost(body, len(function.arguments))
+
+    def defined_function_cost(self, body_cost: int, num_args: int) -> int:
+        """Size of a defined function whose instructions cost ``body_cost``
+        in total and which takes ``num_args`` parameters."""
+        args = max(0, num_args - self.free_argument_registers)
+        return body_cost + self.function_overhead + args * self.per_argument_overhead
 
     def module_cost(self, module: Module) -> int:
         return sum(self.function_cost(f) for f in module.functions)

@@ -2,16 +2,21 @@
 
 import pytest
 
-from repro.core import (MergeOptions, align, linearize, merge_functions,
-                        merge_parameter_lists, merge_return_types)
+from repro.core import (AlignedEntry, AlignmentResult, CodegenError,
+                        MergeOptions, align, apply_merge, linearize,
+                        merge_functions, merge_parameter_lists,
+                        merge_return_types)
 from repro.core.codegen import convert_value
 from repro.core.equivalence import entries_equivalent
+from repro.interp import standard_externals
 from repro.ir import IRBuilder, Module, verify_or_raise
 from repro.ir import types as ty
 from repro.ir import values as vals
+from repro.ir.callgraph import CallGraph
 from repro.workloads import clone_function
 
-from tests.helpers import make_binary_chain_function
+from tests.helpers import (assert_semantically_equivalent,
+                           make_binary_chain_function)
 
 
 def _pair(module=None, opcodes1=("add",), opcodes2=("sub",)):
@@ -236,3 +241,135 @@ class TestConvertValue:
         selects_without = sum(1 for i in without_reorder.merged.instructions()
                               if i.opcode == "select")
         assert selects_with <= selects_without
+
+
+def _landing_pad_pair(module):
+    """Two functions that invoke a thrower and differ in their landing
+    blocks; returns ``(f1, f2, landing1, landing2)``."""
+    thrower = module.get_function("__throw_exception")
+    maybe_throw = module.create_function(
+        "maybe_throw", ty.function_type(ty.VOID, [ty.I32]), arg_names=["x"])
+    entry = maybe_throw.append_block("entry")
+    throw = maybe_throw.append_block("throw")
+    done = maybe_throw.append_block("done")
+    builder = IRBuilder(entry)
+    builder.cond_br(builder.icmp("sgt", maybe_throw.arguments[0],
+                                 vals.const_int(0)), throw, done)
+    builder = IRBuilder(throw)
+    builder.call(thrower, [maybe_throw.arguments[0]])
+    builder.br(done)
+    IRBuilder(done).ret_void()
+
+    functions = []
+    for name, step, landing_body in (("first", 1, "constant"),
+                                     ("second", 2, "product")):
+        function = module.create_function(
+            name, ty.function_type(ty.I32, [ty.I32]), arg_names=["x"])
+        x = function.arguments[0]
+        entry = function.append_block("entry")
+        normal = function.append_block("normal")
+        landing = function.append_block("landing")
+        IRBuilder(entry).invoke(maybe_throw, [x], normal, landing)
+        builder = IRBuilder(normal)
+        builder.ret(builder.add(x, vals.const_int(step)))
+        builder = IRBuilder(landing)
+        builder.landingpad()
+        if landing_body == "constant":
+            builder.ret(vals.const_int(100))
+        else:
+            builder.ret(builder.mul(x, vals.const_int(3)))
+        functions.append((function, landing))
+    (f1, landing1), (f2, landing2) = functions
+    return f1, f2, landing1, landing2
+
+
+def landing_pad_module():
+    module = Module()
+    module.create_function("__throw_exception",
+                           ty.function_type(ty.VOID, [ty.I32]),
+                           linkage="external")
+    f1, f2, landing1, landing2 = _landing_pad_pair(module)
+    main = module.create_function("main", ty.function_type(ty.I32, [ty.I32]),
+                                  linkage="external", arg_names=["x"])
+    builder = IRBuilder(main.append_block("entry"))
+    a = builder.call(f1, [main.arguments[0]])
+    b = builder.call(f2, [main.arguments[0]])
+    builder.ret(builder.add(builder.mul(a, vals.const_int(1000)), b))
+    return module, f1, f2, landing1, landing2
+
+
+def unaligned_landing_blocks(f1, f2, landing1, landing2):
+    """The predicate alignment of ``f1``/``f2`` with every column of the two
+    landing blocks split into a one-sided pair, so the invokes stay matched
+    while their unwind destinations become different merged blocks."""
+    aligned = align(linearize(f1), linearize(f2), entries_equivalent)
+    entries = []
+    for entry in aligned.entries:
+        if entry.is_match and (entry.left.block is landing1
+                               or entry.right.block is landing2):
+            entries.append(AlignedEntry(entry.left, None))
+            entries.append(AlignedEntry(None, entry.right))
+        else:
+            entries.append(entry)
+    return AlignmentResult(entries, aligned.score)
+
+
+class TestCodegenEdgeCases:
+    def test_unaligned_landing_blocks_get_a_router_with_hoisted_pad(self):
+        before, *_ = landing_pad_module()
+        module, f1, f2, landing1, landing2 = landing_pad_module()
+        alignment = unaligned_landing_blocks(f1, f2, landing1, landing2)
+        result = merge_functions(f1, f2, alignment=alignment)
+        merged = result.merged
+        verify_or_raise(merged)
+
+        invoke = next(i for i in merged.instructions() if i.opcode == "invoke")
+        router = invoke.operands[-1]
+        assert router.name.startswith("route")
+        assert router.instructions[0].opcode == "landingpad"
+        branch = router.instructions[-1]
+        assert branch.opcode == "br" and branch.operands[0] is result.func_id
+        # both landing blocks lost their pad to the router
+        assert [i.opcode for i in merged.instructions()].count("landingpad") == 1
+        for target in branch.operands[1:]:
+            assert not target.is_landing_block
+
+        apply_merge(module, result, CallGraph(module))
+        verify_or_raise(module)
+        assert_semantically_equivalent(before, module, "main",
+                                       [[-4], [0], [1], [7]],
+                                       standard_externals())
+
+    def test_dangling_one_sided_instruction_raises(self):
+        module = Module()
+        functions = []
+        for name in ("first", "second"):
+            function = module.create_function(
+                name, ty.function_type(ty.I32, [ty.I32]), arg_names=["x"])
+            builder = IRBuilder(function.append_block("entry"))
+            builder.ret(function.arguments[0])
+            functions.append(function)
+        # malformed input: an instruction after the first one's terminator,
+        # with no block of its own left to live in
+        IRBuilder(functions[0].blocks[0]).add(functions[0].arguments[0],
+                                             vals.const_int(1))
+        with pytest.raises(CodegenError, match="dangling instruction"):
+            merge_functions(*functions)
+
+    def test_operand_never_mapped_in_pass_one_raises(self):
+        module = Module()
+        donor = module.create_function(
+            "donor", ty.function_type(ty.I32, [ty.I32]), arg_names=["y"])
+        builder = IRBuilder(donor.append_block("entry"))
+        foreign = builder.add(donor.arguments[0], vals.const_int(1))
+        builder.ret(foreign)
+        f1 = module.create_function(
+            "first", ty.function_type(ty.I32, [ty.I32]), arg_names=["x"])
+        # malformed input: the first function returns another function's
+        # value, which is in neither linearization and so never mapped
+        IRBuilder(f1.append_block("entry")).ret(foreign)
+        f2 = module.create_function(
+            "second", ty.function_type(ty.I32, [ty.I32]), arg_names=["x"])
+        IRBuilder(f2.append_block("entry")).ret(f2.arguments[0])
+        with pytest.raises(CodegenError, match="never mapped during pass 1"):
+            merge_functions(f1, f2)

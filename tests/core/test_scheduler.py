@@ -3,8 +3,6 @@ reference pass across executors / job counts / batch sizes, incremental
 call-graph maintenance verified against from-scratch rebuilds after every
 commit, oracle profit-bound pruning, and the stale/conflict accounting."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,24 +12,8 @@ from repro.core import (FunctionMergingPass, MergeEngine,
 from repro.core.engine import make_executor
 from repro.ir import Module, verify_or_raise
 from repro.ir.callgraph import CallGraph
-from repro.workloads import FamilySpec, FunctionSpec, make_family
 
-
-def build_module(seed=7, families=4, clones=2):
-    """Deterministic multi-family module population."""
-    module = Module(f"sched_{seed}")
-    rng = random.Random(seed)
-    for index in range(families):
-        spec = FunctionSpec(
-            f"fam{index}",
-            num_blocks=2 + (index + seed) % 3,
-            instructions_per_block=4 + ((index + seed) % 4) * 2,
-            call_ratio=0.3, memory_ratio=0.2,
-            returns_float=bool((index + seed) % 5 == 1),
-            seed=100 + 13 * seed + index)
-        make_family(module, spec,
-                    FamilySpec(identical=1, structural=clones, partial=1), rng)
-    return module
+from tests.helpers import build_module
 
 
 def decisions(report):

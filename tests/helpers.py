@@ -3,6 +3,7 @@ comparison utilities built on the interpreter."""
 
 from __future__ import annotations
 
+import random
 from typing import Dict, List, Optional, Sequence
 
 from repro.ir import IRBuilder, Module
@@ -11,6 +12,7 @@ from repro.ir import values as vals
 from repro.ir.callgraph import CallGraph
 from repro.ir.function import Function
 from repro.interp import Interpreter, standard_externals
+from repro.workloads import FamilySpec, FunctionSpec, make_family
 
 
 def assert_matches_rebuild(graph: CallGraph, module: Module) -> None:
@@ -24,6 +26,23 @@ def assert_matches_rebuild(graph: CallGraph, module: Module) -> None:
         live = {id(s) for s in graph.call_sites.get(name, ())
                 if s.parent is not None}
         assert live == {id(s) for s in fresh.call_sites.get(name, ())}
+
+
+def build_module(seed=7, families=4, clones=2):
+    """Deterministic multi-family module population."""
+    module = Module(f"sched_{seed}")
+    rng = random.Random(seed)
+    for index in range(families):
+        spec = FunctionSpec(
+            f"fam{index}",
+            num_blocks=2 + (index + seed) % 3,
+            instructions_per_block=4 + ((index + seed) % 4) * 2,
+            call_ratio=0.3, memory_ratio=0.2,
+            returns_float=bool((index + seed) % 5 == 1),
+            seed=100 + 13 * seed + index)
+        make_family(module, spec,
+                    FamilySpec(identical=1, structural=clones, partial=1), rng)
+    return module
 
 
 def make_binary_chain_function(module: Module, name: str, opcodes: Sequence[str],
