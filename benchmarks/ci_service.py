@@ -16,8 +16,8 @@ The run fails when the warm p50 is not >= 3x better than the cold request
 (the service's headline), when the daemon's decisions differ from direct
 ``compile_module`` calls under the serial or process executor
 (bit-identity), or when the daemon is unhealthy after the series.  The
-fixed costs the warm tiers skip - pool spawn, snapshot load, pass
-construction - are measured separately and recorded in the
+fixed costs the warm tiers skip - pool spawn and pass construction - are
+measured separately and recorded in the
 ``BENCH_service.json`` artifact together with requests/sec and p50/p99
 latencies per tier.
 
@@ -34,14 +34,13 @@ import json
 import os
 import statistics
 import sys
-import tempfile
 import time
 
 _SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.core.engine import AlignmentCache, ProcessExecutor  # noqa: E402
+from repro.core.engine import ProcessExecutor  # noqa: E402
 from repro.core.pass_ import FunctionMergingPass  # noqa: E402
 from repro.evaluation.pipeline import compile_module  # noqa: E402
 from repro.service import (DaemonConfig, MergeDaemon,  # noqa: E402
@@ -76,20 +75,14 @@ def tier_summary(latencies):
     }
 
 
-def measure_fixed_costs(snapshot_path):
+def measure_fixed_costs():
     """The per-request costs a cold process pays and the warm daemon
-    hoists: worker-pool spawn, snapshot load, merge-pass construction."""
+    hoists: worker-pool spawn and merge-pass construction."""
     start = time.perf_counter()
     executor = ProcessExecutor(JOBS, kernel="pure")
     executor.worker_pids()  # force the workers to actually fork
     pool_spawn = time.perf_counter() - start
     executor.close()
-
-    cache_load = 0.0
-    if snapshot_path and os.path.exists(snapshot_path):
-        start = time.perf_counter()
-        AlignmentCache().load(snapshot_path)
-        cache_load = time.perf_counter() - start
 
     start = time.perf_counter()
     FunctionMergingPass(exploration_threshold=1)
@@ -97,7 +90,6 @@ def measure_fixed_costs(snapshot_path):
 
     return {
         "pool_spawn_seconds": round(pool_spawn, 6),
-        "cache_load_seconds": round(cache_load, 6),
         "pass_build_seconds": round(pass_build, 6),
     }
 
@@ -108,12 +100,11 @@ def direct_decisions(payload, executor):
     return jsonable_decisions(result.merge_report.decision_keys())
 
 
-def run_daemon_tier(payload, warm_requests, snapshot_path, result_cache):
+def run_daemon_tier(payload, warm_requests, result_cache):
     """One daemon boot: the first request is the cold sample, the repeats
     are the tier's warm series.  Returns (cold, latencies, stats,
-    decisions)."""
+    decisions, healthy)."""
     config = DaemonConfig(port=0, executor="process", jobs=JOBS,
-                          alignment_cache_path=snapshot_path,
                           result_cache_size=result_cache)
     daemon = MergeDaemon(config).start()
     try:
@@ -140,25 +131,19 @@ def main() -> int:
                "benchmark": benchmark}
     failures = []
 
-    with tempfile.TemporaryDirectory() as tmp:
-        snapshot = os.path.join(tmp, "service-align-cache.json")
-
-        # tier 1 + 2: cold, then engine-warm repeats (response memo off)
-        cold_seconds, engine_warm, engine_stats, decisions, healthy = \
-            run_daemon_tier(payload, warm_requests, snapshot, result_cache=0)
-        if not healthy:
-            failures.append("daemon unhealthy after the engine-warm series")
-        # the daemon's shutdown flushed the resident cache to the snapshot;
-        # the second boot loads it, so even its first request is DP-free
-        # (cold_seconds above is the true all-costs-paid reference)
-        _, result_warm, warm_stats, warm_decisions, healthy = \
-            run_daemon_tier(payload, warm_requests, snapshot,
-                            result_cache=64)
-        if not healthy:
-            failures.append("daemon unhealthy after the warm series")
-        if warm_stats.get("result_cache_hits", 0) < warm_requests:
-            failures.append("warm series did not hit the result cache")
-        fixed_costs = measure_fixed_costs(snapshot)
+    # tier 1 + 2: cold, then engine-warm repeats (response memo off)
+    cold_seconds, engine_warm, engine_stats, decisions, healthy = \
+        run_daemon_tier(payload, warm_requests, result_cache=0)
+    if not healthy:
+        failures.append("daemon unhealthy after the engine-warm series")
+    # tier 3: a second boot with the response memo on
+    _, result_warm, warm_stats, warm_decisions, healthy = \
+        run_daemon_tier(payload, warm_requests, result_cache=64)
+    if not healthy:
+        failures.append("daemon unhealthy after the warm series")
+    if warm_stats.get("result_cache_hits", 0) < warm_requests:
+        failures.append("warm series did not hit the result cache")
+    fixed_costs = measure_fixed_costs()
 
     warm_p50 = percentile(result_warm, 0.50)
     engine_p50 = percentile(engine_warm, 0.50)
@@ -191,12 +176,9 @@ def main() -> int:
             "engine_warm_tier": {
                 key: engine_stats.get(key) for key in
                 ("warm_requests", "cold_requests", "pool_builds",
-                 "align_cache_hits", "align_cache_misses",
-                 "align_cache_autosaves")},
+                 "align_cache_hits", "align_cache_misses")},
             "warm_tier_result_cache_hits":
                 warm_stats.get("result_cache_hits", 0),
-            "warm_tier_cache_loaded_entries":
-                warm_stats.get("cache_loaded_entries", 0),
         },
         "decisions_identical_serial_process": not any(
             "differ" in failure for failure in failures),

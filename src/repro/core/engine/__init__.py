@@ -27,7 +27,7 @@ Public API:
   types (re-exported by :mod:`repro.core.pass_` for backward compatibility).
 """
 
-from .align_cache import ALIGN_CACHE_ENV, ALIGN_CACHE_MAX_GEN_ENV, AlignmentCache
+from .align_cache import AlignmentCache
 from .base import Stage, StageStats
 from .engine import MergeEngine
 from .offload import (AlignmentTask, AlignmentTaskGroup, ProcessExecutor,
@@ -47,7 +47,7 @@ from .stages import (AlignmentStage, CandidateSearchStage, CodegenStage,
                      PreprocessStage, ProfitabilityStage)
 
 __all__ = [
-    "ALIGN_CACHE_ENV", "ALIGN_CACHE_MAX_GEN_ENV", "AlignmentCache",
+    "AlignmentCache",
     "MergeEngine",
     "MergeScheduler", "PlanExecutor", "PlanningError", "SerialExecutor",
     "ProcessExecutor", "EXECUTORS", "ENGINE_EXECUTOR_ENV",

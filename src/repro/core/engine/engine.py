@@ -49,7 +49,7 @@ from ...targets.cost_model import TargetCostModel
 from ...targets.x86_64 import X86_64
 from ..codegen import CodegenError, MergeOptions, merge_functions
 from ..fingerprint import Fingerprint
-from .align_cache import ALIGN_CACHE_ENV, AlignmentCache
+from .align_cache import AlignmentCache
 from .base import Stage
 from .offload import AlignmentTask
 from .plan import CommitEvents, MergePlan, PendingAlignment, PlanDecision
@@ -88,10 +88,7 @@ class MergeEngine:
                  hot_function_filter: Optional[Callable[[Function], bool]] = None,
                  minimum_function_size: int = 1,
                  alignment_kernel: Optional[str] = None,
-                 alignment_cache: Union[bool, int, AlignmentCache] = True,
-                 alignment_cache_path: Optional[str] = None,
-                 alignment_cache_max_generations: Optional[int] = None,
-                 alignment_cache_resident: bool = False,
+                 alignment_cache: Optional[AlignmentCache] = None,
                  jobs: Optional[int] = None,
                  executor: Union[str, PlanExecutor] = "auto",
                  batch_size: Optional[int] = None,
@@ -130,40 +127,16 @@ class MergeEngine:
                 consulted, then ``options.alignment_algorithm``.  Every
                 kernel produces bit-identical alignments and therefore
                 bit-identical merge decisions.
-            alignment_cache: memoise keyed alignments by linearization
-                content (default).  Pass an int to bound the LRU at that
-                many entries, ``False`` to disable, or a pre-built
-                :class:`AlignmentCache` instance to share one cache across
-                engines (the merge daemon's resident cache).  Hit/miss/bytes
-                counters land in ``MergeReport.scheduler_stats``.
-            alignment_cache_path: snapshot file for cross-run cache
-                persistence.  When set (or via the ``REPRO_ALIGN_CACHE``
-                environment variable), every :meth:`run` warm-starts the
-                alignment cache from the snapshot and saves the union back
-                afterwards, so repeated runs - and every module of an
-                evaluation suite sharing one path - skip alignments any
-                earlier run already computed.  Keys are canonical
-                (interner-independent) content digests, so warm entries are
-                bit-identical to recomputation; a corrupt or
-                version-mismatched snapshot degrades to a cold cache with a
-                warning.  Cross-run hits are surfaced as
-                ``align_cache_cross_run_hits`` in
-                ``MergeReport.scheduler_stats``.
-            alignment_cache_max_generations: age out persisted snapshot
-                entries not referenced for this many consecutive
-                load/save generations (default: the
-                ``REPRO_ALIGN_CACHE_MAX_GEN`` environment variable, then
-                32); ``0`` or a negative value disables aging.  Only
-                affects what a long-lived shared snapshot retains, never
-                what a run computes.
-            alignment_cache_resident: the cache belongs to a long-lived
-                owner (the merge daemon): :meth:`run` neither clears it nor
-                does the per-run snapshot load/save round-trip - the owner
-                loads once at boot and saves on its own schedule (debounced
-                autosave + final save at shutdown).  Content addressing
-                keeps warm entries bit-identical to recomputation, so
-                decisions are unchanged; only the cold-start work
-                disappears.  Stats counters accumulate across runs.
+            alignment_cache: a caller-owned :class:`AlignmentCache` to
+                memoise keyed alignments in, shared across runs and engines
+                (the merge daemon's resident cache).  The engine never
+                clears a cache it was handed; its hit/miss/bytes counters
+                accumulate and land in ``MergeReport.scheduler_stats``.
+                When None (the default) the engine attaches a cache only
+                while the process offload runs - its workers' results land
+                in a per-run cache the engine owns - and otherwise aligns
+                every candidate pair directly: a cache key costs more than
+                the DP a hit would skip, and a cold compile never hits.
             jobs: worker processes of the alignment offload (default:
                 ``REPRO_ENGINE_JOBS`` or 1).  Merge decisions are identical
                 for every value.
@@ -265,22 +238,10 @@ class MergeEngine:
         self.searcher = IndexedCandidateSearcher(self.exploration_threshold)
         self.profit_bounds = ProfitBoundIndex(self.target) if oracle else None
 
-        if isinstance(alignment_cache, AlignmentCache):
-            self.align_cache: Optional[AlignmentCache] = alignment_cache
-        elif alignment_cache is True:
-            self.align_cache = AlignmentCache(
-                max_generations=alignment_cache_max_generations)
-        elif alignment_cache:
-            self.align_cache = AlignmentCache(
-                int(alignment_cache),
-                max_generations=alignment_cache_max_generations)
-        else:
-            self.align_cache = None
-        self.alignment_cache_resident = bool(alignment_cache_resident)
-        if alignment_cache_path is None:
-            alignment_cache_path = os.environ.get(
-                ALIGN_CACHE_ENV, "").strip() or None
-        self.alignment_cache_path = alignment_cache_path
+        # a caller-owned cache stays attached for the engine's lifetime;
+        # otherwise make_scheduler attaches one for the process offload only
+        self._resident_cache = alignment_cache
+        self.align_cache: Optional[AlignmentCache] = alignment_cache
 
         self.preprocess = PreprocessStage()
         self.fingerprint = FingerprintStage(self.searcher, self.profit_bounds)
@@ -315,6 +276,26 @@ class MergeEngine:
         self._rank_cache: Dict[str, tuple] = {}
 
     # -- helpers ---------------------------------------------------------------
+    @property
+    def alignment_cache_resident(self) -> bool:
+        """Whether the attached cache is caller-owned: such a cache is
+        never cleared by a run and its counters accumulate across runs."""
+        return self._resident_cache is not None
+
+    def _provision_cache(self, offloading: bool) -> None:
+        """Attach an engine-owned cache while the process offload runs a
+        keyed kernel (its worker results land there) and detach it
+        otherwise; a caller-owned cache is left as it is.  An owned cache
+        survives back-to-back schedulers of one session - later updates
+        read its entries back - and ``run()`` clears it per run."""
+        if self._resident_cache is not None:
+            return
+        if offloading and self.align_cache is None:
+            self.align_cache = AlignmentCache()
+        elif not offloading:
+            self.align_cache = None
+        self.alignment.cache = self.align_cache
+
     def _eligible(self, function: Function) -> bool:
         if function.is_declaration:
             return False
@@ -580,10 +561,9 @@ class MergeEngine:
                              ) -> List[dict]:
         """Every graceful-degradation transition the resilience layer has
         recorded, across the layers this engine owns: the scheduler's
-        executor (offload pool -> in-process), the alignment stage's kernel
-        ladder, and the cache's warm -> cold / persistent -> unsaved events.
-        Cumulative for the lifetime of the (possibly reused) engine, like
-        the resident cache's counters; lands in
+        executor (offload pool -> in-process) and the alignment stage's
+        kernel ladder.  Cumulative for the lifetime of the (possibly reused)
+        engine, like the resident cache's counters; lands in
         ``scheduler_stats["degradations"]`` of every report."""
         if scheduler is not None:
             # executors are (usually) per-run: absorb their events into the
@@ -598,8 +578,6 @@ class MergeEngine:
                 self._executor_degradation_marks[executor] = len(current)
         events: List[dict] = list(self._executor_degradations)
         events.extend(self.alignment.degradations)
-        if self.align_cache is not None:
-            events.extend(self.align_cache.degradations)
         return events
 
     # -- commit (the only mutating step) ----------------------------------------
@@ -716,7 +694,10 @@ class MergeEngine:
         if executor is None:
             executor = make_executor(self.executor_kind, self.jobs,
                                      retry_policy=self.retry_policy)
-        uses_cache = self.alignment.uses_cache
+        alignment = self.alignment
+        self._provision_cache(executor.offloads_alignment and
+                              alignment.algorithm in alignment.KEYED_KERNELS)
+        uses_cache = alignment.uses_cache
         return MergeScheduler(
             plan=plan if plan is not None else self.plan_entry,
             commit=self.commit_plan,
@@ -746,15 +727,9 @@ class MergeEngine:
             # per-function dataflow results are dropped
             self.sanitizer.cache.clear()
         if self.align_cache is not None and not self.alignment_cache_resident:
-            # canonical content addressing keeps entries *correct* across
-            # runs, but per-run stats argue for a reset; cross-run reuse
-            # goes through the explicit snapshot path below instead.  A
-            # *resident* cache (the daemon's) skips the whole round-trip:
-            # entries stay warm in memory and its owner handles persistence.
+            # an engine-owned (offload) cache is per run; a caller-owned
+            # one stays warm across runs
             self.align_cache.clear()
-            if (self.alignment_cache_path is not None
-                    and self.alignment.uses_cache):
-                self.align_cache.load(self.alignment_cache_path)
         # the original pass built a fresh ranker per run(): a reused engine
         # must not rank against the previous module's fingerprints
         self.fingerprint.clear()
@@ -800,14 +775,6 @@ class MergeEngine:
         report.scheduler_stats["rank_reuse_hits"] = int(
             self.candidate_search.stats.counters.get("rank_reuse_hits", 0))
         if self.align_cache is not None:
-            if (self.alignment_cache_path is not None
-                    and self.alignment.uses_cache
-                    and not self.alignment_cache_resident):
-                # save() merges with the snapshot on disk, so the shared
-                # file accumulates alignments across modules of a suite
-                # even when this run's LRU evicted some of them.  Resident
-                # caches persist on their owner's schedule instead.
-                self.align_cache.save(self.alignment_cache_path)
             report.scheduler_stats.update(self.align_cache.stats_dict())
         report.scheduler_stats["degradations"] = self.collect_degradations(
             scheduler)

@@ -58,10 +58,9 @@ class MergeReport:
     #: content_dup_deferred (batch entries deferred to the cache-aware
     #: second planning wave) - plus the content-addressed alignment cache's
     #: ``align_cache_hits`` / ``align_cache_misses`` /
-    #: ``align_cache_cross_run_hits`` (hits satisfied by a persisted
-    #: snapshot) / ``align_cache_evictions`` / ``align_cache_entries`` /
-    #: ``align_cache_persisted_entries`` / ``align_cache_bytes`` when it is
-    #: enabled.
+    #: ``align_cache_evictions`` / ``align_cache_entries`` /
+    #: ``align_cache_bytes`` when the engine has one (a caller-owned cache,
+    #: or the process offload's).
     scheduler_stats: Dict[str, int] = field(default_factory=dict)
     #: Fine-grained engine statistics, keyed by pipeline-stage name; each
     #: value holds at least ``seconds`` and ``calls`` plus stage-specific

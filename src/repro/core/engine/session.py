@@ -49,15 +49,16 @@ How it works
   re-query the scheduler's conflict detection runs).  Plans that committed a
   merge are always re-planned fresh - their codegen result must be rebuilt
   against the live module anyway.
-* **Warm caches.**  The engine's linearize cache and alignment cache are
-  *not* cleared between updates (their keys are body-token / canonical
-  content digests, so stale reuse is structurally impossible): untouched
-  functions keep their linearizations, and replayed decision plans hit the
-  alignment cache for every pair an earlier update already aligned.  The
-  session also keeps one plan executor (and its process pool) alive across
-  updates; if a failed update tore the pool down
-  (:meth:`MergeScheduler.run` closes it on any error), the next ``update()``
-  detects ``executor.closed`` and builds a fresh one.
+* **Warm caches.**  The engine's linearize cache is *not* cleared between
+  updates (its keys are body tokens, so stale reuse is structurally
+  impossible): untouched functions keep their linearizations.  Neither is
+  the alignment cache, when the engine has one - a caller-owned cache, or
+  the cache the process offload's results land in; a default serial
+  session has none and aligns replanned pairs directly (computing a cache
+  key costs more than the DP).  The session also keeps one plan executor
+  (and its process pool) alive across updates; if a failed update tore the
+  pool down (:meth:`MergeScheduler.run` closes it on any error), the next
+  ``update()`` detects ``executor.closed`` and builds a fresh one.
 
 Failure recovery
 ----------------
@@ -76,9 +77,8 @@ Caveats
   otherwise replayed decisions could diverge from a cold run.
 * ``hot_function_filter`` must be a pure function of the IR it is given: the
   session re-evaluates it for added/replaced functions only.
-* ``alignment_cache_path`` snapshots are not loaded/saved per update (the
-  in-memory cache already persists across updates); use ``engine.run()`` for
-  cross-process cache warming.
+* A caller-owned alignment cache is shared, never cleared: its counters in
+  ``scheduler_stats`` accumulate across updates and sessions.
 """
 
 from __future__ import annotations
@@ -338,9 +338,9 @@ class MergeSession:
             engine.sanitizer.cache.clear()
         if engine.align_cache is not None \
                 and not engine.alignment_cache_resident:
-            # resident caches are owned (and persisted) by a long-lived
-            # host such as the merge daemon; their entries are content
-            # addressed, so sharing them across sessions is safe
+            # caller-owned caches (the merge daemon's) stay warm: their
+            # entries are content addressed, so sharing them across
+            # sessions is safe
             engine.align_cache.clear()
         engine.fingerprint.clear()
         engine._rank_cache.clear()

@@ -218,7 +218,7 @@ def entry_equivalence_key(entry: LinearEntry) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Stable structural serialization (the cross-run cache representation)
+# Stable structural serialization (interner-free; the offload ships it)
 # ---------------------------------------------------------------------------
 
 #: Byte marker encoding a never-equivalent entry (a call whose callee

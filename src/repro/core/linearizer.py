@@ -199,7 +199,7 @@ class LinearizedFunction:
         kernel depends only on the cross-sequence key-equality pattern, and
         that pattern is fully determined by the two canonical sequences,
         equal digest pairs always reproduce the same alignment shape - the
-        property the persistent alignment cache is built on.  Computed
+        property the content-addressed alignment cache is built on.  Computed
         lazily and cached, like :meth:`content_digest`.
         """
         digest = self._canonical_digest

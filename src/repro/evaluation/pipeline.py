@@ -167,11 +167,9 @@ def open_compile_session(module: Module, *,
                          hot_threshold: float = 0.01,
                          merge_options: Optional[MergeOptions] = None,
                          alignment_kernel: Optional[str] = None,
-                         alignment_cache_path: Optional[str] = None,
                          jobs: Optional[int] = None,
                          executor: str = "auto",
                          alignment_cache=None,
-                         alignment_cache_resident: bool = False,
                          session_executor=None,
                          sanitize: Optional[bool] = None,
                          sanitizer=None,
@@ -195,12 +193,13 @@ def open_compile_session(module: Module, *,
     the session (or use it as a context manager) to release its executor.
 
     The warm-host seams: ``alignment_cache`` adopts a caller-owned
-    :class:`repro.core.engine.AlignmentCache` instance (with
-    ``alignment_cache_resident=True`` the session neither clears it nor
-    snapshots around it), and ``session_executor`` hands the session a live
-    :class:`PlanExecutor` or a zero-argument factory returning one - the
-    merge daemon leases its shared keep-alive pool to every session this
-    way.  Both default to the self-contained behaviour.
+    :class:`repro.core.engine.AlignmentCache` instance, which the session
+    reads and fills but never clears, and ``session_executor`` hands the
+    session a live :class:`PlanExecutor` or a zero-argument factory
+    returning one - the merge daemon leases its shared keep-alive pool to
+    every session this way.  Both default to the self-contained behaviour:
+    no alignment cache unless the process offload needs one to land its
+    results in, and an executor of the configured kind.
     """
     cost_model = get_target(target)
     DeadCodeElimination().run(module)
@@ -210,12 +209,8 @@ def open_compile_session(module: Module, *,
         target=cost_model, exploration_threshold=threshold, oracle=oracle,
         options=merge_options or MergeOptions(),
         hot_function_filter=hot_filter,
-        alignment_kernel=alignment_kernel,
-        alignment_cache=(alignment_cache if alignment_cache is not None
-                         else True),
-        alignment_cache_resident=alignment_cache_resident,
-        alignment_cache_path=alignment_cache_path, jobs=jobs,
-        executor=executor, sanitize=sanitize, sanitizer=sanitizer,
+        alignment_kernel=alignment_kernel, alignment_cache=alignment_cache,
+        jobs=jobs, executor=executor, sanitize=sanitize, sanitizer=sanitizer,
         fault_plan=fault_plan, retry_policy=retry_policy)
     return MergeSession(fmsa.engine, module, executor=session_executor)
 
@@ -230,7 +225,6 @@ def compile_module(module: Module, technique: str, *,
                    merge_options: Optional[MergeOptions] = None,
                    run_identical_first: bool = True,
                    alignment_kernel: Optional[str] = None,
-                   alignment_cache_path: Optional[str] = None,
                    jobs: Optional[int] = None,
                    executor: str = "auto",
                    merge_pass: Optional[Pass] = None,
@@ -251,12 +245,10 @@ def compile_module(module: Module, technique: str, *,
     alignment DPs to a worker pool); every choice produces identical merge
     decisions and only changes the stage timings.
 
-    ``alignment_cache_path`` (default: the ``REPRO_ALIGN_CACHE`` environment
-    variable) names a shared alignment-cache snapshot: every module compiled
-    against the same path warm-starts from the alignments earlier
-    compilations stored there, which is how a suite evaluation amortizes
-    the Needleman-Wunsch work across its benchmarks.  Decisions stay
-    bit-identical with the cache cold, warm or absent.
+    A fresh pass aligns every candidate pair directly, with no alignment
+    cache: a cold compile never repeats a pair, so a cache key would cost
+    more than the DP it could skip.  Only the process offload keeps one per
+    run, for its workers' results.
 
     ``merge_pass`` injects a pre-built merging pass for ``technique="fmsa"``
     instead of constructing a :class:`FunctionMergingPass` from the knobs
@@ -325,8 +317,7 @@ def compile_module(module: Module, technique: str, *,
                     target=cost_model, exploration_threshold=threshold, oracle=oracle,
                     options=merge_options or MergeOptions(),
                     hot_function_filter=hot_filter,
-                    alignment_kernel=alignment_kernel,
-                    alignment_cache_path=alignment_cache_path, jobs=jobs,
+                    alignment_kernel=alignment_kernel, jobs=jobs,
                     executor=executor, sanitize=sanitize,
                     fault_plan=fault_plan, retry_policy=retry_policy)
             merge_report = fmsa.run(module)

@@ -3,7 +3,8 @@
 Two flavours are provided:
 
 * :class:`DeadCodeElimination` — removes side-effect-free instructions whose
-  results have no users (iterated to a fixed point).
+  results have no users, and then the operands that leaves unused, to a
+  fixed point.
 * :class:`DeadFunctionElimination` — removes internal functions that are
   never referenced; this is what makes full removal of merged originals
   actually shrink the module.
@@ -13,30 +14,46 @@ from __future__ import annotations
 
 from ..ir.callgraph import CallGraph
 from ..ir.function import Function
+from ..ir.instructions import Instruction
 from ..ir.module import Module
 from .pass_manager import FunctionPass, Pass
 
 
+def _trivially_dead(inst: Instruction) -> bool:
+    """A value-producing, side-effect-free instruction nobody uses."""
+    return not (inst.users or inst.has_side_effects or inst.is_terminator
+                or inst.type.is_void)
+
+
 class DeadCodeElimination(FunctionPass):
-    """Classic trivially-dead-instruction elimination."""
+    """Classic trivially-dead-instruction elimination.
+
+    One scan seeds a worklist with the dead instructions; erasing one
+    drops its operand uses, so only its operands can newly become dead and
+    only they are revisited.  The removed set is the fixed point a
+    rescan-until-stable loop reaches.
+    """
 
     name = "dce"
 
     def run_on_function(self, function: Function) -> bool:
+        blocks = {id(block) for block in function.blocks}
+        worklist = [inst for block in function.blocks
+                    for inst in block.instructions if _trivially_dead(inst)]
         changed = False
-        progress = True
-        while progress:
-            progress = False
-            for block in function.blocks:
-                for inst in list(block.instructions):
-                    if inst.has_side_effects or inst.is_terminator:
-                        continue
-                    if inst.type.is_void:
-                        continue
-                    if not inst.users:
-                        inst.erase_from_parent()
-                        changed = True
-                        progress = True
+        while worklist:
+            inst = worklist.pop()
+            if inst.parent is None:  # queued twice, already erased
+                continue
+            operands = inst.operands
+            inst.erase_from_parent()
+            changed = True
+            for operand in operands:
+                if (isinstance(operand, Instruction)
+                        and operand.parent is not None
+                        and id(operand.parent) in blocks
+                        and _trivially_dead(operand)):
+                    worklist.append(operand)
         return changed
 
 

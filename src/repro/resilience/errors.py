@@ -6,7 +6,7 @@ the fault-free run, and a run that *aborts* raises a
 :class:`ResilienceError` naming the fault site whose recovery budget was
 exhausted - never a hang, never an anonymous exception from deep inside a
 worker pool.  These types are deliberately dependency-free (no engine
-imports) so every layer - offload, scheduler, cache, session, daemon - can
+imports) so every layer - offload, scheduler, session, daemon - can
 raise and catch them without import cycles.
 """
 

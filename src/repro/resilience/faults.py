@@ -26,7 +26,7 @@ Selection: pass ``fault_plan=`` to :class:`~repro.core.engine.MergeEngine`
 (or ``compile_module``), use the :func:`active_faults` context manager in
 tests, or export ``REPRO_FAULTS`` with the grammar::
 
-    REPRO_FAULTS="seed=42,offload.worker_crash:p=0.2:count=1,cache.snapshot_io:nth=2"
+    REPRO_FAULTS="seed=42,offload.worker_crash:p=0.2:count=1,scheduler.plan_fail:nth=2"
 
 i.e. comma-separated clauses; ``seed=N`` sets the plan seed, every other
 clause is ``<site>[:p=<float>][:nth=<int>][:count=<int>]`` - fire with
@@ -59,9 +59,6 @@ FAULT_SITES = (
     "offload.result_corrupt",   # worker returns a malformed alignment shape
     # scheduler.py - the plan/commit driver
     "scheduler.plan_fail",      # a planner callback blows up
-    # align_cache.py - snapshot persistence
-    "cache.snapshot_io",        # I/O error while reading/writing a snapshot
-    "cache.snapshot_torn_write",  # crash between temp write and rename
     # stages.py - the alignment kernel itself
     "align.kernel_crash",       # the DP kernel raises mid-pair
     # session.py - incremental replay
@@ -207,7 +204,7 @@ def fault_point(site: str) -> None:
 
 def fault_triggered(site: str) -> bool:
     """Non-raising consultation for sites whose fault behaviour the caller
-    implements itself (poisoning a worker chunk, writing a torn snapshot).
+    implements itself (poisoning a worker chunk).
     Same zero-overhead guard as :func:`fault_point`."""
     if _ACTIVE is None:
         return False

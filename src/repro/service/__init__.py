@@ -4,8 +4,8 @@ Public API:
 
 * :class:`MergeDaemon` / :class:`DaemonConfig` — the service itself: a
   stdlib HTTP/unix-socket server owning a warm engine context (persistent
-  keep-alive worker pool, resident alignment cache with debounced
-  autosave, warm merge passes), bounded-queue backpressure, concurrent
+  keep-alive worker pool, resident alignment cache, warm merge passes),
+  bounded-queue backpressure, concurrent
   TTL-evicted :class:`~repro.core.engine.MergeSession`\\ s and pool
   recycling after worker crashes (:mod:`repro.service.daemon`).
 * :class:`ServiceClient` / :class:`ServiceError` — the matching client
@@ -15,7 +15,8 @@ Public API:
 * ``repro-served`` / ``repro-client`` console scripts
   (:mod:`repro.service.cli`).
 
-Warm requests skip pool spawn, snapshot load and searcher construction;
+Warm requests skip pool spawn and searcher construction, and repeated
+modules are aligned from the resident cache;
 decisions stay bit-identical to direct ``compile_module`` calls because
 the daemon routes through the same pipeline seams rather than a second
 merge path (``benchmarks/ci_service.py`` enforces both properties).

@@ -4,8 +4,7 @@ Both are thin wrappers over :class:`~repro.service.daemon.MergeDaemon` and
 :class:`~repro.service.client.ServiceClient`; the evaluation pipeline and
 the CI smoke job drive the same objects in-process.  Examples::
 
-    repro-served --port 7463 --executor process --jobs 4 \\
-                 --align-cache /tmp/align.json
+    repro-served --port 7463 --executor process --jobs 4
     repro-client --address 127.0.0.1:7463 health
     repro-client --address 127.0.0.1:7463 compile \\
                  --suite mibench --benchmark sha
@@ -48,14 +47,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--recycle-after", type=int, default=0,
                         help="recycle the worker pool every N requests "
                              "(0: only after failures)")
-    parser.add_argument("--align-cache", default=None, metavar="PATH",
-                        help="resident alignment-cache snapshot file "
-                             "(loaded once at boot, autosaved, flushed on "
-                             "shutdown)")
-    parser.add_argument("--autosave-every", type=int, default=256,
-                        help="autosave after this many new cache entries")
-    parser.add_argument("--autosave-interval", type=float, default=30.0,
-                        help="time-based autosave flush period (seconds)")
     parser.add_argument("--result-cache", type=int, default=64,
                         help="memoized compile responses for identical "
                              "(module, options) requests (0 disables)")
@@ -90,9 +81,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         executor=args.executor, jobs=args.jobs,
         queue_limit=args.queue_limit, max_sessions=args.max_sessions,
         session_ttl=args.session_ttl, recycle_after=args.recycle_after,
-        alignment_cache_path=args.align_cache,
-        autosave_every_puts=args.autosave_every,
-        autosave_interval=args.autosave_interval,
         result_cache_size=args.result_cache,
         max_payload_bytes=args.max_payload, target=args.target,
         request_timeout=args.request_timeout,
@@ -115,7 +103,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         pass
     finally:
         daemon.shutdown()
-        print("repro-served: shut down (caches flushed)", flush=True)
+        print("repro-served: shut down", flush=True)
     return 0
 
 

@@ -2,11 +2,11 @@
 
 Every ``compile_module`` call in a cold process pays the same fixed costs
 before the first alignment runs: spawn a fresh worker pool (the
-``"process"`` executor forks on first dispatch), load the alignment-cache
-snapshot, build the merge pass and its searcher.  For edit-recompile
-traffic - many small requests against similar modules - those costs
-dominate (the compile-time setting of the paper's Figs. 12-13).  The
-daemon hoists all of them into one long-lived **warm engine context**:
+``"process"`` executor forks on first dispatch), build the merge pass and
+its searcher.  For edit-recompile traffic - many small requests against
+similar modules - those costs dominate (the compile-time setting of the
+paper's Figs. 12-13).  The daemon hoists all of them into one long-lived
+**warm engine context**:
 
 * a **persistent worker pool**: one keep-alive
   :class:`~repro.core.engine.offload.ProcessExecutor` (or the serial
@@ -15,10 +15,10 @@ daemon hoists all of them into one long-lived **warm engine context**:
   failure paths still close the pool for real, and the next lease detects
   ``closed`` and rebuilds - that is the pool-recycling story for killed
   workers;
-* a **resident** :class:`~repro.core.engine.AlignmentCache`: snapshot
-  loaded once at boot, never cleared between requests
-  (``alignment_cache_resident=True``), persisted by debounced autosaves
-  and a final save on shutdown;
+* a **resident** :class:`~repro.core.engine.AlignmentCache`, handed to
+  every warm pass and session and never cleared between requests (an
+  engine never clears a cache it was given), so a repeated module's
+  alignments are served from memory;
 * **warm merge passes**: one :class:`FunctionMergingPass` per distinct
   option signature, constructed once and reused (warm requests skip pass +
   searcher construction entirely);
@@ -91,14 +91,11 @@ class DaemonConfig:
     queue_limit: int = 8              # in-flight work requests before 429
     max_sessions: int = 32            # concurrent open sessions before 429
     session_ttl: float = 300.0        # idle seconds before eviction
-    tick_seconds: float = 1.0         # eviction/autosave ticker period
+    tick_seconds: float = 1.0         # idle-session eviction ticker period
     recycle_after: int = 0            # recycle pool after N requests (0: off)
     max_payload_bytes: int = protocol.DEFAULT_MAX_PAYLOAD_BYTES
-    alignment_cache_path: Optional[str] = None  # resident snapshot file
     cache_capacity: int = 65536
     result_cache_size: int = 64       # memoized compile responses (0: off)
-    autosave_every_puts: int = 256
-    autosave_interval: float = 30.0
     target: str = "x86-64"
     #: Run the static-analysis sanitizer (verifier v2 + merge linter) on
     #: every warm pass and session; violations are *recorded* (not raised)
@@ -131,16 +128,6 @@ class WarmContext:
         self.config = config
         self._lock = threading.Lock()
         self.cache = AlignmentCache(capacity=config.cache_capacity)
-        self.cache_load_seconds = 0.0
-        self.loaded_entries = 0
-        if config.alignment_cache_path:
-            start = time.perf_counter()
-            self.loaded_entries = self.cache.load(config.alignment_cache_path)
-            self.cache_load_seconds = time.perf_counter() - start
-            self.cache.enable_autosave(
-                config.alignment_cache_path,
-                every_puts=config.autosave_every_puts,
-                interval_seconds=config.autosave_interval)
         self._executor = None
         self.pool_spawn_seconds = 0.0
         sanitize = config.sanitize
@@ -268,7 +255,6 @@ class WarmContext:
             oracle=options["oracle"],
             options=MergeOptions(),
             alignment_cache=self.cache,
-            alignment_cache_resident=True,
             jobs=self._resolve_jobs(),
             executor=self.config.executor,
             sanitize=self.sanitizer is not None,
@@ -293,11 +279,7 @@ class WarmContext:
         return stats
 
     def close(self) -> None:
-        """Final teardown: flush the resident cache to its snapshot and
-        shut the shared pool down for real."""
-        if self.config.alignment_cache_path:
-            self.cache.autosave_flush(force=True)
-            self.cache.disable_autosave()
+        """Final teardown: shut the shared pool down for real."""
         with self._lock:
             if self._executor is not None and not self._executor.closed:
                 self._executor.close()
@@ -317,7 +299,7 @@ class MergeDaemon:
 
     ``start()`` binds the socket and serves on a background thread;
     ``serve_forever()`` serves on the calling thread (the CLI path).  Both
-    are shut down - final cache flush included - by ``shutdown()``.
+    are shut down by ``shutdown()``.
     """
 
     def __init__(self, config: Optional[DaemonConfig] = None):
@@ -413,11 +395,9 @@ class MergeDaemon:
         self._ticker.start()
 
     def _tick_loop(self) -> None:
-        """Background housekeeping: idle-session eviction and time-based
-        cache autosave flushes."""
+        """Background housekeeping: idle-session eviction."""
         while not self._stopping.wait(self.config.tick_seconds):
             self._evict_idle_sessions()
-            self.context.cache.autosave_flush()
 
     def _evict_idle_sessions(self) -> None:
         horizon = time.monotonic() - self.config.session_ttl
@@ -665,7 +645,6 @@ class MergeDaemon:
                     threshold=signature[1], oracle=signature[2],
                     jobs=self.context._resolve_jobs(),
                     alignment_cache=self.context.cache,
-                    alignment_cache_resident=True,
                     session_executor=self.context.lease_executor,
                     sanitize=self.context.sanitizer is not None,
                     sanitizer=self.context.sanitizer)
@@ -765,9 +744,6 @@ class MergeDaemon:
             stats.update(self.context.counters)
         stats.update(self.context.executor_stats())
         stats.update(self.context.cache.stats_dict())
-        stats["cache_loaded_entries"] = self.context.loaded_entries
-        stats["cache_load_seconds"] = round(
-            self.context.cache_load_seconds, 6)
         stats["pool_spawn_seconds"] = round(
             self.context.pool_spawn_seconds, 6)
         stats["sanitize_enabled"] = self.context.sanitizer is not None

@@ -4,14 +4,16 @@ Covers the serialization round-trip (ops <-> entries), LRU bookkeeping,
 content addressing across distinct functions, the invalidation story (a
 rewritten function gets a fresh linearization whose digest can never hit a
 stale entry), the engine-level stats surfaced in
-``MergeReport.scheduler_stats`` and decision parity with the cache off.
+``MergeReport.scheduler_stats``, decision parity with the cache off, and
+that the default (cold) paths never compute a cache key.
 """
 
 import random
 
 import pytest
 
-from repro.core import FunctionMergingPass, MergeEngine, ScoringScheme
+from repro.core import (FunctionMergingPass, MergeEngine, ModuleEdit,
+                        ScoringScheme)
 from repro.core.alignment import needleman_wunsch_keyed
 from repro.core.engine.align_cache import AlignmentCache, ops_of, rehydrate
 from repro.core.engine.stages import AlignmentStage, LinearizeStage
@@ -19,6 +21,7 @@ from repro.ir import IRBuilder, Module
 from repro.ir import types as ty
 from repro.ir import values as vals
 from repro.workloads import FamilySpec, FunctionSpec, make_family
+from tests import helpers
 
 
 def build_module(seed=7, families=5):
@@ -179,7 +182,9 @@ class TestAlignmentStageCache:
 
 class TestEngineCache:
     def test_stats_surface_in_scheduler_stats(self):
-        report = FunctionMergingPass(exploration_threshold=2).run(build_module())
+        report = FunctionMergingPass(
+            exploration_threshold=2,
+            alignment_cache=AlignmentCache()).run(build_module())
         stats = report.scheduler_stats
         for key in ("align_cache_hits", "align_cache_misses",
                     "align_cache_bytes", "align_cache_entries",
@@ -193,36 +198,125 @@ class TestEngineCache:
         # one big batch: every commit conflicts the rest of the batch, and
         # each replan re-aligns pairs whose bodies did not change
         report = FunctionMergingPass(exploration_threshold=2, jobs=1,
-                                     executor="serial",
-                                     batch_size=64).run(build_module(11, 6))
+                                     executor="serial", batch_size=64,
+                                     alignment_cache=AlignmentCache()
+                                     ).run(build_module(11, 6))
         assert report.scheduler_stats["replans"] > 0
         assert report.scheduler_stats["align_cache_hits"] > 0
 
     def test_cache_can_be_disabled(self):
-        engine = MergeEngine(exploration_threshold=2, alignment_cache=False)
+        # disabled is the default for a serial engine: no cache to consult
+        engine = MergeEngine(exploration_threshold=2, executor="serial")
         assert engine.align_cache is None
         report = engine.run(build_module())
+        assert engine.align_cache is None
         assert "align_cache_hits" not in report.scheduler_stats
 
     def test_capacity_knob(self):
-        engine = MergeEngine(alignment_cache=7)
+        engine = MergeEngine(alignment_cache=AlignmentCache(7))
         assert engine.align_cache.capacity == 7
 
     def test_decisions_identical_with_and_without_cache(self):
         for seed in (3, 9, 42):
             with_cache = FunctionMergingPass(
-                exploration_threshold=2).run(build_module(seed))
+                exploration_threshold=2,
+                alignment_cache=AlignmentCache()).run(build_module(seed))
             without = FunctionMergingPass(
                 exploration_threshold=2,
-                alignment_cache=False).run(build_module(seed))
+                executor="serial").run(build_module(seed))
             assert decisions(with_cache) == decisions(without)
 
     def test_cache_resets_between_runs(self):
-        engine = MergeEngine(exploration_threshold=2)
+        # the offload's cache is the engine's own and lives for one run
+        engine = MergeEngine(exploration_threshold=2, executor="process",
+                             jobs=2)
         first = engine.run(build_module(5))
         second = engine.run(build_module(5))
+        assert not engine.alignment_cache_resident
         # identical deterministic module, fresh counters: the second run's
         # stats equal the first's instead of accumulating on top of them
         keys = ("align_cache_hits", "align_cache_misses", "align_cache_bytes")
         assert {k: first.scheduler_stats[k] for k in keys} == \
             {k: second.scheduler_stats[k] for k in keys}
+
+    def test_caller_owned_cache_is_never_cleared(self):
+        cache = AlignmentCache()
+        engine = MergeEngine(exploration_threshold=2, alignment_cache=cache)
+        assert engine.alignment_cache_resident
+        first = engine.run(build_module(5))
+        entries = len(cache)
+        second = engine.run(build_module(5))
+        assert entries > 0 and len(cache) == entries
+        assert decisions(second) == decisions(first)
+        # the repeat run finds every alignment it asks for
+        assert (second.scheduler_stats["align_cache_misses"]
+                == first.scheduler_stats["align_cache_misses"])
+
+
+# -- cold paths compute no cache keys ---------------------------------------
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Count ``LinearizedFunction.canonical_digest`` calls, with the engine
+    defaults pinned to serial (the CI matrix exports process legs)."""
+    from repro.core.engine.scheduler import ENGINE_EXECUTOR_ENV
+    from repro.core.linearizer import LinearizedFunction
+    monkeypatch.delenv(ENGINE_EXECUTOR_ENV, raising=False)
+    monkeypatch.delenv("REPRO_ENGINE_JOBS", raising=False)
+    calls = []
+    original = LinearizedFunction.canonical_digest
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(LinearizedFunction, "canonical_digest", counting)
+    return calls
+
+
+class TestColdPathsComputeNoDigests:
+    """A cold compile never repeats an alignment, so it must not pay for
+    cache keys: no ``canonical_digest`` call on any default path, with
+    decisions equal to the cached and offloaded configurations."""
+
+    SEEDS = (3, 8)
+
+    def test_default_compile_module(self, digest_calls):
+        from repro.evaluation import compile_module
+        for seed in self.SEEDS:
+            result = compile_module(helpers.build_module(seed), "fmsa",
+                                    threshold=2)
+            assert result.merge_report.merge_count > 0
+        assert digest_calls == []
+
+    def test_default_engine_run_matches_cached_and_offloaded(self,
+                                                             digest_calls):
+        for seed in self.SEEDS:
+            before = len(digest_calls)
+            cold = MergeEngine(exploration_threshold=2).run(
+                helpers.build_module(seed))
+            assert len(digest_calls) == before, seed
+            cached = MergeEngine(exploration_threshold=2,
+                                 alignment_cache=AlignmentCache()).run(
+                helpers.build_module(seed))
+            offloaded = MergeEngine(exploration_threshold=2,
+                                    executor="process", jobs=2).run(
+                helpers.build_module(seed))
+            assert cold.merge_count > 0
+            assert cold.decision_keys() == cached.decision_keys()
+            assert cold.decision_keys() == offloaded.decision_keys()
+            assert offloaded.scheduler_stats["offload_tasks"] > 0
+            assert "align_cache_hits" not in cold.scheduler_stats
+        assert digest_calls  # the counter sees the cached runs' keys
+
+    def test_default_session_open_and_update(self, digest_calls):
+        from repro.evaluation.pipeline import open_compile_session
+        from repro.ir.clone import clone_function_detached
+        donor = helpers.build_module(11).defined_functions()[0]
+        with open_compile_session(helpers.build_module(3),
+                                  threshold=2) as session:
+            session.update([ModuleEdit.add(
+                clone_function_detached(donor, name="added_fn"))])
+            session.update([ModuleEdit.remove("added_fn")])
+            assert session.report.merge_count > 0
+        assert digest_calls == []

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from repro.core import (FunctionMergingPass, MergeEngine,
                         ReferenceMergingPass, decode_canonical_keys,
                         needleman_wunsch_keyed, numpy_available, ops_string)
-from repro.core.engine import (AdaptiveBatchSizer, AlignmentTask,
-                               MergeScheduler, PlanningError,
+from repro.core.engine import (AdaptiveBatchSizer, AlignmentCache,
+                               AlignmentTask, MergeScheduler, PlanningError,
                                ProcessExecutor, SerialExecutor, TaskFailure,
                                make_executor)
 from repro.core.engine.offload import solve_alignment_task
@@ -154,29 +154,31 @@ class TestProcessExecutorParity:
             assert decisions(report) == decisions(reference), (executor, jobs)
             verify_or_raise(module)
 
-    def test_cache_state_parity_cold_warm_persisted(self, tmp_path):
-        path = str(tmp_path / "cache.json")
+    def test_cache_state_parity_cold_warm_persisted(self):
         reference = ReferenceMergingPass(exploration_threshold=2).run(build_module(11))
-        # cold in-memory cache
+        # cold: the offload fills a per-run cache of the engine's own
         cold = FunctionMergingPass(
             exploration_threshold=2, executor="process",
             jobs=2).run(build_module(11))
         assert decisions(cold) == decisions(reference)
-        # persisted: an offloaded run populates the snapshot with every
+        assert cold.scheduler_stats["offload_tasks"] > 0
+        # persisted: an offloaded run fills a caller-owned cache with every
         # shape its prefetch speculated on (a superset of what a serial
         # run's early exit computes), so an identical second run has
         # nothing left to dispatch - hits skip the offload entirely
+        cache = AlignmentCache()
         first = FunctionMergingPass(
             exploration_threshold=2, executor="process", jobs=2,
-            alignment_cache_path=path).run(build_module(11))
+            alignment_cache=cache).run(build_module(11))
         assert decisions(first) == decisions(reference)
         assert first.scheduler_stats["offload_tasks"] > 0
         warm = FunctionMergingPass(
             exploration_threshold=2, executor="process", jobs=2,
-            alignment_cache_path=path).run(build_module(11))
+            alignment_cache=cache).run(build_module(11))
         assert decisions(warm) == decisions(reference)
         assert warm.scheduler_stats["offload_tasks"] == 0
-        assert warm.scheduler_stats["align_cache_cross_run_hits"] > 0
+        assert (warm.scheduler_stats["align_cache_hits"]
+                > first.scheduler_stats["align_cache_hits"])
 
     def test_oracle_parity_under_process_executor(self):
         reference = ReferenceMergingPass(oracle=True).run(build_module(3))
@@ -200,12 +202,18 @@ class TestProcessExecutorParity:
         assert report.scheduler_stats["offload_tasks"] > 0
 
     def test_offload_disabled_without_cache_but_still_correct(self):
-        reference = ReferenceMergingPass(exploration_threshold=2).run(build_module(7))
-        report = FunctionMergingPass(
-            exploration_threshold=2, executor="process", jobs=2,
-            alignment_cache=False).run(build_module(7))
-        assert decisions(report) == decisions(reference)
-        # nowhere for worker results to land -> no dispatch, plain planning
+        # hirschberg has no keyed kernel, so the engine attaches no cache
+        # and there is nowhere for worker results to land: no dispatch,
+        # plain in-process planning
+        serial = FunctionMergingPass(
+            exploration_threshold=2, alignment_kernel="hirschberg",
+            executor="serial").run(build_module(7))
+        engine = MergeEngine(exploration_threshold=2,
+                             alignment_kernel="hirschberg",
+                             executor="process", jobs=2)
+        report = engine.run(build_module(7))
+        assert engine.align_cache is None
+        assert decisions(report) == decisions(serial)
         assert report.scheduler_stats["offload_tasks"] == 0
 
     def test_offload_stats_and_alignment_accounting(self):

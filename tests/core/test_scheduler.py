@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import (FunctionMergingPass, MergeEngine,
                         ReferenceMergingPass, numpy_available)
-from repro.core.engine import make_executor
+from repro.core.engine import AlignmentCache, make_executor
 from repro.ir import Module, verify_or_raise
 from repro.ir.callgraph import CallGraph
 
@@ -110,7 +110,7 @@ class TestKernelParity:
             build_module(3, families=5))
         report = FunctionMergingPass(
             oracle=True, alignment_kernel=kernel,
-            alignment_cache=False).run(build_module(3, families=5))
+            executor="serial").run(build_module(3, families=5))
         assert decisions(report) == decisions(reference)
 
 
@@ -360,8 +360,8 @@ class TestCacheAwarePlanning:
         # results are stored without a counted miss, so the miss==entries
         # invariant below is specific to in-process planning
         report = FunctionMergingPass(
-            exploration_threshold=2, executor="serial",
-            batch_size=64).run(self.clone_heavy_module())
+            exploration_threshold=2, executor="serial", batch_size=64,
+            alignment_cache=AlignmentCache()).run(self.clone_heavy_module())
         stats = report.scheduler_stats
         assert stats["content_dup_deferred"] > 0
         # the guarantee (not luck): every miss is a distinct content key,
@@ -380,7 +380,7 @@ class TestCacheAwarePlanning:
 
     def test_no_cache_disables_content_grouping(self):
         engine = MergeEngine(exploration_threshold=2, jobs=2, batch_size=16,
-                             alignment_cache=False)
+                             executor="serial")
         scheduler = engine.make_scheduler()
         try:
             assert scheduler.content_key is None

@@ -2,6 +2,7 @@
 
 from repro.ir import IRBuilder, Module, verify_or_raise
 from repro.ir import types as ty
+from repro.ir.printer import module_to_str
 from repro.ir import values as vals
 from repro.interp import Interpreter
 from repro.passes import (DeadCodeElimination, DeadFunctionElimination, Pass,
@@ -47,6 +48,67 @@ class TestDeadCodeElimination:
         builder = IRBuilder(function.append_block("entry"))
         builder.ret(function.arguments[0])
         assert not DeadCodeElimination().run_on_function(function)
+
+
+def rescan_dce(function):
+    """The rescan-until-stable DCE loop the worklist pass replaced: the
+    oracle for the fixed point it must reach."""
+    changed = False
+    progress = True
+    while progress:
+        progress = False
+        for block in function.blocks:
+            for inst in list(block.instructions):
+                if inst.has_side_effects or inst.is_terminator:
+                    continue
+                if inst.type.is_void:
+                    continue
+                if not inst.users:
+                    inst.erase_from_parent()
+                    changed = progress = True
+    return changed
+
+
+def use_lists(module):
+    """Every instruction's users as (function, position) pairs, in use-list
+    order: later passes iterate use lists, so their order must match too."""
+    position = {}
+    for function in module.defined_functions():
+        for index, inst in enumerate(function.instructions()):
+            position[id(inst)] = (function.name, index)
+    return [[position.get(id(user)) for user in inst.users]
+            for function in module.defined_functions()
+            for inst in function.instructions()]
+
+
+def assert_dce_matches_rescan(ours, theirs):
+    """Run the worklist pass on ``ours`` and the rescan loop on an
+    identical copy ``theirs``; returns how many instructions were removed."""
+    removed = 0
+    for mine, other in zip(ours.defined_functions(),
+                           theirs.defined_functions()):
+        before = mine.instruction_count()
+        assert (DeadCodeElimination().run_on_function(mine)
+                == rescan_dce(other)), mine.name
+        removed += before - mine.instruction_count()
+    assert module_to_str(ours) == module_to_str(theirs), ours.name
+    assert use_lists(ours) == use_lists(theirs), ours.name
+    return removed
+
+
+class TestDeadCodeEliminationWorklist:
+    """The worklist DCE leaves exactly the module the rescan loop leaves,
+    on every benchmark suite module and the clone-family module."""
+
+    def test_suite_modules(self):
+        from perfbench.inputs import build_suite
+        removed = sum(assert_dce_matches_rescan(ours, theirs)
+                      for ours, theirs in zip(build_suite(1), build_suite(1)))
+        assert removed > 0
+
+    def test_clones_module(self):
+        from perfbench.inputs import build_clones
+        assert_dce_matches_rescan(build_clones(1), build_clones(1))
 
 
 class TestDeadFunctionElimination:

@@ -25,6 +25,7 @@ import time
 
 import pytest
 
+from repro.core.engine import AlignmentCache
 from repro.core.pass_ import FunctionMergingPass
 from repro.core.reference import ReferenceMergingPass
 from repro.ir import verify_or_raise
@@ -92,25 +93,19 @@ def random_policy(index: int) -> RetryPolicy:
                        fallback_inprocess=rng.choice((True, False)))
 
 
-@pytest.fixture(scope="module")
-def warm_snapshot(tmp_path_factory):
-    """One clean warm snapshot, copied per schedule (saves may mutate)."""
-    path = tmp_path_factory.mktemp("chaos") / "warm.json"
-    FunctionMergingPass(
-        exploration_threshold=2,
-        alignment_cache_path=str(path)).run(build_module(MODULE_SEED))
-    return path.read_bytes()
+def warm_cache() -> AlignmentCache:
+    """A cache warmed by one clean run, built per schedule (runs add to it,
+    so schedules must not share one)."""
+    cache = AlignmentCache()
+    FunctionMergingPass(exploration_threshold=2, executor="serial",
+                        alignment_cache=cache).run(build_module(MODULE_SEED))
+    return cache
 
 
 @pytest.mark.parametrize("index", range(SCHEDULES))
-def test_chaos_schedule(index, tmp_path, warm_snapshot, recwarn,
-                        assert_no_leaked_workers):
+def test_chaos_schedule(index, recwarn, assert_no_leaked_workers):
     executor, jobs, kernel = CONFIGS[index % len(CONFIGS)]
-    cache_path = None
-    if index % 2 == 1:  # warm-cache leg
-        cache_path = str(tmp_path / "cache.json")
-        with open(cache_path, "wb") as handle:
-            handle.write(warm_snapshot)
+    cache = warm_cache() if index % 2 == 1 else None  # warm-cache leg
     plan = random_plan(index)
     rebuilt = random_plan(index)
     assert rebuilt.seed == plan.seed and rebuilt.sites == plan.sites
@@ -120,7 +115,7 @@ def test_chaos_schedule(index, tmp_path, warm_snapshot, recwarn,
     try:
         report = FunctionMergingPass(
             exploration_threshold=2, executor=executor, jobs=jobs,
-            alignment_kernel=kernel, alignment_cache_path=cache_path,
+            alignment_kernel=kernel, alignment_cache=cache,
             fault_plan=plan, retry_policy=random_policy(index)).run(module)
     except ResilienceError as error:
         # typed abort: the error names a real site of this schedule ...

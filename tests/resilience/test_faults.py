@@ -20,7 +20,7 @@ class TestFaultPlan:
 
     def test_registry_covers_every_instrumented_layer(self):
         prefixes = {site.split(".", 1)[0] for site in FAULT_SITES}
-        assert prefixes == {"offload", "scheduler", "cache", "align",
+        assert prefixes == {"offload", "scheduler", "align",
                             "session", "service"}
 
     def test_nth_trigger_fires_exactly_once_on_the_nth_hit(self):
@@ -39,49 +39,49 @@ class TestFaultPlan:
 
     def test_unlisted_site_never_fires_but_listed_streams_are_seeded(self):
         plan = FaultPlan(seed=3, sites={
-            "cache.snapshot_io": SiteTrigger(probability=0.5)})
+            "session.replay_fail": SiteTrigger(probability=0.5)})
         assert not any(plan.should_fire("align.kernel_crash")
                        for _ in range(50))
         # same seed, same stream: a rebuilt plan fires identically
-        pattern = [plan.should_fire("cache.snapshot_io") for _ in range(50)]
+        pattern = [plan.should_fire("session.replay_fail") for _ in range(50)]
         replay = FaultPlan(seed=3, sites={
-            "cache.snapshot_io": SiteTrigger(probability=0.5)})
-        assert [replay.should_fire("cache.snapshot_io")
+            "session.replay_fail": SiteTrigger(probability=0.5)})
+        assert [replay.should_fire("session.replay_fail")
                 for _ in range(50)] == pattern
         assert any(pattern) and not all(pattern)
 
     def test_per_site_streams_are_independent(self):
         # consuming one site's stream must not perturb another's
         solo = FaultPlan(seed=9, sites={
-            "cache.snapshot_io": SiteTrigger(probability=0.5)})
-        pattern = [solo.should_fire("cache.snapshot_io") for _ in range(30)]
+            "session.replay_fail": SiteTrigger(probability=0.5)})
+        pattern = [solo.should_fire("session.replay_fail") for _ in range(30)]
         mixed = FaultPlan(seed=9, sites={
-            "cache.snapshot_io": SiteTrigger(probability=0.5),
+            "session.replay_fail": SiteTrigger(probability=0.5),
             "align.kernel_crash": SiteTrigger(probability=0.5)})
         interleaved = []
         for _ in range(30):
             mixed.should_fire("align.kernel_crash")
-            interleaved.append(mixed.should_fire("cache.snapshot_io"))
+            interleaved.append(mixed.should_fire("session.replay_fail"))
         assert interleaved == pattern
 
     def test_different_seeds_give_different_streams(self):
         def pattern(seed):
             plan = FaultPlan(seed=seed, sites={
-                "cache.snapshot_io": SiteTrigger(probability=0.5)})
-            return [plan.should_fire("cache.snapshot_io") for _ in range(64)]
+                "session.replay_fail": SiteTrigger(probability=0.5)})
+            return [plan.should_fire("session.replay_fail") for _ in range(64)]
         assert pattern(1) != pattern(2)
 
     def test_pickle_round_trip_preserves_schedule_state(self):
         plan = FaultPlan(seed=7, sites={
-            "cache.snapshot_io": SiteTrigger(probability=0.5),
+            "session.replay_fail": SiteTrigger(probability=0.5),
             "offload.worker_crash": SiteTrigger(nth=4)})
-        head = [plan.should_fire("cache.snapshot_io") for _ in range(10)]
+        head = [plan.should_fire("session.replay_fail") for _ in range(10)]
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.seed == plan.seed and clone.sites == plan.sites
         assert clone.hits == plan.hits and clone.fires == plan.fires
         # the RNG state crossed the boundary: both continue the same stream
-        tail = [plan.should_fire("cache.snapshot_io") for _ in range(10)]
-        assert [clone.should_fire("cache.snapshot_io")
+        tail = [plan.should_fire("session.replay_fail") for _ in range(10)]
+        assert [clone.should_fire("session.replay_fail")
                 for _ in range(10)] == tail
         assert head is not tail  # silence the obvious
 
@@ -89,11 +89,11 @@ class TestFaultPlan:
 class TestParseGrammar:
     def test_full_grammar_round_trip(self):
         plan = FaultPlan.parse(
-            "seed=42,offload.worker_crash:p=0.2:count=1,cache.snapshot_io:nth=2")
+            "seed=42,offload.worker_crash:p=0.2:count=1,session.replay_fail:nth=2")
         assert plan.seed == 42
         assert plan.sites["offload.worker_crash"] \
             == SiteTrigger(probability=0.2, nth=None, count=1)
-        assert plan.sites["cache.snapshot_io"] \
+        assert plan.sites["session.replay_fail"] \
             == SiteTrigger(probability=0.0, nth=2, count=None)
 
     def test_bare_site_fires_on_every_hit(self):
@@ -116,7 +116,7 @@ class TestActivePlan:
     def test_fault_point_is_inert_without_a_plan(self):
         assert active_fault_plan() is None
         fault_point("scheduler.plan_fail")  # no raise
-        assert fault_triggered("cache.snapshot_io") is False
+        assert fault_triggered("session.replay_fail") is False
 
     def test_fault_point_raises_typed_injected_fault(self):
         with active_faults(FaultPlan.parse("scheduler.plan_fail")):
@@ -126,14 +126,14 @@ class TestActivePlan:
         assert isinstance(excinfo.value, ResilienceError)
 
     def test_active_faults_restores_the_previous_plan(self):
-        outer = FaultPlan.parse("cache.snapshot_io:p=0.5")
+        outer = FaultPlan.parse("session.replay_fail:p=0.5")
         install_fault_plan(outer)
         with active_faults(FaultPlan.parse("scheduler.plan_fail")) as inner:
             assert active_fault_plan() is inner
         assert active_fault_plan() is outer
 
     def test_env_plan_installs_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "seed=5,cache.snapshot_io:nth=1")
+        monkeypatch.setenv("REPRO_FAULTS", "seed=5,session.replay_fail:nth=1")
         monkeypatch.setattr(faults_module, "_ENV_CHECKED", False)
         plan = faults_module.maybe_install_env_plan()
         assert plan is not None and plan.seed == 5
