@@ -130,8 +130,9 @@ def result_from_ops(ops: str, score: int, seq1: Sequence[T],
 
     This is how cached, offloaded and native alignments come back to life:
     the shape carries everything the DP decided, the sequences supply the
-    concrete elements.  Raises ValueError when the ops do not consume the
-    sequences exactly (a corrupt or mismatched shape).
+    concrete elements.  Raises ValueError when the ops are not over the
+    ``m``/``l``/``r`` alphabet or do not consume the sequences exactly (a
+    corrupt or mismatched shape).
     """
     entries: List[AlignedEntry[T]] = []
     i = j = 0
@@ -143,9 +144,11 @@ def result_from_ops(ops: str, score: int, seq1: Sequence[T],
         elif op == "l":
             entries.append(AlignedEntry(seq1[i], None))
             i += 1
-        else:
+        elif op == "r":
             entries.append(AlignedEntry(None, seq2[j]))
             j += 1
+        else:
+            raise ValueError(f"unknown alignment op {op!r} in shape")
     if i != len(seq1) or j != len(seq2):
         raise ValueError("alignment shape does not cover the sequences "
                          f"({i}/{len(seq1)}, {j}/{len(seq2)})")
