@@ -52,24 +52,28 @@ class ScoringScheme:
             raise ValueError("match score must be positive")
 
 
-@dataclass
 class AlignedEntry(Generic[T]):
-    """One column of the alignment: a matched pair or a one-sided gap."""
+    """One column of the alignment: a matched pair or a one-sided gap.
 
-    left: Optional[T]
-    right: Optional[T]
+    The kind flags are fixed at construction; nothing reassigns ``left`` or
+    ``right`` afterwards.
+    """
 
-    @property
-    def is_match(self) -> bool:
-        return self.left is not None and self.right is not None
+    __slots__ = ("left", "right", "is_match", "is_left_only", "is_right_only")
 
-    @property
-    def is_left_only(self) -> bool:
-        return self.right is None
+    def __init__(self, left: Optional[T], right: Optional[T]):
+        self.left = left
+        self.right = right
+        self.is_left_only = right is None
+        self.is_right_only = left is None
+        self.is_match = left is not None and right is not None
 
-    @property
-    def is_right_only(self) -> bool:
-        return self.left is None
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)  # type: ignore[attr-defined]
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "match" if self.is_match else ("left" if self.is_left_only else "right")

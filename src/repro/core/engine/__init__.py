@@ -17,8 +17,8 @@ Public API:
   incremental session: a long-lived engine over one module that accepts
   edits and replans only the affected slice, bit-identical to a cold rerun
   (:mod:`repro.core.engine.session`).
-* :class:`IndexedCandidateSearcher` — exact indexed candidate search
-  (inverted feature index + early-exit bounds).
+* :class:`IndexedCandidateSearcher` — exact candidate search over every
+  other function (sorted-vector fingerprints + early-exit bounds).
 * :class:`ProfitBoundIndex` — sound per-pair profit upper bounds used to
   prune oracle-mode candidate evaluation.
 * The stage classes and :class:`StageStats`, for building custom pipelines

@@ -7,9 +7,10 @@ explicit pipeline of strategy stages::
                 -> codegen -> profitability -> commit
 
 Each stage is a small object (see :mod:`repro.core.engine.stages`) with its
-own statistics.  Candidate search runs on the inverted-index searcher (exact
-top-``t``, no O(N²) scan), alignment on the integer-key kernels (per-cell int
-compares instead of the structural equivalence predicate), codegen costs each
+own statistics.  Candidate search scans every other function with the
+sorted-vector searcher (exact top-``t``, early-exit bounds), alignment on
+the integer-key kernels (per-cell int compares instead of the structural
+equivalence predicate), codegen costs each
 candidate by running the code generator's decision walk into its counting
 sink - no merged body is built - and only the candidate that will be
 committed is materialized as IR, commits maintain the call graph

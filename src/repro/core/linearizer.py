@@ -24,7 +24,7 @@ from ..ir.instructions import Instruction
 class LinearEntry:
     """One element of a linearized function: a block label or an instruction."""
 
-    __slots__ = ("kind", "value", "block")
+    __slots__ = ("kind", "value", "block", "is_label", "is_instruction")
 
     LABEL = "label"
     INSTRUCTION = "instruction"
@@ -34,14 +34,9 @@ class LinearEntry:
         self.kind = kind
         self.value = value
         self.block = block
-
-    @property
-    def is_label(self) -> bool:
-        return self.kind == self.LABEL
-
-    @property
-    def is_instruction(self) -> bool:
-        return self.kind == self.INSTRUCTION
+        # fixed at construction: nothing reassigns ``kind`` afterwards
+        self.is_label = kind == self.LABEL
+        self.is_instruction = kind == self.INSTRUCTION
 
     def opcode_or_label(self) -> str:
         """A short token used for display and fingerprint-style summaries."""

@@ -8,8 +8,10 @@ paper (t = 1, 5, 10, plus the exhaustive "oracle").
 
 :class:`CandidateRanker` is the straightforward linear scan that the
 reference pass (:mod:`repro.core.reference`) ranks with; the merge engine's
-:class:`repro.core.engine.IndexedCandidateSearcher` answers the same queries
-with identical results from an inverted feature index.
+:class:`repro.core.engine.IndexedCandidateSearcher` visits the same
+candidates (every other function) and returns identical results, scoring
+each over sorted integer vectors with an early-exit bound instead of
+``Counter`` intersections.
 """
 
 from __future__ import annotations

@@ -73,12 +73,24 @@ class BasicBlock(Value):
         return [op for op in term.operands if isinstance(op, BasicBlock)]
 
     def predecessors(self) -> List["BasicBlock"]:
-        if self.parent is None:
+        """Distinct blocks of the same function whose terminator branches
+        here, in function block order.
+
+        Read off this block's use list: phi label operands and detached
+        instructions are not terminators of a block, so they do not count.
+        """
+        function = self.parent
+        if function is None:
             return []
-        preds = []
-        for block in self.parent.blocks:
-            if self in block.successors():
+        preds: List["BasicBlock"] = []
+        for user in self.users:
+            block = user.parent
+            if (block is not None and block.parent is function
+                    and user.is_terminator and block.instructions[-1] is user
+                    and block not in preds):
                 preds.append(block)
+        if len(preds) > 1:
+            preds.sort(key=function.blocks.index)
         return preds
 
     def phis(self) -> List[Instruction]:

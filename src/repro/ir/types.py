@@ -26,39 +26,18 @@ class Type:
         """Size in bytes, rounded up to the next whole byte."""
         return (self.size_bits() + 7) // 8
 
-    # -- classification helpers -------------------------------------------
-    @property
-    def is_void(self) -> bool:
-        return isinstance(self, VoidType)
-
-    @property
-    def is_integer(self) -> bool:
-        return isinstance(self, IntType)
-
-    @property
-    def is_float(self) -> bool:
-        return isinstance(self, FloatType)
-
-    @property
-    def is_pointer(self) -> bool:
-        return isinstance(self, PointerType)
-
-    @property
-    def is_aggregate(self) -> bool:
-        return isinstance(self, (ArrayType, StructType))
-
-    @property
-    def is_label(self) -> bool:
-        return isinstance(self, LabelType)
-
-    @property
-    def is_function(self) -> bool:
-        return isinstance(self, FunctionType)
-
-    @property
-    def is_first_class(self) -> bool:
-        """True for types that can be produced by an instruction."""
-        return not isinstance(self, (VoidType, FunctionType, LabelType))
+    # -- classification flags ---------------------------------------------
+    # Plain class attributes, overridden per subclass: the compile path asks
+    # these millions of times, so they are attribute reads, not calls.
+    is_void = False
+    is_integer = False
+    is_float = False
+    is_pointer = False
+    is_aggregate = False
+    is_label = False
+    is_function = False
+    #: True for types that can be produced by an instruction.
+    is_first_class = True
 
     def __eq__(self, other: object) -> bool:  # pragma: no cover - trivial
         return isinstance(other, Type) and self._key() == other._key()
@@ -76,6 +55,9 @@ class Type:
 class VoidType(Type):
     """The void type: only valid as a function return type."""
 
+    is_void = True
+    is_first_class = False
+
     def size_bits(self) -> int:
         return 0
 
@@ -88,6 +70,9 @@ class VoidType(Type):
 
 class LabelType(Type):
     """Type of basic-block labels."""
+
+    is_label = True
+    is_first_class = False
 
     def size_bits(self) -> int:
         return 0
@@ -115,6 +100,8 @@ class TokenType(Type):
 class IntType(Type):
     """An integer type of arbitrary bit-width (i1, i8, i16, i32, i64...)."""
 
+    is_integer = True
+
     def __init__(self, bits: int):
         if bits <= 0:
             raise ValueError(f"integer width must be positive, got {bits}")
@@ -132,6 +119,8 @@ class IntType(Type):
 
 class FloatType(Type):
     """An IEEE floating point type (float: 32 bits, double: 64 bits)."""
+
+    is_float = True
 
     def __init__(self, bits: int):
         if bits not in (16, 32, 64, 128):
@@ -155,6 +144,8 @@ POINTER_BITS = 64
 class PointerType(Type):
     """A typed pointer.  All pointers have the same lowered size."""
 
+    is_pointer = True
+
     def __init__(self, pointee: Type):
         self.pointee = pointee
 
@@ -170,6 +161,8 @@ class PointerType(Type):
 
 class ArrayType(Type):
     """A fixed-length homogeneous array."""
+
+    is_aggregate = True
 
     def __init__(self, element: Type, count: int):
         if count < 0:
@@ -189,6 +182,8 @@ class ArrayType(Type):
 
 class StructType(Type):
     """A structure type with named-or-anonymous, ordered fields."""
+
+    is_aggregate = True
 
     def __init__(self, fields: Sequence[Type], name: Optional[str] = None):
         self.fields: Tuple[Type, ...] = tuple(fields)
@@ -215,6 +210,9 @@ class StructType(Type):
 
 class FunctionType(Type):
     """A function signature: return type plus ordered parameter types."""
+
+    is_function = True
+    is_first_class = False
 
     def __init__(self, return_type: Type, param_types: Iterable[Type],
                  is_vararg: bool = False):

@@ -21,6 +21,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Value:
     """Base class of every IR value."""
 
+    #: Overridden by :class:`Constant` (a class attribute, like the type
+    #: flags in :mod:`repro.ir.types`).
+    is_constant = False
+
     def __init__(self, vtype: ty.Type, name: str = ""):
         self.type = vtype
         self.name = name
@@ -46,10 +50,6 @@ class Value:
         for user in list(self.users):
             user.replace_uses_of_with(self, new_value)
 
-    @property
-    def is_constant(self) -> bool:
-        return isinstance(self, Constant)
-
     def short_name(self) -> str:
         return self.name or f"<{self.__class__.__name__.lower()}>"
 
@@ -59,6 +59,8 @@ class Value:
 
 class Constant(Value):
     """Base class for immutable, context-free values."""
+
+    is_constant = True
 
     def constant_key(self) -> tuple:
         """A hashable key identifying this constant (used for structural

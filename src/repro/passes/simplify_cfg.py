@@ -41,24 +41,28 @@ class SimplifyCFG(FunctionPass):
 
     def _merge_straightline(self, function: Function) -> bool:
         """Fold ``A -> br B`` into a single block when B has exactly one
-        predecessor and is not a landing block."""
-        changed = True
-        any_change = False
-        while changed:
-            changed = False
-            for block in list(function.blocks):
+        predecessor and is not a landing block.
+
+        One sweep: after ``A`` absorbs ``B``, ``A``'s new terminator (``B``'s
+        old one) is examined straight away, so a whole chain folds into its
+        head on the head's turn.  A fold never changes another block's
+        predecessor count, so nothing skipped earlier becomes foldable.
+        """
+        changed = False
+        for block in list(function.blocks):
+            while True:
                 term = block.terminator
                 if term is None or term.opcode != "br" or len(term.operands) != 1:
-                    continue
+                    break
                 succ = term.operands[0]
                 if not isinstance(succ, BasicBlock) or succ is block:
-                    continue
+                    break
                 if succ is function.entry_block or succ.is_landing_block:
-                    continue
+                    break
                 if len(succ.predecessors()) != 1:
-                    continue
+                    break
                 if succ.phis():
-                    continue
+                    break
                 # splice succ's instructions into block
                 term.erase_from_parent()
                 for inst in list(succ.instructions):
@@ -67,5 +71,4 @@ class SimplifyCFG(FunctionPass):
                 succ.replace_all_uses_with(block)
                 function.remove_block(succ)
                 changed = True
-                any_change = True
-        return any_change
+        return changed

@@ -102,3 +102,33 @@ class TestAlignFrontDoor:
     def test_alignment_score_helper(self):
         entries = [AlignedEntry("A", "A"), AlignedEntry("B", None), AlignedEntry(None, "C")]
         assert alignment_score(entries) == 1 - 1 - 1
+
+
+class TestAlignedEntryFlags:
+    """The kind flags are fixed at construction; they must agree with the
+    ``left``/``right`` definition they replaced."""
+
+    @pytest.mark.parametrize("left,right", [
+        ("A", "A"), ("A", "B"), ("A", None), (None, "B"), (0, 0), ("", None),
+    ])
+    def test_flags_agree_with_sides(self, left, right):
+        entry = AlignedEntry(left, right)
+        assert entry.is_match == (left is not None and right is not None)
+        assert entry.is_left_only == (right is None)
+        assert entry.is_right_only == (left is None)
+
+    def test_flags_of_every_column_of_real_alignments(self):
+        for algorithm in ("needleman-wunsch", "hirschberg"):
+            for entry in align("ABCDXEF", "ABQDEFGH", algorithm=algorithm).entries:
+                assert entry.is_match == (entry.left is not None
+                                          and entry.right is not None)
+                assert entry.is_left_only == (entry.right is None)
+                assert entry.is_right_only == (entry.left is None)
+
+    def test_equality_compares_both_sides(self):
+        assert AlignedEntry("A", None) == AlignedEntry("A", None)
+        assert AlignedEntry("A", None) != AlignedEntry(None, "A")
+        assert AlignedEntry("A", "B") != AlignedEntry("A", "C")
+        assert AlignedEntry("A", "B") != ("A", "B")
+        with pytest.raises(TypeError):
+            hash(AlignedEntry("A", "B"))

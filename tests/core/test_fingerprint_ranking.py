@@ -279,51 +279,88 @@ class TestOracleModeParity:
         assert [position for _, _, position in full] == [1, 2, 3]
 
 
-class TestPostingHygiene:
-    """`remove_function` must prune posting sets that become empty: a long
-    add/remove churn may not grow the inverted index without bound."""
+class TestChurnAndRestore:
+    """Searcher state under add/remove churn, overwrites and order-restoring
+    re-adds: the size tracks the live functions, and every ranking equals
+    the linear ranker's over the same live fingerprints in the same
+    iteration order."""
 
     @staticmethod
-    def _fingerprint(index):
+    def _fingerprint(index, salt=0):
+        # few features and small counts: plenty of score ties, so the
+        # iteration order decides which tied candidate a full heap keeps
         return Fingerprint(f"churn{index}",
-                           Counter({f"op{index % 7}": 1 + index % 3,
+                           Counter({f"op{(index + salt) % 7}": 1 + index % 3,
                                     f"op{(index + 1) % 7}": 1}),
                            Counter({f"ty{index % 5}": 1}),
                            2 + index % 3)
 
-    def test_churn_does_not_grow_postings_without_bound(self):
+    @staticmethod
+    def _assert_rankings_match(searcher, linear):
+        assert searcher.known_functions() == linear.known_functions()
+        for name in linear.known_functions():
+            for limit in (None, 0, 2):
+                assert (_ranked_tuples(searcher, name, limit)
+                        == _ranked_tuples(linear, name, limit)), (name, limit)
+
+    def test_churn_keeps_length_equal_to_live_functions(self):
         searcher = IndexedCandidateSearcher(exploration_threshold=2)
-        high_water = 0
-        for index in range(500):
-            searcher.add_fingerprint(self._fingerprint(index))
+        linear = CandidateRanker(exploration_threshold=2)
+        live = set()
+        for index in range(300):
+            fp = self._fingerprint(index)
+            searcher.add_fingerprint(fp)
+            linear.add_fingerprint(fp)
+            live.add(fp.function_name)
             if index >= 8:
-                searcher.remove_function(f"churn{index - 8}")
-            high_water = max(high_water, len(searcher._op_postings),
-                             len(searcher._ty_postings))
-        # 7 opcode features and 5 type features exist in total; the index
-        # must never hold more posting sets than live features
-        assert high_water <= 7 + 5
-        assert len(searcher._op_postings) <= 7
-        assert len(searcher._ty_postings) <= 5
-
-    def test_postings_empty_after_removing_everything(self):
-        searcher = IndexedCandidateSearcher()
-        for index in range(20):
-            searcher.add_fingerprint(self._fingerprint(index))
-        for index in range(20):
-            searcher.remove_function(f"churn{index}")
-        assert searcher._op_postings == {}
-        assert searcher._ty_postings == {}
+                for ranker in (searcher, linear):
+                    ranker.remove_function(f"churn{index - 8}")
+                live.discard(f"churn{index - 8}")
+            searcher.remove_function("never-added")
+            assert len(searcher) == len(live)
+        assert set(searcher.known_functions()) == live
+        self._assert_rankings_match(searcher, linear)
+        for name in list(live):
+            searcher.remove_function(name)
         assert len(searcher) == 0
+        assert searcher.known_functions() == []
 
-    def test_overwrite_reindexes_without_leaking_old_features(self):
-        searcher = IndexedCandidateSearcher()
-        searcher.add_fingerprint(
-            Fingerprint("f", Counter({"add": 2}), Counter({"i32": 1}), 2))
-        searcher.add_fingerprint(
-            Fingerprint("f", Counter({"mul": 1}), Counter({"f64": 1}), 1))
-        # the old feature's posting set was emptied by the overwrite
-        add_id = searcher._op_feature_ids["add"]
-        assert add_id not in searcher._op_postings
-        mul_id = searcher._op_feature_ids["mul"]
-        assert searcher._op_postings[mul_id] == {"f"}
+    def test_overwrite_keeps_its_position(self):
+        searcher = IndexedCandidateSearcher(exploration_threshold=3)
+        linear = CandidateRanker(exploration_threshold=3)
+        for index in range(6):
+            for ranker in (searcher, linear):
+                ranker.add_fingerprint(self._fingerprint(index))
+        orders = [searcher.order_of(f"churn{i}") for i in range(6)]
+        for index in (4, 1):
+            fp = self._fingerprint(index, salt=3)
+            searcher.add_fingerprint(fp)
+            linear.add_fingerprint(fp)
+        assert [searcher.order_of(f"churn{i}") for i in range(6)] == orders
+        assert len(searcher) == 6
+        self._assert_rankings_match(searcher, linear)
+
+    def test_restore_with_order_ranks_like_a_cold_ranker(self):
+        # two distinct shapes only: every query has tied candidates, and
+        # with t=2 the first tied ones in iteration order win the heap
+        fingerprints = [Fingerprint(f"churn{index}",
+                                    Counter({"add": 1 + index % 2, "ret": 1}),
+                                    Counter({"i32": 2}), 2 + index % 2)
+                        for index in range(10)]
+        searcher = IndexedCandidateSearcher(exploration_threshold=2)
+        for fp in fingerprints:
+            searcher.add_fingerprint(fp)
+        # consume three functions, then put them back at their old spots in
+        # a different order; a later fresh add goes after all of them
+        consumed = {i: searcher.order_of(f"churn{i}") for i in (2, 7, 5)}
+        for index in consumed:
+            searcher.remove_function(f"churn{index}")
+        for index in (5, 2, 7):
+            searcher.add_fingerprint(fingerprints[index], order=consumed[index])
+        extra = self._fingerprint(10)
+        searcher.add_fingerprint(extra)
+        assert searcher.order_of("churn10") == 10
+        cold = CandidateRanker(exploration_threshold=2)
+        for fp in fingerprints + [extra]:
+            cold.add_fingerprint(fp)
+        self._assert_rankings_match(searcher, cold)

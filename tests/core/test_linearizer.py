@@ -33,6 +33,28 @@ def _diamond(module):
     return function
 
 
+class TestLinearEntryFlags:
+    def test_flags_agree_with_kind(self):
+        module = Module()
+        function = make_accumulator_function(module, "acc")
+        entries = linearize(function)
+        assert any(e.is_label for e in entries)
+        assert any(e.is_instruction for e in entries)
+        for entry in entries:
+            assert entry.is_label == (entry.kind == LinearEntry.LABEL)
+            assert entry.is_instruction == (entry.kind == LinearEntry.INSTRUCTION)
+            assert entry.is_label != entry.is_instruction
+
+    def test_flags_of_directly_built_entries(self):
+        module = Module()
+        function = _diamond(module)
+        block = function.entry_block
+        label = LinearEntry(LinearEntry.LABEL, block, block)
+        inst = LinearEntry(LinearEntry.INSTRUCTION, block.instructions[0], block)
+        assert (label.is_label, label.is_instruction) == (True, False)
+        assert (inst.is_label, inst.is_instruction) == (False, True)
+
+
 class TestLinearize:
     def test_every_block_contributes_label_plus_instructions(self):
         module = Module()

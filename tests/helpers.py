@@ -28,6 +28,16 @@ def assert_matches_rebuild(graph: CallGraph, module: Module) -> None:
         assert live == {id(s) for s in fresh.call_sites.get(name, ())}
 
 
+def scan_predecessors(block):
+    """The all-blocks predecessor scan ``BasicBlock.predecessors`` replaced
+    (every block whose terminator has ``block`` among its operands, in
+    function block order): the oracle for the use-list walk."""
+    if block.parent is None:
+        return []
+    return [other for other in block.parent.blocks
+            if block in other.successors()]
+
+
 def build_module(seed=7, families=4, clones=2):
     """Deterministic multi-family module population."""
     module = Module(f"sched_{seed}")

@@ -9,6 +9,8 @@ from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Return
 
+from tests.helpers import build_module, scan_predecessors
+
 
 class TestBasicBlock:
     def _block_with_ret(self):
@@ -77,6 +79,95 @@ class TestBasicBlock:
         builder.ret(phi)
         assert block.phis() == [phi]
         assert block.first_non_phi_index() == 1
+
+
+def assert_predecessors_match_scan(module):
+    """``predecessors()`` equals the all-blocks scan on every block;
+    returns how many blocks have more than one predecessor."""
+    joins = 0
+    for function in module.defined_functions():
+        for block in function.blocks:
+            preds = block.predecessors()
+            assert preds == scan_predecessors(block), (function.name, block.name)
+            joins += len(preds) > 1
+    return joins
+
+
+class TestPredecessorsFromUses:
+    """``predecessors()`` walks the block's use list; the old scan over the
+    successors of every block of the function is the oracle."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_modules_before_and_after_a_merge(self, seed):
+        from repro.core import MergeEngine
+        module = build_module(seed, families=3 + seed % 3)
+        assert_predecessors_match_scan(module)
+        report = MergeEngine(exploration_threshold=2).run(module)
+        assert report.merge_count > 0
+        # merged bodies carry guard diamonds: joins with several predecessors
+        assert assert_predecessors_match_scan(module) > 0
+
+    def _function(self, *names):
+        module = Module()
+        function = module.create_function("f", ty.function_type(ty.I32, [ty.I32]))
+        return module, function, [function.append_block(n) for n in names]
+
+    def test_switch_with_duplicate_targets(self):
+        _, function, (entry, a, b, c) = self._function("entry", "a", "b", "c")
+        # built last, so the switch's uses come last in c's use list
+        IRBuilder(b).br(c)
+        IRBuilder(a).br(c)
+        IRBuilder(entry).switch(function.arguments[0], c,
+                                [(vals.const_int(1), b), (vals.const_int(2), a),
+                                 (vals.const_int(3), b), (vals.const_int(4), c)])
+        IRBuilder(c).ret(function.arguments[0])
+        assert b.predecessors() == [entry]
+        # distinct blocks, in function block order, not use-list order
+        assert c.predecessors() == [entry, a, b]
+        assert_predecessors_match_scan(function.module)
+
+    def test_invoke_unwind_edge(self):
+        module, function, (entry, normal, unwind) = self._function(
+            "entry", "normal", "unwind")
+        callee = module.create_function("g", ty.function_type(ty.I32, [ty.I32]),
+                                        linkage="external")
+        builder = IRBuilder(entry)
+        result = builder.invoke(callee, [function.arguments[0]], normal, unwind)
+        IRBuilder(normal).ret(result)
+        unwind_builder = IRBuilder(unwind)
+        unwind_builder.landingpad()
+        unwind_builder.ret(vals.const_int(0))
+        assert normal.predecessors() == [entry]
+        assert unwind.predecessors() == [entry]
+        assert_predecessors_match_scan(module)
+
+    def test_phi_labels_and_detached_branches_do_not_count(self):
+        _, function, (entry, left, right, join) = self._function(
+            "entry", "left", "right", "join")
+        cond = IRBuilder(entry).icmp("sgt", function.arguments[0], vals.const_int(0))
+        IRBuilder(entry).cond_br(cond, left, right)
+        IRBuilder(left).br(join)
+        IRBuilder(right).br(join)
+        phi = IRBuilder(join).phi(ty.I32)
+        phi.add_incoming(vals.const_int(1), left)
+        phi.add_incoming(vals.const_int(2), right)
+        phi.add_incoming(vals.const_int(3), entry)   # label use, not an edge
+        IRBuilder(join).ret(phi)
+        Branch(join)                                 # detached: no parent
+        assert join.predecessors() == [left, right]
+        assert entry.predecessors() == []
+        assert_predecessors_match_scan(function.module)
+
+    def test_terminator_removed_or_block_detached(self):
+        _, function, (entry, body, exit_) = self._function("entry", "body", "exit")
+        IRBuilder(entry).br(body)
+        IRBuilder(body).br(exit_)
+        IRBuilder(exit_).ret(function.arguments[0])
+        body.terminator.erase_from_parent()
+        assert exit_.predecessors() == []
+        function.remove_block(body)
+        assert body.predecessors() == []
+        assert_predecessors_match_scan(function.module)
 
 
 class TestFunction:

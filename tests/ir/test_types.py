@@ -118,3 +118,44 @@ class TestBitcastEquivalence:
         assert ty.larger_type(ty.I32, ty.VOID) == ty.I32
         # ties favour the first argument
         assert ty.larger_type(ty.FLOAT, ty.I32) == ty.FLOAT
+
+
+class TestClassificationFlags:
+    """The ``is_*`` predicates are class attributes; each must equal the
+    ``isinstance`` definition the properties used to compute."""
+
+    @staticmethod
+    def isinstance_flags(t):
+        return {
+            "is_void": isinstance(t, ty.VoidType),
+            "is_integer": isinstance(t, ty.IntType),
+            "is_float": isinstance(t, ty.FloatType),
+            "is_pointer": isinstance(t, ty.PointerType),
+            "is_aggregate": isinstance(t, (ty.ArrayType, ty.StructType)),
+            "is_label": isinstance(t, ty.LabelType),
+            "is_function": isinstance(t, ty.FunctionType),
+            "is_first_class": not isinstance(
+                t, (ty.VoidType, ty.FunctionType, ty.LabelType)),
+        }
+
+    @pytest.mark.parametrize("t", [
+        ty.I1, ty.IntType(7), ty.FLOAT, ty.DOUBLE, ty.pointer(ty.I8),
+        ty.TOKEN, ty.VOID, ty.LABEL,
+        ty.struct([ty.I32, ty.DOUBLE], name="pair"),
+        ty.struct([ty.I32, ty.pointer(ty.I32)]),
+        ty.array(ty.I32, 4),
+        ty.function_type(ty.I32, [ty.I32], is_vararg=True),
+    ], ids=str)
+    def test_flags_match_isinstance(self, t):
+        assert {name: getattr(t, name) for name in self.isinstance_flags(t)} \
+            == self.isinstance_flags(t)
+
+    def test_every_concrete_type_class_is_covered(self):
+        covered = {ty.IntType, ty.FloatType, ty.PointerType, ty.TokenType,
+                   ty.VoidType, ty.LabelType, ty.StructType, ty.ArrayType,
+                   ty.FunctionType}
+        assert set(ty.Type.__subclasses__()) == covered
+
+    def test_token_stays_first_class(self):
+        assert ty.TOKEN.is_first_class
+        assert not ty.TOKEN.is_aggregate

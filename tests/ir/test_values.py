@@ -38,8 +38,17 @@ class TestConstants:
         assert null.type == ty.pointer(ty.I8)
 
     def test_is_constant_flag(self):
-        assert vals.const_int(1).is_constant
-        assert not vals.Argument(ty.I32, "a", 0).is_constant
+        from repro.ir import Module
+        from repro.ir.basicblock import BasicBlock
+        module = Module()
+        function = module.create_function("f", ty.function_type(ty.I32, [ty.I32]))
+        values = [vals.const_int(1), vals.const_float(2.0), vals.const_null(ty.I8),
+                  vals.undef(ty.I32), vals.ConstantString("s"),
+                  function.arguments[0], function, BasicBlock("bb"),
+                  module.add_global("g", ty.I32),
+                  BinaryOperator("add", vals.const_int(1), vals.const_int(2))]
+        for value in values:
+            assert value.is_constant == isinstance(value, vals.Constant), value
 
 
 class TestUseDef:

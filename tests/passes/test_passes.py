@@ -2,11 +2,15 @@
 
 from repro.ir import IRBuilder, Module, verify_or_raise
 from repro.ir import types as ty
-from repro.ir.printer import module_to_str
+from repro.ir.basicblock import BasicBlock
+from repro.ir.clone import clone_function_detached
+from repro.ir.printer import function_to_str, module_to_str
 from repro.ir import values as vals
 from repro.interp import Interpreter
 from repro.passes import (DeadCodeElimination, DeadFunctionElimination, Pass,
                           PassManager, RegToMem, SimplifyCFG, demote_phis)
+
+from tests.helpers import scan_predecessors
 
 
 class TestDeadCodeElimination:
@@ -203,6 +207,96 @@ class TestSimplifyCFG:
         SimplifyCFG().run_on_function(function)
         after = Interpreter(module).run("f", [5])
         assert before == after == 22
+
+
+def rescan_merge_straightline(function):
+    """The restart-until-stable fold loop (with the all-blocks predecessor
+    scan) that the one-sweep ``_merge_straightline`` replaced: the oracle
+    for the module it must leave."""
+    changed = True
+    any_change = False
+    while changed:
+        changed = False
+        for block in list(function.blocks):
+            term = block.terminator
+            if term is None or term.opcode != "br" or len(term.operands) != 1:
+                continue
+            succ = term.operands[0]
+            if not isinstance(succ, BasicBlock) or succ is block:
+                continue
+            if succ is function.entry_block or succ.is_landing_block:
+                continue
+            if len(scan_predecessors(succ)) != 1:
+                continue
+            if succ.phis():
+                continue
+            term.erase_from_parent()
+            for inst in list(succ.instructions):
+                succ.remove(inst)
+                block.append(inst)
+            succ.replace_all_uses_with(block)
+            function.remove_block(succ)
+            changed = True
+            any_change = True
+    return any_change
+
+
+class TestMergeStraightlineOneSweep:
+    """The one-sweep fold leaves exactly the function the restart loop
+    leaves (printed body and block order), checked on every call that
+    ``compile_module`` makes on the benchmark suite and clones modules."""
+
+    @staticmethod
+    def compile_checked(monkeypatch, modules):
+        from repro.evaluation import compile_module
+        one_sweep = SimplifyCFG._merge_straightline
+        folded = []
+
+        def checked(self, function):
+            twin = clone_function_detached(function)
+            assert function_to_str(twin) == function_to_str(function)
+            expected = rescan_merge_straightline(twin)
+            before = len(function.blocks)
+            assert one_sweep(self, function) == expected, function.name
+            assert function_to_str(function) == function_to_str(twin), function.name
+            assert ([b.name for b in function.blocks]
+                    == [b.name for b in twin.blocks]), function.name
+            folded.append(before - len(function.blocks))
+            twin.drop_body()   # release the twin's uses of shared values
+            return expected
+
+        monkeypatch.setattr(SimplifyCFG, "_merge_straightline", checked)
+        for module in modules:
+            compile_module(module, "fmsa")
+        return sum(folded)
+
+    def test_suite_modules(self, monkeypatch):
+        from perfbench.inputs import build_suite
+        assert self.compile_checked(monkeypatch, build_suite(1)) > 0
+
+    def test_clones_module(self, monkeypatch):
+        from perfbench.inputs import build_clones
+        assert self.compile_checked(monkeypatch, [build_clones(1)]) > 0
+
+    def test_chain_laid_out_backwards_folds_in_one_call(self):
+        module = Module()
+        function = module.create_function("f", ty.function_type(ty.I32, [ty.I32]))
+        entry = function.append_block("entry")
+        # layout order c, b, a; control flow entry -> a -> b -> c
+        c, b, a = (function.append_block(n) for n in "cba")
+        IRBuilder(entry).br(a)
+        value = function.arguments[0]
+        for block, target in ((a, b), (b, c)):
+            builder = IRBuilder(block)
+            value = builder.add(value, vals.const_int(1))
+            builder.br(target)
+        IRBuilder(c).ret(value)
+        twin = clone_function_detached(function)
+        assert SimplifyCFG()._merge_straightline(function)
+        assert rescan_merge_straightline(twin)
+        assert [blk.name for blk in function.blocks] == ["entry"]
+        assert function_to_str(function) == function_to_str(twin)
+        verify_or_raise(function)
 
 
 class TestRegToMem:
