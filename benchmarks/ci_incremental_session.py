@@ -1,18 +1,14 @@
-"""CI driver: incremental-session parity under the configured executor.
+"""CI driver: incremental-session parity.
 
 Drives a long-lived :class:`repro.core.MergeSession` through a randomized
 edit script (adds, removes, same-signature replaces) over a multi-family
-module with real merge/conflict traffic, and after the open and after
+module with real merge traffic, and after the open and after
 every update compares the warm session's state against a from-scratch
 ``engine.run()`` on the identically edited module.  The run fails on any
 divergence in merge decisions, candidate counters, or the IR verifier -
-the regression tripwires for the delta-driven replanner.
+the regression tripwires for the delta-driven replanner::
 
-The executor comes from the ambient engine knobs, so the CI leg pins the
-out-of-process offload::
-
-    PYTHONPATH=src REPRO_ENGINE_EXECUTOR=process REPRO_ENGINE_JOBS=2 \
-        python benchmarks/ci_incremental_session.py
+    PYTHONPATH=src python benchmarks/ci_incremental_session.py
 
 Knobs: ``REPRO_BENCH_SCALE`` (default 0.01) scales the module population;
 ``REPRO_CI_SESSION_UPDATES`` (default 4) the number of updates driven.
@@ -96,7 +92,7 @@ def check_parity(session, seed, history, failures, label):
     reference = build_population(seed)
     for edit in history:
         apply_edit(reference, edit)
-    cold = MergeEngine(exploration_threshold=2, batch_size=8).run(reference)
+    cold = MergeEngine(exploration_threshold=2).run(reference)
     warm = session.report
     if warm.decision_keys() != cold.decision_keys():
         failures.append(f"{label}: merge decisions diverged from cold rerun")
@@ -119,9 +115,8 @@ def main() -> int:
                                          name="donor").functions]
     module = build_population(seed)
     sim = {fn.name: fn.function_type for fn in module.functions}
-    engine = MergeEngine(exploration_threshold=2, batch_size=8)
-    print(f"executor={engine.executor_kind} jobs={engine.jobs} "
-          f"functions={len(module.functions)}")
+    engine = MergeEngine(exploration_threshold=2)
+    print(f"functions={len(module.functions)}")
 
     failures = []
     history = []

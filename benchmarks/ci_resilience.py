@@ -1,16 +1,12 @@
 """Resilience benchmark + chaos-leg gate (``BENCH_resilience.json``).
 
-Two numbers guard the resilience layer:
-
-* **Disabled overhead** - the fault-point registry must be free when no
-  plan is armed.  The benchmark times the same merge run three ways (no
-  plan at all; an armed-but-inert plan whose only trigger has probability
-  0.0; and a raw ``fault_point()`` microbenchmark) and trips when the
-  inert-plan run costs more than **1.05x** the plan-free run.
-* **Recovery latency p50** - how much wall clock an injected worker crash
-  (retried on a recycled pool) and an injected worker hang (detected by
-  the task deadline) add over the clean run, under the process executor.
-  Every recovered run must stay bit-identical to the fault-free reference.
+One number guards the resilience layer: its **disabled overhead**.  The
+fault-point registry must be free when no plan is armed.  The benchmark
+times the same merge run three ways (no plan at all; an armed-but-inert
+plan whose only trigger has probability 0.0; and a raw ``fault_point()``
+microbenchmark) and trips when the inert-plan run costs more than
+**1.05x** the plan-free run, or when the inert plan changes any merge
+decision.
 
 Run directly (the CI resilience job does)::
 
@@ -28,7 +24,6 @@ Knobs: ``REPRO_BENCH_REPEATS`` (default 5) run repetitions,
 import json
 import os
 import random
-import statistics
 import sys
 import time
 
@@ -38,8 +33,8 @@ if _SRC not in sys.path:
 
 from repro.core import FunctionMergingPass  # noqa: E402
 from repro.ir import Module  # noqa: E402
-from repro.resilience import (FaultPlan, RetryPolicy,  # noqa: E402
-                              SiteTrigger, fault_point, install_fault_plan)
+from repro.resilience import (FaultPlan, SiteTrigger,  # noqa: E402
+                              fault_point, install_fault_plan)
 from repro.workloads import FamilySpec, FunctionSpec, make_family  # noqa: E402
 
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
@@ -73,11 +68,10 @@ def decisions(report):
             for m in report.merges]
 
 
-def timed_run(fault_plan=None, retry_policy=None, **kwargs):
+def timed_run(fault_plan=None):
     module = build_module()
     pass_ = FunctionMergingPass(exploration_threshold=2,
-                                fault_plan=fault_plan,
-                                retry_policy=retry_policy, **kwargs)
+                                fault_plan=fault_plan)
     start = time.perf_counter()
     report = pass_.run(module)
     return time.perf_counter() - start, decisions(report)
@@ -112,42 +106,13 @@ def measure_disabled_overhead():
     }, reference
 
 
-def measure_recovery(reference):
-    policy = RetryPolicy(max_attempts=3, task_deadline=0.5,
-                         backoff_base=0.01, backoff_max=0.05)
-    process = dict(executor="process", jobs=2)
-    clean = min(timed_run(retry_policy=policy, **process)[0]
-                for _ in range(REPEATS))
-    scenarios = {}
-    for name, spec in (("worker_crash", "offload.worker_crash:nth=1:count=1"),
-                       ("worker_hang", "offload.worker_hang:nth=1:count=1")):
-        deltas = []
-        for repeat in range(REPEATS):
-            plan = FaultPlan.parse(f"seed={repeat},{spec}")
-            wall, result = timed_run(fault_plan=plan, retry_policy=policy,
-                                     **process)
-            assert result == reference, \
-                f"recovered {name} run diverged from the reference"
-            assert plan.fired() >= 1, f"{name} plan never fired"
-            deltas.append(max(0.0, wall - clean))
-        scenarios[name] = {
-            "recovery_p50_seconds": round(statistics.median(deltas), 4),
-            "recovery_max_seconds": round(max(deltas), 4),
-        }
-    install_fault_plan(None)
-    scenarios["clean_process_seconds"] = round(clean, 6)
-    return scenarios
-
-
 def run():
     overhead, reference = measure_disabled_overhead()
-    recovery = measure_recovery(reference)
     payload = {
         "bench": "resilience",
         "repeats": REPEATS,
         "merges": len(reference),
         "disabled_overhead": overhead,
-        "recovery": recovery,
     }
     with open(OUT, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -161,14 +126,10 @@ def check(payload):
     assert ratio <= OVERHEAD_TRIPWIRE, \
         f"armed-but-inert fault plan costs {ratio}x (tripwire " \
         f"{OVERHEAD_TRIPWIRE}x): the disabled path is no longer free"
-    # the injected hang sleeps an hour; recovery must come from the 0.5s
-    # deadline, with generous room for pool respawns on a loaded runner
-    hang = payload["recovery"]["worker_hang"]["recovery_p50_seconds"]
-    assert hang < 30.0, f"hang recovery p50 {hang}s: deadline not enforced"
 
 
 def test_ci_resilience():
-    """Pytest entry point: parity plus the overhead + deadline tripwires."""
+    """Pytest entry point: parity plus the overhead tripwire."""
     check(run())
 
 

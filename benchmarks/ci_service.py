@@ -3,21 +3,20 @@
 Boots the merge daemon in-process and measures the three request tiers on
 one workload:
 
-* **cold** - the daemon's first request: builds the merge pass, spawns the
-  worker pool, runs every alignment DP;
+* **cold** - the daemon's first request: builds the merge pass and runs
+  every alignment DP;
 * **engine-warm** - identical repeats with the response memo disabled
-  (``result_cache_size=0``): reuse the warm pass, resident alignment cache
-  (DP-free) and keep-alive pool, but replan and re-merge the module;
+  (``result_cache_size=0``): reuse the warm pass and resident alignment
+  cache (DP-free), but replan and re-merge the module;
 * **warm** - identical repeats against the default daemon: regenerative
   payloads are deterministic, so the response is memoized and served
   without touching the engine.
 
 The run fails when the warm p50 is not >= 3x better than the cold request
-(the service's headline), when the daemon's decisions differ from direct
-``compile_module`` calls under the serial or process executor
-(bit-identity), or when the daemon is unhealthy after the series.  The
-fixed costs the warm tiers skip - pool spawn and pass construction - are
-measured separately and recorded in the
+(the service's headline), when the daemon's decisions differ from a
+direct ``compile_module`` call (bit-identity), or when the daemon is
+unhealthy after the series.  The fixed cost the warm tiers skip - pass
+construction - is measured separately and recorded in the
 ``BENCH_service.json`` artifact together with requests/sec and p50/p99
 latencies per tier.
 
@@ -40,15 +39,12 @@ _SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.core.engine import ProcessExecutor  # noqa: E402
 from repro.core.pass_ import FunctionMergingPass  # noqa: E402
 from repro.evaluation.pipeline import compile_module  # noqa: E402
 from repro.service import (DaemonConfig, MergeDaemon,  # noqa: E402
                            ServiceClient)
 from repro.service.protocol import (build_module,  # noqa: E402
                                     jsonable_decisions)
-
-JOBS = 2
 
 
 def percentile(samples, fraction):
@@ -76,27 +72,16 @@ def tier_summary(latencies):
 
 
 def measure_fixed_costs():
-    """The per-request costs a cold process pays and the warm daemon
-    hoists: worker-pool spawn and merge-pass construction."""
-    start = time.perf_counter()
-    executor = ProcessExecutor(JOBS, kernel="pure")
-    executor.worker_pids()  # force the workers to actually fork
-    pool_spawn = time.perf_counter() - start
-    executor.close()
-
+    """The per-request cost a cold process pays and the warm daemon
+    hoists: merge-pass construction."""
     start = time.perf_counter()
     FunctionMergingPass(exploration_threshold=1)
     pass_build = time.perf_counter() - start
-
-    return {
-        "pool_spawn_seconds": round(pool_spawn, 6),
-        "pass_build_seconds": round(pass_build, 6),
-    }
+    return {"pass_build_seconds": round(pass_build, 6)}
 
 
-def direct_decisions(payload, executor):
-    module = build_module(payload)
-    result = compile_module(module, "fmsa", executor=executor, jobs=JOBS)
+def direct_decisions(payload):
+    result = compile_module(build_module(payload), "fmsa")
     return jsonable_decisions(result.merge_report.decision_keys())
 
 
@@ -104,8 +89,7 @@ def run_daemon_tier(payload, warm_requests, result_cache):
     """One daemon boot: the first request is the cold sample, the repeats
     are the tier's warm series.  Returns (cold, latencies, stats,
     decisions, healthy)."""
-    config = DaemonConfig(port=0, executor="process", jobs=JOBS,
-                          result_cache_size=result_cache)
+    config = DaemonConfig(port=0, result_cache_size=result_cache)
     daemon = MergeDaemon(config).start()
     try:
         with ServiceClient(daemon.address, timeout=300.0) as client:
@@ -154,15 +138,11 @@ def main() -> int:
 
     if warm_decisions != decisions:
         failures.append("the two daemon boots disagree on decisions")
-    for executor in ("serial", "process"):
-        direct = direct_decisions(payload, executor)
-        if direct != decisions:
-            failures.append(f"daemon decisions differ from direct "
-                            f"compile_module under the {executor} executor")
+    if direct_decisions(payload) != decisions:
+        failures.append("daemon decisions differ from direct compile_module")
 
     artifact = {
         "benchmark": benchmark,
-        "jobs": JOBS,
         "cold_seconds": round(cold_seconds, 6),
         "tiers": {
             "engine_warm": tier_summary(engine_warm),
@@ -175,12 +155,12 @@ def main() -> int:
         "daemon_stats": {
             "engine_warm_tier": {
                 key: engine_stats.get(key) for key in
-                ("warm_requests", "cold_requests", "pool_builds",
+                ("warm_requests", "cold_requests",
                  "align_cache_hits", "align_cache_misses")},
             "warm_tier_result_cache_hits":
                 warm_stats.get("result_cache_hits", 0),
         },
-        "decisions_identical_serial_process": not any(
+        "decisions_identical_to_direct": not any(
             "differ" in failure for failure in failures),
     }
     with open(out_path, "w") as handle:

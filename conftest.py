@@ -1,39 +1,8 @@
-"""Pytest bootstrap: make ``src/`` importable even without installation,
-plus suite-wide resilience fixtures."""
+"""Pytest bootstrap: make ``src/`` importable even without installation."""
 
-import multiprocessing
 import os
 import sys
-import time
-
-import pytest
 
 _SRC = os.path.join(os.path.dirname(__file__), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
-
-
-@pytest.fixture
-def assert_no_leaked_workers():
-    """Fail the test if it leaves live worker processes behind.
-
-    Snapshot ``multiprocessing.active_children()`` (which sees
-    ``ProcessPoolExecutor`` workers) before the test; afterwards, poll
-    until every newcomer is gone - pool shutdown is asynchronous - and
-    fail naming the leaked PIDs if any survive the grace window.  Shared
-    by the offload, session and daemon failure-path tests: every
-    ``PlanningError``/``ResilienceError`` branch must tear its pool down,
-    keep-alive or not.
-    """
-    before = {child.pid for child in multiprocessing.active_children()}
-    yield
-    deadline = time.monotonic() + 10.0
-    leaked = []
-    while time.monotonic() < deadline:
-        leaked = [child for child in multiprocessing.active_children()
-                  if child.pid not in before and child.is_alive()]
-        if not leaked:
-            return
-        time.sleep(0.05)
-    pytest.fail("leaked worker processes: "
-                f"{sorted(child.pid for child in leaked)}")

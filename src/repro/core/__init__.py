@@ -29,11 +29,10 @@ from .codegen import (CodegenError, MergeCodeGenerator, MergeOptions,
 from .engine import (AlignmentCache, IndexedCandidateSearcher, MergeEngine,
                      MergeSession, ModuleEdit, SessionUpdateReport, Stage,
                      StageStats, apply_edit)
-from .equivalence import (EquivalenceKeyInterner, decode_canonical_keys,
-                          encode_equivalence_key, entries_equivalent,
-                          entry_equivalence_key, instructions_equivalent,
-                          labels_equivalent, type_equivalence_key,
-                          types_equivalent)
+from .equivalence import (EquivalenceKeyInterner, encode_equivalence_key,
+                          entries_equivalent, entry_equivalence_key,
+                          instructions_equivalent, labels_equivalent,
+                          type_equivalence_key, types_equivalent)
 from .fingerprint import (Fingerprint, FingerprintDelta, fingerprint_module,
                           similarity)
 from .linearizer import (LinearEntry, LinearizedFunction, linearize,
@@ -56,7 +55,7 @@ __all__ = [
     "native_available", "needleman_wunsch_native",
     "needleman_wunsch_native_keyed", "solve_keyed_alignment_native",
     "AlignmentCache",
-    "ops_string", "solve_keyed_alignment", "decode_canonical_keys",
+    "ops_string", "solve_keyed_alignment",
     "CodegenError", "MergeCodeGenerator", "MergeOptions", "MergeResult",
     "merge_cost", "merge_functions", "merge_parameter_lists",
     "merge_return_types",

@@ -190,9 +190,8 @@ def solve_keyed_alignment_numpy(keys1: Sequence[int], keys2: Sequence[int],
 
     Integer key sequences in, alignment shape ``(ops, score)`` out -
     bit-identical to the pure-Python solver by construction (the fill
-    computes the same integers, the traceback is shared).  This is what
-    alignment-offload workers run when NumPy is importable in *their*
-    process; requires the ``fast`` extra.
+    computes the same integers, the traceback is shared).  Requires the
+    ``fast`` extra.
     """
     result = needleman_wunsch_numpy_keyed(range(len(keys1)),
                                           range(len(keys2)), keys1, keys2,

@@ -118,9 +118,8 @@ def ops_string(entries: List[AlignedEntry[T]]) -> str:
 
     The op string plus the score is an alignment's *shape* - everything the
     DP decided, with no references to the concrete sequence elements.  It is
-    the currency of the content-addressed alignment cache and of the
-    out-of-process alignment offload (a worker returns the shape, the
-    requesting side rehydrates it against its own entry lists).
+    the currency of the content-addressed alignment cache (a hit rehydrates
+    the stored shape against the requesting pair's entry lists).
     """
     return "".join(
         "m" if e.is_match else ("l" if e.is_left_only else "r")
@@ -132,7 +131,7 @@ def result_from_ops(ops: str, score: int, seq1: Sequence[T],
     """Rebuild an :class:`AlignmentResult` for a concrete pair from its
     shape (op string + score): the inverse of :func:`ops_string`.
 
-    This is how cached, offloaded and native alignments come back to life:
+    This is how cached and native alignments come back to life:
     the shape carries everything the DP decided, the sequences supply the
     concrete elements.  Raises ValueError when the ops are not over the
     ``m``/``l``/``r`` alphabet or do not consume the sequences exactly (a
@@ -222,8 +221,7 @@ def solve_keyed_alignment(keys1: Sequence[int], keys2: Sequence[int],
     """Task-level alignment over *pure data*: integer key sequences in,
     alignment shape ``(ops, score)`` out.
 
-    This is the batch entry point the alignment offload workers call: no
-    linearized entries, no IR, no interner - just the key sequences (whose
+    No linearized entries, no IR, no interner - just the key sequences (whose
     cross-sequence equality pattern fully determines the DP) and the
     scoring scheme.  The result is bit-identical to running
     :func:`needleman_wunsch_keyed` over the originating pair and

@@ -11,15 +11,10 @@ any other.  When a commit rewrites a function, its fresh linearization has
 different keys, hence a different digest: a stale body can never satisfy a
 lookup, so there is nothing to invalidate by name.
 
-A key costs more to compute than the DP a hit skips, so the engine attaches
-a cache only where something in the same process reads entries back:
-
-* the process offload, whose workers' results land in a per-run cache the
-  engine owns and the in-process planner then reads;
-* a caller-owned cache shared across runs - the merge daemon's resident
-  cache.
-
-Cold compiles run without one and never compute a digest.
+A key costs more to compute than the DP a hit skips, so the engine uses a
+cache only when its caller hands one in to share across runs - the merge
+daemon's resident cache.  Cold compiles run without one and never compute
+a digest.
 
 What is stored is not the :class:`~repro.core.alignment.AlignmentResult`
 itself - its entries reference the concrete ``LinearEntry`` objects of one
@@ -38,28 +33,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
-
-from ..alignment import (AlignedEntry, AlignmentResult, ops_string,
-                         result_from_ops)
+from typing import Dict, Optional, Tuple
 
 #: Rough per-entry bookkeeping cost (two 16-byte digests, the scoring key
 #: parts, dict/OrderedDict slots) used for the ``bytes`` stat.
 _ENTRY_OVERHEAD = 160
-
-
-def ops_of(entries: List[AlignedEntry]) -> str:
-    """Serialize alignment entries to the compact op string (alias of
-    :func:`repro.core.alignment.ops_string`, kept for call sites that think
-    in cache terms)."""
-    return ops_string(entries)
-
-
-def rehydrate(ops: str, score: int, seq1, seq2) -> AlignmentResult:
-    """Rebuild an :class:`AlignmentResult` for a concrete pair from ops
-    (alias of :func:`repro.core.alignment.result_from_ops`, kept for call
-    sites that think in cache terms)."""
-    return result_from_ops(ops, score, seq1, seq2)
 
 
 class AlignmentCache:
@@ -89,13 +67,6 @@ class AlignmentCache:
             self._data.move_to_end(key)
             self.hits += 1
             return value
-
-    def contains(self, key: tuple) -> bool:
-        """Whether ``key`` is held, *without* counting a hit or miss or
-        touching the LRU order - the offload's dispatch filter, which must
-        not skew the stats the planning lookups produce."""
-        with self._lock:
-            return key in self._data
 
     def put(self, key: tuple, ops: str, score: int) -> None:
         with self._lock:

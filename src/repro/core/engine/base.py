@@ -7,9 +7,8 @@ engine aggregates the per-stage numbers into the legacy Figure-13 buckets of
 ``legacy_stage`` attribute, while the fine-grained stats remain available in
 ``MergeReport.stage_stats``.
 
-Planning always runs on the calling thread (the process executor offloads
-only alignment DPs, which it reports separately in ``scheduler_stats``), so
-stage *seconds* are wall-clock time of that thread.  Stats updates stay
+Every stage runs on the calling thread, so stage *seconds* are wall-clock
+time of that thread.  Stats updates stay
 lock-protected because a long-lived host (the merge daemon) shares warm
 passes and the resident cache between concurrently served requests.
 """

@@ -21,28 +21,27 @@ rescan per commit - lives on as
 :class:`~repro.core.reference.ReferenceMergingPass`, the oracle the engine is
 tested against and the driver the paper-figure harness times.
 
-Since the plan/commit refactor the driver itself is split in two: every
-stage before commit is *read-only* and runs inside
-:meth:`MergeEngine.plan_entry`, which evaluates one worklist entry into an
-immutable :class:`~repro.core.engine.plan.MergePlan`; only
+The driver itself is split in two: every stage before commit is
+*read-only* and runs inside :meth:`MergeEngine.plan_entry`, which evaluates
+one worklist entry into a :class:`~repro.core.engine.plan.MergePlan`; only
 :meth:`MergeEngine.commit_plan` mutates the module (incrementally - no full
-call-graph rebuilds).  The :class:`~repro.core.engine.scheduler.MergeScheduler`
-batches entries, plans them through a pluggable executor (``jobs=`` selects
-the process offload) and commits serially with conflict detection.  Merge
-*decisions* are identical to the reference pass in every configuration -
-kernel, job count, batch size - only the time spent reaching them changes.
+call-graph rebuilds).  :meth:`MergeEngine.drain` is the paper's worklist
+loop over the two: pop an entry, skip it if it went stale, plan it, commit
+its decision.  ``run()`` and the incremental
+:class:`~repro.core.engine.session.MergeSession` both drain through it.
+Merge *decisions* are identical to the reference pass for every alignment
+kernel; only the time spent reaching them changes.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 from collections import deque
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from ...analysis.sanitizer import Sanitizer
 from ...ir.callgraph import CallGraph
-from ...resilience import (FaultPlan, ResilienceError, RetryPolicy,
+from ...resilience import (FaultPlan, ResilienceError, fault_point,
                            install_fault_plan, maybe_install_env_plan)
 from ...ir.function import Function
 from ...ir.module import Module
@@ -52,25 +51,43 @@ from ..codegen import CodegenError, MergeOptions, merge_functions
 from ..fingerprint import Fingerprint
 from .align_cache import AlignmentCache
 from .base import Stage
-from .offload import AlignmentTask
-from .plan import CommitEvents, MergePlan, PendingAlignment, PlanDecision
+from .plan import CommitEvents, MergePlan, PlanDecision
 from .prune import ProfitBoundIndex
 from .report import STAGES, MergeRecord, MergeReport
-from .scheduler import (ENGINE_EXECUTOR_ENV, MergeScheduler, PlanExecutor,
-                        PlanningError, make_executor)
 from .search import IndexedCandidateSearcher
 from .stages import (AlignmentStage, CandidateSearchStage, CodegenStage,
                      CommitStage, FingerprintStage, LinearizeStage,
                      PreprocessStage, ProfitabilityStage)
 
 
-def _default_jobs() -> int:
-    """Default job count, overridable via ``REPRO_ENGINE_JOBS`` (used by the
-    CI matrix legs that run the whole suite through the process offload)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_ENGINE_JOBS", "1")))
-    except ValueError:
-        return 1
+def check_serial_call_shape(jobs: Optional[int], executor: str) -> None:
+    """Validate the ``jobs`` / ``executor`` arguments.
+
+    The engine plans and commits in one serial loop, so the two parameters
+    select nothing.  They remain only so that callers which pin the serial
+    configuration explicitly (``perfbench`` passes ``jobs=1,
+    executor="serial"``) keep working; any other value raises ValueError
+    instead of being silently ignored.
+    """
+    if jobs not in (None, 1):
+        raise ValueError(f"jobs={jobs!r}: the merge engine runs serially; "
+                         f"only None or 1 is accepted")
+    if executor not in ("auto", "serial"):
+        raise ValueError(f"executor={executor!r}: the merge engine runs "
+                         f"serially; only 'auto' or 'serial' is accepted")
+
+
+class PlanningError(RuntimeError):
+    """A plan callback raised while evaluating one worklist entry.
+
+    Raised in place of the original exception (which stays attached as
+    ``__cause__``) so the failure names the worklist entry it belongs to.
+    """
+
+    def __init__(self, entry: str, cause: BaseException):
+        super().__init__(f"planning worklist entry {entry!r} failed: "
+                         f"{type(cause).__name__}: {cause}")
+        self.entry = entry
 
 
 def _env_flag(name: str) -> bool:
@@ -91,14 +108,11 @@ class MergeEngine:
                  alignment_kernel: Optional[str] = None,
                  alignment_cache: Optional[AlignmentCache] = None,
                  jobs: Optional[int] = None,
-                 executor: Union[str, PlanExecutor] = "auto",
-                 batch_size: Optional[int] = None,
-                 adaptive_batch: bool = False,
+                 executor: str = "auto",
                  verify_fingerprints: Optional[bool] = None,
                  sanitize: Optional[bool] = None,
                  sanitizer: Optional["Sanitizer"] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 retry_policy: Optional[RetryPolicy] = None):
+                 fault_plan: Optional[FaultPlan] = None):
         """Create the engine.
 
         Args:
@@ -133,35 +147,13 @@ class MergeEngine:
                 (the merge daemon's resident cache).  The engine never
                 clears a cache it was handed; its hit/miss/bytes counters
                 accumulate and land in ``MergeReport.scheduler_stats``.
-                When None (the default) the engine attaches a cache only
-                while the process offload runs - its workers' results land
-                in a per-run cache the engine owns - and otherwise aligns
-                every candidate pair directly: a cache key costs more than
-                the DP a hit would skip, and a cold compile never hits.
-            jobs: worker processes of the alignment offload (default:
-                ``REPRO_ENGINE_JOBS`` or 1).  Merge decisions are identical
-                for every value.
-            executor: plan executor kind - ``"auto"`` (the
-                ``REPRO_ENGINE_EXECUTOR`` environment variable if set, else
-                serial for jobs<=1 and the process offload otherwise),
-                ``"serial"``, ``"process"``, or a pre-built
-                :class:`PlanExecutor` instance (build it with
-                ``keep_alive=True`` and back-to-back runs reuse the same
-                live worker pool; the caller then owns the explicit
-                ``close()``).  The process
-                executor keeps planning in this process but offloads the
-                alignment DPs to a worker pool as pure data (canonical key
-                bytes).  Merge decisions are identical for every executor.
-            batch_size: worklist entries planned per batch (default: 1 for
-                the serial executor, ``jobs * 4`` otherwise, at least 4
-                when alignment is offloaded).
-            adaptive_batch: retune the batch size between rounds from the
-                observed conflict/replan rate (multiplicative
-                increase/decrease, bounded, deterministic in the stats
-                stream; the trace lands in
-                ``scheduler_stats["batch_size_trace"]``).  Decisions are
-                identical either way - adaptivity only
-                changes how much planning work conflicts throw away.
+                When None (the default) the engine aligns every candidate
+                pair directly: a cache key costs more than the DP a hit
+                would skip, and a cold compile never hits.
+            jobs, executor: accepted only as ``None``/``1`` and
+                ``"auto"``/``"serial"`` (see
+                :func:`check_serial_call_shape`); the engine always runs
+                serially.
             verify_fingerprints: each merged function's fingerprint is
                 computed from the alignment columns plus the codegen delta
                 (:meth:`Fingerprint.of_merged`) instead of rescanning the new
@@ -190,16 +182,8 @@ class MergeEngine:
                 None, the ``REPRO_FAULTS`` environment variable is
                 consulted once per process.  With no plan every fault
                 point reduces to a single ``is None`` check.
-            retry_policy: how offloaded alignment work is retried, deadlined
-                and degraded (see :class:`~repro.resilience.RetryPolicy`).
-                Defaults to the ``REPRO_RETRY_*`` / ``REPRO_TASK_DEADLINE``
-                environment knobs over the conservative single-attempt
-                policy, which preserves the historical failure behaviour
-                exactly.  Retries and the in-process fallback are
-                bit-identical - alignment tasks are pure data - so the
-                policy can never change merge decisions, only whether a
-                faulting run completes.
         """
+        check_serial_call_shape(jobs, executor)
         self.target = target or X86_64
         self.exploration_threshold = max(1, exploration_threshold)
         self.oracle = oracle
@@ -207,14 +191,6 @@ class MergeEngine:
         self.allow_deletion = allow_deletion
         self.hot_function_filter = hot_function_filter
         self.minimum_function_size = minimum_function_size
-        self.jobs = _default_jobs() if jobs is None else max(1, int(jobs))
-        if executor == "auto" and not isinstance(executor, PlanExecutor):
-            env_kind = os.environ.get(ENGINE_EXECUTOR_ENV, "").strip()
-            if env_kind:
-                executor = env_kind
-        self.executor_kind = executor
-        self.batch_size = batch_size
-        self.adaptive_batch = adaptive_batch
         if verify_fingerprints is None:
             verify_fingerprints = _env_flag("REPRO_VERIFY_FINGERPRINTS")
         self.verify_fingerprints = verify_fingerprints
@@ -228,20 +204,12 @@ class MergeEngine:
             install_fault_plan(fault_plan)
         else:
             maybe_install_env_plan()
-        self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy.from_env())
-        # engine-lifetime record of executor-side degradations (executors
-        # are per-run; see collect_degradations)
-        self._executor_degradations: List[dict] = []
-        self._executor_degradation_marks: \
-            "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
         self.searcher = IndexedCandidateSearcher(self.exploration_threshold)
         self.profit_bounds = ProfitBoundIndex(self.target) if oracle else None
 
-        # a caller-owned cache stays attached for the engine's lifetime;
-        # otherwise make_scheduler attaches one for the process offload only
-        self._resident_cache = alignment_cache
+        # only a caller-owned cache is ever attached; it stays for the
+        # engine's lifetime and no run clears it
         self.align_cache: Optional[AlignmentCache] = alignment_cache
 
         self.preprocess = PreprocessStage()
@@ -269,33 +237,13 @@ class MergeEngine:
         self._available: set = set()
         self._worklist: deque = deque()
         self._report: Optional[MergeReport] = None
-        # candidate rankings computed by the hydrate step, handed to the
-        # finish-plan step of the same batch: name -> (fingerprint index
-        # generation, limit, ranked candidates).  Entries are only reused
-        # while the generation matches, so a reused ranking is bit-identical
-        # to the re-query it replaces.
-        self._rank_cache: Dict[str, tuple] = {}
 
     # -- helpers ---------------------------------------------------------------
     @property
     def alignment_cache_resident(self) -> bool:
-        """Whether the attached cache is caller-owned: such a cache is
-        never cleared by a run and its counters accumulate across runs."""
-        return self._resident_cache is not None
-
-    def _provision_cache(self, offloading: bool) -> None:
-        """Attach an engine-owned cache while the process offload runs a
-        keyed kernel (its worker results land there) and detach it
-        otherwise; a caller-owned cache is left as it is.  An owned cache
-        survives back-to-back schedulers of one session - later updates
-        read its entries back - and ``run()`` clears it per run."""
-        if self._resident_cache is not None:
-            return
-        if offloading and self.align_cache is None:
-            self.align_cache = AlignmentCache()
-        elif not offloading:
-            self.align_cache = None
-        self.alignment.cache = self.align_cache
+        """Whether a (caller-owned) cache is attached: it is never cleared
+        by a run and its counters accumulate across runs."""
+        return self.align_cache is not None
 
     def _eligible(self, function: Function) -> bool:
         if function.is_declaration:
@@ -339,16 +287,7 @@ class MergeEngine:
             return None
 
         limit = 0 if self.oracle else self.exploration_threshold
-        cached = self._rank_cache.pop(name, None)
-        if (cached is not None and cached[0] == self.fingerprint.generation
-                and cached[1] == limit):
-            # the hydrate step already ranked this entry against the same
-            # index generation: reuse its candidates instead of re-querying
-            candidates = cached[2]
-            self.candidate_search.stats.bump("candidates", len(candidates))
-            self.candidate_search.stats.bump("rank_reuse_hits")
-        else:
-            candidates = self.candidate_search.query(name, limit)
+        candidates = self.candidate_search.query(name, limit)
         plan = MergePlan(name=name, limit=limit, candidates=candidates)
 
         # (evaluation, candidate, function2, alignment) of the best
@@ -368,7 +307,6 @@ class MergeEngine:
                     plan.candidates_pruned += 1
                     continue
             plan.candidates_evaluated += 1
-            plan.evaluated.append((name, candidate.function_name))
 
             lin1 = self.linearize.get(function1)
             lin2 = self.linearize.get(function2)
@@ -445,141 +383,16 @@ class MergeEngine:
         return fp
 
     def _query_key(self, name: str, limit: int) -> tuple:
-        """The current candidate ranking of ``name`` in comparable form
-        (the committer's fingerprint-change conflict check)."""
+        """The current candidate ranking of ``name`` in the comparable form
+        of :attr:`MergePlan.candidate_key` (a session's memo check)."""
         return tuple((c.function_name, c.score, c.position)
                      for c in self.candidate_search.query(name, limit))
-
-    def _plan_content_key(self, name: str) -> Optional[bytes]:
-        """Canonical content digest of an entry's body - the scheduler's
-        cache-aware grouping key.  Uses (and warms) the linearize stage's
-        per-function cache, so this never duplicates planner work; returns
-        None for stale entries, which the scheduler treats as unique."""
-        if name not in self._available:
-            return None
-        function = self._module.get_function(name)
-        if function is None:
-            return None
-        return self.linearize.get(function).canonical_digest()
-
-    # -- alignment offload (hydrate + result absorption) -------------------------
-    def prefetch_alignment_tasks(self, names: List[str]
-                                 ) -> List[PendingAlignment]:
-        """Hydrate one batch: the alignment shapes its plans will ask for
-        that the cache does not already hold, as pure-data tasks.
-
-        Read-only, like planning itself: candidate rankings come from the
-        (idempotent) searcher, linearizations from the linearize stage's
-        cache (warming it for the finish-plan step).  Each entry's ranking
-        is stashed - keyed by the fingerprint index generation - and handed
-        to the finish-plan step, which reuses it instead of re-querying as
-        long as no commit has moved the generation on (surfaced as
-        ``rank_reuse_hits``; the committer's conflict check still re-queries
-        through :meth:`_query_key`).  Pairs are deduplicated
-        by cache key across the batch - clone families request each distinct
-        DP once - and pairs already cached are skipped entirely, so warm
-        runs dispatch nothing.  In oracle mode, pairs the profit-bound index
-        can already reject against a zero floor are skipped too (the floor
-        only rises while planning, so such pairs are never aligned serially
-        either).
-        """
-        if not self.alignment.uses_cache:
-            return []
-        cache = self.align_cache
-        scoring_key = self.alignment.scoring_key
-        module = self._module
-        limit = 0 if self.oracle else self.exploration_threshold
-        pending: List[PendingAlignment] = []
-        seen: set = set()
-        for name in names:
-            try:
-                self._hydrate_entry(name, limit, scoring_key, module, cache,
-                                    seen, pending)
-            except (PlanningError, ResilienceError):
-                raise
-            except Exception as error:
-                # hydration runs the same search/linearize machinery as
-                # planning; failures must name their entry just the same
-                raise PlanningError(name, error) from error
-        return pending
-
-    def _hydrate_entry(self, name: str, limit: int, scoring_key: tuple,
-                       module: Module, cache: AlignmentCache,
-                       seen: set, pending: List[PendingAlignment]) -> None:
-        if name not in self._available:
-            return
-        function1 = module.get_function(name)
-        if function1 is None:
-            return
-        lin1 = None
-        candidates = self.searcher.rank_candidates(name, limit)
-        self._rank_cache[name] = (self.fingerprint.generation, limit,
-                                  candidates)
-        for candidate in candidates:
-            partner = candidate.function_name
-            if partner not in self._available:
-                continue
-            function2 = module.get_function(partner)
-            if function2 is None:
-                continue
-            if self.profit_bounds is not None:
-                bound = self.profit_bounds.delta_bound(name, partner, 0)
-                if bound is not None and bound <= 0:
-                    continue
-            if lin1 is None:
-                lin1 = self.linearize.get(function1)
-            lin2 = self.linearize.get(function2)
-            key = (lin1.canonical_digest(), lin2.canonical_digest(),
-                   scoring_key)
-            if key in seen or cache.contains(key):
-                continue
-            seen.add(key)
-            pending.append(PendingAlignment(
-                entry=name, key=key,
-                task=AlignmentTask(
-                    keys1=tuple(lin1.canonical_key_bytes()),
-                    keys2=tuple(lin2.canonical_key_bytes()),
-                    scoring=scoring_key)))
-
-    def _store_offloaded(self, key: tuple, ops: str, score: int) -> None:
-        """Land one worker-computed alignment shape in the cache (the
-        finish-plan step's lookups then rehydrate it bit-identically)."""
-        self.align_cache.put(key, ops, score)
-        self.alignment.stats.bump("offloaded")
-
-    def _account_offload(self, seconds: float) -> None:
-        """Offload rounds are alignment time: account their wall clock to
-        the alignment stage so the Figure-13 buckets stay truthful."""
-        self.alignment.stats.account(seconds)
 
     def _absorb_plan(self, plan: MergePlan) -> None:
         report = self._report
         report.candidates_evaluated += plan.candidates_evaluated
         report.codegen_failures += plan.codegen_failures
         report.candidates_pruned += plan.candidates_pruned
-
-    def collect_degradations(self, scheduler: Optional[MergeScheduler] = None
-                             ) -> List[dict]:
-        """Every graceful-degradation transition the resilience layer has
-        recorded, across the layers this engine owns: the scheduler's
-        executor (offload pool -> in-process) and the alignment stage's
-        kernel ladder.  Cumulative for the lifetime of the (possibly reused)
-        engine, like the resident cache's counters; lands in
-        ``scheduler_stats["degradations"]`` of every report."""
-        if scheduler is not None:
-            # executors are (usually) per-run: absorb their events into the
-            # engine-lifetime list.  The watermark keyed by the executor
-            # object keeps a keep-alive pool reused across runs from being
-            # double-counted.
-            executor = scheduler.executor
-            current = list(getattr(executor, "degradations", None) or [])
-            seen = self._executor_degradation_marks.get(executor, 0)
-            if len(current) > seen:
-                self._executor_degradations.extend(current[seen:])
-                self._executor_degradation_marks[executor] = len(current)
-        events: List[dict] = list(self._executor_degradations)
-        events.extend(self.alignment.degradations)
-        return events
 
     # -- commit (the only mutating step) ----------------------------------------
     def commit_plan(self, plan: MergePlan) -> CommitEvents:
@@ -664,12 +477,12 @@ class MergeEngine:
     def attach_run_state(self, module: Module, call_graph: CallGraph,
                          available: set, worklist: deque,
                          report: MergeReport) -> None:
-        """Install the per-run state the plan/commit callbacks consume.
+        """Install the per-run state :meth:`drain` consumes.
 
         ``run()`` composes this with its own cold cache setup; a
         :class:`~repro.core.engine.session.MergeSession` installs
-        incrementally-maintained state here and drives the scheduler itself,
-        keeping the warm caches ``run()`` would clear.
+        incrementally-maintained state here and drains it itself, keeping
+        the warm caches ``run()`` would clear.
         """
         self._module = module
         self._call_graph = call_graph
@@ -678,47 +491,77 @@ class MergeEngine:
         self._report = report
 
     def detach_run_state(self) -> None:
-        """Drop the per-run state (and the batch-scoped ranking cache)."""
+        """Drop the per-run state."""
         self._module = None
         self._call_graph = None
         self._report = None
-        self._rank_cache.clear()
 
-    def make_scheduler(self, executor: Optional[PlanExecutor] = None,
-                       plan: Optional[Callable[[str], Optional[MergePlan]]] = None,
-                       absorb: Optional[Callable[[MergePlan], None]] = None
-                       ) -> MergeScheduler:
-        """Build the plan/commit scheduler for one run (call after run()'s
-        state setup; exposed so tests can hook ``on_commit`` or supply a
-        pre-built executor).  ``plan`` / ``absorb`` override the engine's
-        own callbacks (sessions interpose plan memoization there)."""
-        if executor is None:
-            executor = make_executor(self.executor_kind, self.jobs,
-                                     retry_policy=self.retry_policy)
-        alignment = self.alignment
-        self._provision_cache(executor.offloads_alignment and
-                              alignment.algorithm in alignment.KEYED_KERNELS)
-        uses_cache = alignment.uses_cache
-        return MergeScheduler(
-            plan=plan if plan is not None else self.plan_entry,
-            commit=self.commit_plan,
-            query_key=self._query_key,
-            absorb=absorb if absorb is not None else self._absorb_plan,
-            executor=executor,
-            batch_size=self.batch_size,
-            adaptive=self.adaptive_batch,
-            # cache-aware wave planning only pays off when the alignment
-            # stage actually consults the cache; on the generic predicate
-            # path the grouping would be pure overhead
-            content_key=(self._plan_content_key if uses_cache else None),
-            # ... and the same condition gates the offload: without the
-            # cache there is nowhere for a worker's result to land
-            prefetch=(self.prefetch_alignment_tasks if uses_cache else None),
-            store=(self._store_offloaded if uses_cache else None),
-            on_offload=self._account_offload)
+    def drain(self, plan: Optional[Callable[[str], Optional[MergePlan]]] = None,
+              absorb: Optional[Callable[[MergePlan], None]] = None,
+              on_commit: Optional[Callable[[MergePlan, CommitEvents], None]]
+              = None) -> int:
+        """Run the exploration loop (the paper's Figure 7) until the
+        attached worklist is empty; returns the number of stale entries.
+
+        Each popped entry whose function was consumed (or removed) since it
+        was enqueued is counted as stale and skipped.  Any other entry is
+        planned (``plan``, default :meth:`plan_entry`), its counters are
+        absorbed into the report (``absorb``, default: the plan's
+        evaluated/failed/pruned counts), and a plan with a decision is
+        committed, after which ``on_commit(plan, events)`` is called.  A
+        plan callback that raises is re-raised as :class:`PlanningError`
+        naming the entry; a :class:`~repro.resilience.ResilienceError`
+        passes through unwrapped.
+        """
+        plan = plan if plan is not None else self.plan_entry
+        absorb = absorb if absorb is not None else self._absorb_plan
+        worklist, available = self._worklist, self._available
+        stale = 0
+        while worklist:
+            name = worklist.popleft()
+            if name not in available:
+                stale += 1
+                continue
+            try:
+                fault_point("scheduler.plan_fail")
+                merge_plan = plan(name)
+            except (PlanningError, ResilienceError):
+                raise
+            except Exception as error:
+                raise PlanningError(name, error) from error
+            if merge_plan is None:
+                stale += 1
+                continue
+            absorb(merge_plan)
+            if merge_plan.decision is None:
+                continue
+            events = self.commit_plan(merge_plan)
+            if on_commit is not None:
+                on_commit(merge_plan, events)
+        return stale
+
+    def finish_report(self, report: MergeReport, stale_entries: int) -> None:
+        """Fill the run-level fields of ``report`` once the worklist has
+        drained (call while the run state is still attached)."""
+        report.stale_entries = stale_entries
+        stats = report.scheduler_stats = {"stale_entries": stale_entries}
+        if self.align_cache is not None:
+            stats.update(self.align_cache.stats_dict())
+        stats["degradations"] = list(self.alignment.degradations)
+        if self.sanitizer is not None:
+            self.sanitizer.after_run(self._module, self._call_graph)
+            stats.update(self.sanitizer.stats())
+        report.stage_times = self._legacy_stage_times()
+        report.stage_stats = self.stage_stats()
 
     def run(self, module: Module,
-            scheduler: Optional[MergeScheduler] = None) -> MergeReport:
+            on_commit: Optional[Callable[[MergePlan, CommitEvents], None]]
+            = None) -> MergeReport:
+        """Merge ``module`` in place and report what was merged.
+
+        ``on_commit`` is called after every committed merge with the plan
+        and its :class:`CommitEvents` (tests use it to cross-check the
+        incremental bookkeeping against from-scratch rebuilds)."""
         for stage in self.stages:
             stage.reset()
         self.linearize.clear()
@@ -727,14 +570,9 @@ class MergeEngine:
             # shared sanitizer keeps its *counters* across runs, only the
             # per-function dataflow results are dropped
             self.sanitizer.cache.clear()
-        if self.align_cache is not None and not self.alignment_cache_resident:
-            # an engine-owned (offload) cache is per run; a caller-owned
-            # one stays warm across runs
-            self.align_cache.clear()
         # the original pass built a fresh ranker per run(): a reused engine
         # must not rank against the previous module's fingerprints
         self.fingerprint.clear()
-        self._rank_cache.clear()
         report = MergeReport()
 
         self.preprocess.run(module)
@@ -756,32 +594,9 @@ class MergeEngine:
         report.functions_considered = len(available)
 
         self.attach_run_state(module, call_graph, available, worklist, report)
-
-        owns_scheduler = scheduler is None
-        if scheduler is None:
-            scheduler = self.make_scheduler()
         try:
-            scheduler.run(worklist, available)
+            stale = self.drain(on_commit=on_commit)
+            self.finish_report(report, stale)
         finally:
-            if owns_scheduler:
-                # release, not close: a keep-alive executor (caller-owned
-                # pool or the daemon's leased one) survives for the next
-                # run; everything else tears down exactly as before.  The
-                # failure path inside scheduler.run still closes for real.
-                scheduler.release()
             self.detach_run_state()
-
-        report.stale_entries = scheduler.stats["stale_entries"]
-        report.scheduler_stats = dict(scheduler.stats)
-        report.scheduler_stats["rank_reuse_hits"] = int(
-            self.candidate_search.stats.counters.get("rank_reuse_hits", 0))
-        if self.align_cache is not None:
-            report.scheduler_stats.update(self.align_cache.stats_dict())
-        report.scheduler_stats["degradations"] = self.collect_degradations(
-            scheduler)
-        if self.sanitizer is not None:
-            self.sanitizer.after_run(module, call_graph)
-            report.scheduler_stats.update(self.sanitizer.stats())
-        report.stage_times = self._legacy_stage_times()
-        report.stage_stats = self.stage_stats()
         return report

@@ -1,20 +1,17 @@
-"""Plan objects for the plan/commit merge scheduler.
+"""Plan objects of the merge engine's worklist loop.
 
 Every stage of the merge pipeline before *commit* is read-only: fingerprint
 lookups, candidate search, linearization, alignment, code generation and
 profitability analysis inspect the module but never mutate it.  A
 :class:`MergePlan` captures the complete outcome of that read-only prefix for
-one worklist entry - the candidate list the search returned, every pair that
-was evaluated, and the profitable merge (if any) ready to commit - so entries
-can be *planned* in batches and *committed* serially.
+one worklist entry - the candidate list the search returned, the candidate
+counters, and the profitable merge (if any) ready to commit.
 
-A plan is valid only against the module state it was computed from.  The
-committer decides validity with :class:`CommitEvents`: each committed merge
-publishes the set of functions it consumed, rewrote or re-linked, and a later
-plan that touched any of them (or whose candidate ranking the fingerprint
-index no longer reproduces) is requeued for replanning.  Plans whose inputs
-are untouched commit as-is; the scheduler is therefore bit-identical to the
-serial engine regardless of batch size or executor (property-tested).
+Each committed merge publishes :class:`CommitEvents`: the set of functions
+it consumed, rewrote or re-linked.  An incremental
+:class:`~repro.core.engine.session.MergeSession` keeps plans and events
+across updates and replays a previous plan only while none of the
+functions it rests on is in such a set.
 """
 
 from __future__ import annotations
@@ -38,19 +35,16 @@ class PlanDecision:
 
 @dataclass
 class MergePlan:
-    """Immutable outcome of evaluating one worklist entry (read-only stages).
+    """Outcome of evaluating one worklist entry (read-only stages).
 
     ``candidate_key`` snapshots the ranked candidate list as comparable
-    tuples; the committer re-runs the (cheap) candidate query at commit time
-    and requeues the plan when the ranking is no longer reproduced.
-    ``evaluated`` lists every function pair whose linearization / codegen /
-    profitability result the decision rests on, in evaluation order.
+    tuples; a session re-runs the (cheap) candidate query and replays a
+    memoized plan only when the ranking is still reproduced.
     """
 
     name: str
     limit: int
     candidates: List[RankedCandidate] = field(default_factory=list)
-    evaluated: List[Tuple[str, str]] = field(default_factory=list)
     decision: Optional[PlanDecision] = None
     candidates_evaluated: int = 0
     codegen_failures: int = 0
@@ -61,41 +55,10 @@ class MergePlan:
         return tuple((c.function_name, c.score, c.position)
                      for c in self.candidates)
 
-    def depends_on(self, dirty: FrozenSet[str]) -> bool:
-        """True when any function this plan evaluated was touched since."""
-        for name1, name2 in self.evaluated:
-            if name1 in dirty or name2 in dirty:
-                return True
-        return False
-
-    def discard(self) -> None:
-        """Drop the planned merged function's body (uses into the module)."""
-        if self.decision is not None:
-            self.decision.result.merged.drop_body()
-            self.decision = None
-
-
-@dataclass(frozen=True)
-class PendingAlignment:
-    """One alignment DP the hydrate step wants computed out-of-process.
-
-    Produced by the engine's batch hydration
-    (:meth:`~repro.core.engine.engine.MergeEngine.prefetch_alignment_tasks`)
-    for every candidate pair of a batch whose shape is not already in the
-    alignment cache: ``entry`` is the worklist entry that first requested
-    the pair (error attribution), ``key`` the alignment-cache key the
-    result lands under, and ``task`` the picklable pure-data
-    :class:`~repro.core.engine.offload.AlignmentTask` a worker solves.
-    """
-
-    entry: str
-    key: tuple
-    task: object
-
 
 @dataclass(frozen=True)
 class CommitEvents:
-    """What one committed merge touched - the scheduler's conflict set.
+    """What one committed merge touched - a session's invalidation set.
 
     * ``consumed``: the two original functions (no longer available).
     * ``merged_name``: the new function spliced into the module.

@@ -53,14 +53,12 @@ class MergeReport:
     #: Worklist entries whose function was consumed (or removed) between
     #: enqueue and commit, counted so that dropped work stays visible.
     stale_entries: int = 0
-    #: Plan/commit scheduler counters: jobs, batch_size, batches, planned,
-    #: committed, conflicts, replans, stale_entries, wasted_evaluations,
-    #: content_dup_deferred (batch entries deferred to the cache-aware
-    #: second planning wave) - plus the content-addressed alignment cache's
+    #: Run-level counters: ``stale_entries``, the alignment kernel's
+    #: ``degradations``, the sanitizer's ``sanitize_*`` counters when it
+    #: runs, plus the content-addressed alignment cache's
     #: ``align_cache_hits`` / ``align_cache_misses`` /
     #: ``align_cache_evictions`` / ``align_cache_entries`` /
-    #: ``align_cache_bytes`` when the engine has one (a caller-owned cache,
-    #: or the process offload's).
+    #: ``align_cache_bytes`` when the engine has a (caller-owned) cache.
     scheduler_stats: Dict[str, int] = field(default_factory=dict)
     #: Fine-grained engine statistics, keyed by pipeline-stage name; each
     #: value holds at least ``seconds`` and ``calls`` plus stage-specific
@@ -101,12 +99,7 @@ class MergeReport:
         times = ", ".join(f"{stage}: {self.stage_times.get(stage, 0.0) * 1000:.1f}ms"
                           for stage in STAGES)
         lines.append(f"  stage times: {times}")
-        if self.scheduler_stats:
-            s = self.scheduler_stats
-            lines.append(
-                f"  scheduler: jobs={s.get('jobs', 1)} "
-                f"batches={s.get('batches', 0)} conflicts={s.get('conflicts', 0)} "
-                f"replans={s.get('replans', 0)} stale={s.get('stale_entries', 0)}")
+        lines.append(f"  stale worklist entries: {self.stale_entries}")
         return "\n".join(lines)
 
 

@@ -34,40 +34,35 @@ How it works
 * **Rollback + replay.**  ``update()`` first rolls the working module back
   to pure source state (undoing every previous merge in reverse commit
   order), applies the edits to shadow and working side, then *replays* the
-  merge exploration through the ordinary
-  :class:`~repro.core.engine.scheduler.MergeScheduler`.  Replay is where the
-  incrementality lives: worklist entries whose previous plan provably still
-  stands are answered from a :class:`PlanRecord` memo instead of re-running
-  linearization / alignment / codegen / profitability.
+  merge exploration through the engine's ordinary worklist loop
+  (:meth:`~repro.core.engine.engine.MergeEngine.drain`).  Replay is where
+  the incrementality lives: worklist entries whose previous plan provably
+  still stands are answered from a :class:`PlanRecord` memo instead of
+  re-running linearization / alignment / codegen / profitability.
 * **DirtySet.**  Edits contribute their function plus every function the old
   and new bodies referenced (callees *and* address-taken references - both
   feed profitability); diverged or vanished commits contribute their
   :class:`~repro.core.engine.plan.CommitEvents` footprint, cascading through
   chains of dependent merges.  A memoized plan is reused only when its entry
   and all of its ranked candidates are clean **and** the fingerprint index
-  still reproduces its exact candidate ranking (the same microsecond
-  re-query the scheduler's conflict detection runs).  Plans that committed a
-  merge are always re-planned fresh - their codegen result must be rebuilt
-  against the live module anyway.
+  still reproduces its exact candidate ranking (a microsecond re-query).
+  Plans that committed a merge are always re-planned fresh - their codegen
+  result must be rebuilt against the live module anyway.
 * **Warm caches.**  The engine's linearize cache is *not* cleared between
   updates (its keys are body tokens, so stale reuse is structurally
   impossible): untouched functions keep their linearizations.  Neither is
-  the alignment cache, when the engine has one - a caller-owned cache, or
-  the cache the process offload's results land in; a default serial
+  a caller-owned alignment cache, when the engine has one; a default
   session has none and aligns replanned pairs directly (computing a cache
-  key costs more than the DP).  The session also keeps one plan executor
-  (and its process pool) alive across updates; if a failed update tore the
-  pool down (:meth:`MergeScheduler.run` closes it on any error), the next
-  ``update()`` detects ``executor.closed`` and builds a fresh one.
+  key costs more than the DP).
 
 Failure recovery
 ----------------
 
-A mid-replay crash (planner bug, killed worker pool) leaves the module with
-a *partial* commit list.  The session tracks commits live, keeps the dirty
-set of the failed attempt, and only swaps its memo tables on success - so
-the next ``update()`` (even with no edits) rolls the partial state back and
-replays to a consistent, cold-identical result.
+A mid-replay crash (a planner bug, an injected fault) leaves the module
+with a *partial* commit list.  The session tracks commits live, keeps the
+dirty set of the failed attempt, and only swaps its memo tables on success -
+so the next ``update()`` (even with no edits) rolls the partial state back
+and replays to a consistent, cold-identical result.
 
 Caveats
 -------
@@ -86,7 +81,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from ...ir.callgraph import CallGraph
 from ...ir.clone import transplant_body
@@ -99,7 +94,6 @@ from ..ranking import RankedCandidate
 from .engine import MergeEngine
 from .plan import CommitEvents, MergePlan
 from .report import MergeReport, SessionUpdateReport
-from .scheduler import make_executor
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +249,6 @@ class PlanRecord:
     limit: int
     candidates: List[RankedCandidate]
     candidate_key: tuple
-    evaluated: List[Tuple[str, str]]
     candidates_evaluated: int = 0
     codegen_failures: int = 0
     candidates_pruned: int = 0
@@ -266,7 +259,6 @@ class PlanRecord:
         """A fresh decisionless plan equivalent to the recorded one."""
         plan = MergePlan(name=self.name, limit=self.limit,
                          candidates=list(self.candidates),
-                         evaluated=list(self.evaluated),
                          candidates_evaluated=self.candidates_evaluated,
                          codegen_failures=self.codegen_failures,
                          candidates_pruned=self.candidates_pruned)
@@ -281,51 +273,19 @@ class PlanRecord:
 class MergeSession:
     """Long-lived incremental merging over one module (see module docstring).
 
-    Usable as a context manager; :meth:`close` shuts the plan executor down.
+    Usable as a context manager; a closed session rejects further updates.
     The initial exploration runs in the constructor: ``session.report`` is
     immediately equivalent to ``engine.run(module)``.
     """
 
-    def __init__(self, engine: MergeEngine, module: Module,
-                 executor=None):
+    def __init__(self, engine: MergeEngine, module: Module):
         self.engine = engine
         self.module = module
         self.updates = 0
         self.closed = False
         self.report: Optional[MergeReport] = None
         self.last_update: Optional[SessionUpdateReport] = None
-
-        #: Where executors come from: a callable returning a live
-        #: :class:`PlanExecutor` (the daemon leases its shared keep-alive
-        #: pool this way - recovery after a torn-down pool re-leases a
-        #: recycled one), a pre-built executor instance, or None for the
-        #: engine-configured default.
-        self._executor_source = executor
-        self._executor = self._build_executor()
-        try:
-            self._open()
-        except BaseException:
-            self._executor.release()
-            raise
-
-    def _build_executor(self):
-        """A live executor from the session's source (see ``__init__``)."""
-        from .scheduler import PlanExecutor
-        source = self._executor_source
-        if isinstance(source, PlanExecutor):
-            if not source.closed:
-                return source
-            # the provided instance died (a failed update closed its pool);
-            # fall back to the engine-configured default kind
-            kind = self.engine.executor_kind
-            if isinstance(kind, PlanExecutor):
-                kind = "auto"
-            return make_executor(kind, self.engine.jobs,
-                                 retry_policy=self.engine.retry_policy)
-        if callable(source):
-            return source()
-        return make_executor(self.engine.executor_kind, self.engine.jobs,
-                             retry_policy=self.engine.retry_policy)
+        self._open()
 
     # -- lifecycle --------------------------------------------------------------
     def _open(self) -> None:
@@ -336,14 +296,7 @@ class MergeSession:
         engine.linearize.clear()
         if engine.sanitizer is not None:
             engine.sanitizer.cache.clear()
-        if engine.align_cache is not None \
-                and not engine.alignment_cache_resident:
-            # caller-owned caches (the merge daemon's) stay warm: their
-            # entries are content addressed, so sharing them across
-            # sessions is safe
-            engine.align_cache.clear()
         engine.fingerprint.clear()
-        engine._rank_cache.clear()
 
         engine.preprocess.run(module)
 
@@ -394,17 +347,9 @@ class MergeSession:
         self.last_update = update_report
 
     def close(self) -> None:
-        """Release the session's plan executor deterministically.
-
-        Owned (non-keep-alive) executors shut their pools down; a borrowed
-        keep-alive executor (e.g. the daemon's shared pool) survives for
-        its owner to reuse.  Idempotent; a closed session rejects further
-        :meth:`update` calls.
-        """
-        if self.closed:
-            return
+        """Close the session.  Idempotent; a closed session rejects further
+        :meth:`update` calls."""
         self.closed = True
-        self._executor.release()
 
     def __enter__(self) -> "MergeSession":
         return self
@@ -476,11 +421,6 @@ class MergeSession:
         edits = list(edits)
         self._validate(edits)
         start = time.perf_counter()
-        if self._executor.closed:
-            # a failed update's scheduler tore the pool down; recover from
-            # the session's executor source (a daemon-provided factory
-            # hands back its recycled shared pool)
-            self._executor = self._build_executor()
         for stage in self.engine.stages:
             stage.reset()  # per-update stats; caches are preserved
         self._rollback()
@@ -731,27 +671,17 @@ class MergeSession:
 
         engine.attach_run_state(self.module, self.graph, available, worklist,
                                 report)
-        scheduler = engine.make_scheduler(executor=self._executor,
-                                          plan=self._plan_with_memo,
-                                          absorb=self._absorb)
-        scheduler.on_commit = self._on_commit
         try:
-            scheduler.run(worklist, available)
+            stale = engine.drain(plan=self._plan_with_memo,
+                                 absorb=self._absorb,
+                                 on_commit=self._on_commit)
+            engine.finish_report(report, stale)
         finally:
             # on failure: partial commits stay in self._commits (rollback
             # input), the dirty set is kept, and the record epoch is NOT
             # swapped - the next update replans everything still in doubt
             engine.detach_run_state()
 
-        report.stale_entries = scheduler.stats["stale_entries"]
-        report.scheduler_stats = dict(scheduler.stats)
-        report.scheduler_stats["rank_reuse_hits"] = int(
-            engine.candidate_search.stats.counters.get("rank_reuse_hits", 0))
-        if engine.align_cache is not None:
-            report.scheduler_stats.update(engine.align_cache.stats_dict())
-        if engine.sanitizer is not None:
-            engine.sanitizer.after_run(self.module, self.graph)
-            report.scheduler_stats.update(engine.sanitizer.stats())
         lin = engine.linearize.stats.counters
         linearize_hits = int(lin.get("cache_hits", 0))
         linearize_misses = int(lin.get("linearized", 0))
@@ -761,10 +691,6 @@ class MergeSession:
             lin.get("stale_evicted", 0))
         report.scheduler_stats["plans_reused"] = self._counters["reused"]
         report.scheduler_stats["functions_replanned"] = self._counters["fresh"]
-        report.scheduler_stats["degradations"] = engine.collect_degradations(
-            scheduler)
-        report.stage_times = engine._legacy_stage_times()
-        report.stage_stats = engine.stage_stats()
 
         retired = [rec.decision_key for rec in self._record_commits
                    if id(rec) not in self._kept_ids]
@@ -790,26 +716,25 @@ class MergeSession:
         self._old_records = self._records
         return report, update_report
 
-    # -- scheduler callbacks ----------------------------------------------------
+    # -- drain-loop callbacks ---------------------------------------------------
     def _plan_with_memo(self, name: str) -> Optional[MergePlan]:
-        """The scheduler's plan callback: answer from the previous epoch's
+        """The drain loop's plan callback: answer from the previous epoch's
         record when it provably still stands, else plan fresh.
 
         Reuse conditions (all required):
 
         * the record was decisionless (committed merges are always replanned
           - their codegen result must exist against the live module);
-        * the entry and *every ranked candidate* are clean (candidates, not
-          just evaluated pairs: in oracle mode a candidate skipped by the
-          profit bound is not in ``evaluated``, yet a rewritten body could
-          un-prune it);
+        * the entry and *every ranked candidate* are clean (not just the
+          evaluated ones: in oracle mode a candidate skipped by the profit
+          bound was never evaluated, yet a rewritten body could un-prune
+          it);
         * the exploration limit is unchanged;
         * the fingerprint index reproduces the recorded candidate ranking
-          exactly (same cheap re-query as the commit-time conflict check).
+          exactly (a cheap re-query).
 
-        Runs during planning; reads (never writes) the dirty set and the
-        old records, which only mutate during the serial commit walk - the
-        scheduler never overlaps the two phases.
+        Reads (never writes) the dirty set and the old records; they change
+        only in the absorb and commit callbacks.
         """
         # injected replay failure: surfaces exactly like a planner bug mid-
         # replay, leaving partial commits for the next update's rollback
@@ -838,7 +763,6 @@ class MergeSession:
             name=plan.name, limit=plan.limit,
             candidates=list(plan.candidates),
             candidate_key=plan.candidate_key,
-            evaluated=list(plan.evaluated),
             candidates_evaluated=plan.candidates_evaluated,
             codegen_failures=plan.codegen_failures,
             candidates_pruned=plan.candidates_pruned)
@@ -872,8 +796,7 @@ class MergeSession:
             self._dirty.update(events.dirty)
         # eager vanish-spoiling: entries consumed now can never replay their
         # own previous-epoch commits.  Doing it here, at commit time, spares
-        # replay the late discovery (a consumed entry later pops stale or
-        # plans to None, possibly in an already-planned batch).
+        # replay the late discovery (a consumed entry later pops stale).
         for consumed in events.consumed:
             if kept and consumed == plan.name:
                 continue

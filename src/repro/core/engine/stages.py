@@ -22,7 +22,7 @@ from ...passes.reg2mem import demote_phis
 from ..align_np import (KEYED_NUMPY_KERNELS, NUMPY_KERNELS,
                         PURE_PYTHON_FALLBACKS, numpy_available, require_numpy)
 from ..alignment import (ALGORITHMS, AlignmentResult, ScoringScheme, align,
-                         needleman_wunsch_keyed)
+                         needleman_wunsch_keyed, ops_string, result_from_ops)
 from ..native import (KEYED_NATIVE_KERNELS, NATIVE_KERNELS, native_available,
                       native_fallback, require_native)
 from ..codegen import MergeOptions, MergeResult, merge_cost, merge_functions
@@ -33,7 +33,7 @@ from ..profitability import MergeEvaluation, evaluate_merge
 from ..ranking import RankedCandidate
 from ..thunks import AppliedMerge, apply_merge
 from ...resilience import InjectedFault, degradation_event, fault_triggered
-from .align_cache import AlignmentCache, ops_of, rehydrate
+from .align_cache import AlignmentCache
 from .base import Stage
 
 #: Environment knob selecting the alignment kernel for every engine that
@@ -359,8 +359,7 @@ class AlignmentStage(Stage):
 
     @property
     def scoring_key(self) -> tuple:
-        """The ``(match, mismatch, gap)`` triple as used in cache keys and
-        shipped inside offloaded :class:`AlignmentTask`\\ s."""
+        """The ``(match, mismatch, gap)`` triple as used in cache keys."""
         return self._scoring_key
 
     def align_pair(self, lin1: LinearizedFunction,
@@ -382,11 +381,11 @@ class AlignmentStage(Stage):
             cached = cache.get(key)
             if cached is not None:
                 self.stats.bump("cache_hits")
-                return rehydrate(cached[0], cached[1],
-                                 lin1.entries, lin2.entries)
+                return result_from_ops(cached[0], cached[1],
+                                       lin1.entries, lin2.entries)
             self.stats.bump("keyed")
             result = self._solve_keyed(lin1, lin2)
-            cache.put(key, ops_of(result.entries), result.score)
+            cache.put(key, ops_string(result.entries), result.score)
             return result
         self.stats.bump("generic")
         return align(lin1.entries, lin2.entries, entries_equivalent,

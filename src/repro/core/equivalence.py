@@ -218,7 +218,7 @@ def entry_equivalence_key(entry: LinearEntry) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Stable structural serialization (interner-free; the offload ships it)
+# Stable structural serialization (interner-free; the cache keys hash it)
 # ---------------------------------------------------------------------------
 
 #: Byte marker encoding a never-equivalent entry (a call whose callee
@@ -277,46 +277,6 @@ def encode_equivalence_key(key: Optional[tuple]) -> bytes:
     out: List[bytes] = []
     _encode_into(key, out)
     return b"".join(out)
-
-
-def decode_canonical_keys(encoded1: Iterable[bytes],
-                          encoded2: Iterable[bytes]) -> tuple:
-    """Rebuild interner-style integer key sequences from canonical bytes.
-
-    This is the receiving half of the alignment-task codec: the sending side
-    serializes each entry's equivalence class with
-    :func:`encode_equivalence_key` (via
-    :meth:`LinearizedFunction.canonical_key_bytes`), and this function maps
-    the byte strings of *one sequence pair* back to dense integers with the
-    exact semantics of :class:`EquivalenceKeyInterner` - equal bytes get
-    equal ids, and every occurrence of :data:`NEVER_EQUIVALENT_MARKER` gets
-    a fresh negative id so it compares unequal to everything, itself
-    included.  The cross-sequence key-equality pattern (the only thing any
-    keyed alignment kernel reads) is therefore identical to what the live
-    interner would have produced, which makes the decoded pair safe to
-    align in a different process, with a different interner, or in no
-    interner at all.
-
-    Returns ``(keys1, keys2)`` as lists of ints.
-    """
-    ids: dict = {}
-    unique = 0
-
-    def keys_of(encoded: Iterable[bytes]) -> List[int]:
-        nonlocal unique
-        keys: List[int] = []
-        for raw in encoded:
-            if raw == NEVER_EQUIVALENT_MARKER:
-                unique -= 1
-                keys.append(unique)
-                continue
-            existing = ids.get(raw)
-            if existing is None:
-                existing = ids[raw] = len(ids)
-            keys.append(existing)
-        return keys
-
-    return keys_of(encoded1), keys_of(encoded2)
 
 
 class EquivalenceKeyInterner:

@@ -117,15 +117,13 @@ def linearize_with_keys(function: Function, traversal: str = "rpo",
 class LinearizedFunction:
     """A linearized function plus per-entry equivalence keys."""
 
-    __slots__ = ("entries", "keys", "_digest", "_canonical_digest",
-                 "_canonical_keys")
+    __slots__ = ("entries", "keys", "_digest", "_canonical_digest")
 
     def __init__(self, entries: List[LinearEntry], keys: List[int]):
         self.entries = entries
         self.keys = keys
         self._digest: Union[bytes, None] = None
         self._canonical_digest: Union[bytes, None] = None
-        self._canonical_keys: Union[List[bytes], None] = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -152,32 +150,6 @@ class LinearizedFunction:
             digest = self._digest = h.digest()
         return digest
 
-    def canonical_key_bytes(self) -> List[bytes]:
-        """Per-entry canonical equivalence-key encodings (interner-free).
-
-        One byte string per entry, produced by
-        :func:`repro.core.equivalence.encode_equivalence_key` over the
-        entry's structural equivalence key.  Two entries - from any
-        function, module or process - encode to equal bytes exactly when
-        they are equivalent (never-equivalent entries all encode to the
-        fixed marker; consumers that need the matches-nothing semantics
-        re-intern via :func:`repro.core.equivalence.decode_canonical_keys`).
-        This is the *pure-data* representation of the linearization that the
-        alignment offload ships across process boundaries.  Computed lazily
-        and cached - but only by this method: :meth:`canonical_digest`
-        hashes the identical sequence *streamingly*, so runs that never
-        hydrate offload tasks retain 16 digest bytes per linearization, not
-        one bytes object per entry.
-        """
-        encoded = self._canonical_keys
-        if encoded is None:
-            from .equivalence import (encode_equivalence_key,
-                                      entry_equivalence_key)
-            encoded = self._canonical_keys = [
-                encode_equivalence_key(entry_equivalence_key(entry))
-                for entry in self.entries]
-        return encoded
-
     def canonical_digest(self) -> bytes:
         """128-bit BLAKE2b digest of the *structural* equivalence-key
         sequence - the linearization's interner-independent content address.
@@ -201,18 +173,10 @@ class LinearizedFunction:
         if digest is None:
             import hashlib
             h = hashlib.blake2b(digest_size=16)
-            encoded = self._canonical_keys
-            if encoded is not None:
-                for raw in encoded:  # offload hydration already paid
-                    h.update(raw)
-            else:
-                # stream without retaining the per-entry encodings: only
-                # canonical_key_bytes() callers (the offload) keep them
-                from .equivalence import (encode_equivalence_key,
-                                          entry_equivalence_key)
-                for entry in self.entries:
-                    h.update(encode_equivalence_key(
-                        entry_equivalence_key(entry)))
+            from .equivalence import (encode_equivalence_key,
+                                      entry_equivalence_key)
+            for entry in self.entries:
+                h.update(encode_equivalence_key(entry_equivalence_key(entry)))
             digest = self._canonical_digest = h.digest()
         return digest
 

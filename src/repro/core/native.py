@@ -273,7 +273,7 @@ def needleman_wunsch_native(seq1: Sequence[T], seq2: Sequence[T],
 
 
 # ---------------------------------------------------------------------------
-# Task-level solver (offload workers) and dispatch tables
+# Task-level solver and dispatch tables
 # ---------------------------------------------------------------------------
 
 def solve_keyed_alignment_native(keys1: Sequence[int], keys2: Sequence[int],
@@ -283,10 +283,8 @@ def solve_keyed_alignment_native(keys1: Sequence[int], keys2: Sequence[int],
     :func:`repro.core.alignment.solve_keyed_alignment`.
 
     Integer key sequences in, alignment shape ``(ops, score)`` out,
-    bit-identical to the pure solver.  This is what alignment-offload
-    workers run when the extension is importable in *their* process, and it
-    skips the entry-rehydration step entirely - the C kernel already
-    returns the shape.
+    bit-identical to the pure solver.  It skips the entry-rehydration step
+    entirely - the C kernel already returns the shape.
     """
     native = require_native("nw-native")
     n, m = len(keys1), len(keys2)

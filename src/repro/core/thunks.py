@@ -11,8 +11,9 @@ function instead (Section III-A and IV of the paper).
 swapped edge by edge, and consumed bodies are unregistered before they are
 dropped - no O(module) ``rebuild()`` scans.  The returned
 :class:`AppliedMerge` records exactly which functions the commit touched
-(``rewritten_callers``, ``touched_callees``), which is what the plan/commit
-scheduler uses to detect conflicts between merges planned in one batch.
+(``rewritten_callers``, ``touched_callees``): the engine invalidates those
+functions' cached state, and an incremental session knows which memoized
+plans the commit spoiled.
 """
 
 from __future__ import annotations

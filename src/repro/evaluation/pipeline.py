@@ -28,6 +28,7 @@ from ..baselines.identical import IdenticalFunctionMergingPass
 from ..baselines.soa import StructuralFunctionMergingPass
 from ..core.codegen import MergeOptions
 from ..core.engine import MergeSession
+from ..core.engine.engine import check_serial_call_shape
 from ..core.pass_ import FunctionMergingPass, MergeReport, make_hotness_filter
 from ..ir.module import Module
 from ..ir.printer import function_to_str
@@ -170,11 +171,9 @@ def open_compile_session(module: Module, *,
                          jobs: Optional[int] = None,
                          executor: str = "auto",
                          alignment_cache=None,
-                         session_executor=None,
                          sanitize: Optional[bool] = None,
                          sanitizer=None,
-                         fault_plan=None,
-                         retry_policy=None) -> MergeSession:
+                         fault_plan=None) -> MergeSession:
     """Open a long-lived incremental merge session over ``module``.
 
     Runs the same *pre* passes ``compile_module`` applies (DCE + CFG
@@ -189,18 +188,17 @@ def open_compile_session(module: Module, *,
     Unlike ``compile_module(technique="fmsa")`` this does not run the
     Identical-merging pre-pass (its rewrites are not replayable through the
     session's edit model) and applies no *post* cleanup; compare against
-    cold ``MergeEngine`` runs, not full ``compile_module`` results.  Close
-    the session (or use it as a context manager) to release its executor.
+    cold ``MergeEngine`` runs, not full ``compile_module`` results.
 
-    The warm-host seams: ``alignment_cache`` adopts a caller-owned
+    The warm-host seam: ``alignment_cache`` adopts a caller-owned
     :class:`repro.core.engine.AlignmentCache` instance, which the session
-    reads and fills but never clears, and ``session_executor`` hands the
-    session a live :class:`PlanExecutor` or a zero-argument factory
-    returning one - the merge daemon leases its shared keep-alive pool to
-    every session this way.  Both default to the self-contained behaviour:
-    no alignment cache unless the process offload needs one to land its
-    results in, and an executor of the configured kind.
+    reads and fills but never clears (the merge daemon shares its resident
+    cache this way).  By default the session has no alignment cache.
+    ``jobs`` and ``executor`` accept only ``None``/``1`` and
+    ``"auto"``/``"serial"``: merging is serial, and the two parameters
+    remain only for callers that pin that configuration explicitly.
     """
+    check_serial_call_shape(jobs, executor)
     cost_model = get_target(target)
     DeadCodeElimination().run(module)
     SimplifyCFG().run(module)
@@ -210,9 +208,8 @@ def open_compile_session(module: Module, *,
         options=merge_options or MergeOptions(),
         hot_function_filter=hot_filter,
         alignment_kernel=alignment_kernel, alignment_cache=alignment_cache,
-        jobs=jobs, executor=executor, sanitize=sanitize, sanitizer=sanitizer,
-        fault_plan=fault_plan, retry_policy=retry_policy)
-    return MergeSession(fmsa.engine, module, executor=session_executor)
+        sanitize=sanitize, sanitizer=sanitizer, fault_plan=fault_plan)
+    return MergeSession(fmsa.engine, module)
 
 
 def compile_module(module: Module, technique: str, *,
@@ -229,8 +226,7 @@ def compile_module(module: Module, technique: str, *,
                    executor: str = "auto",
                    merge_pass: Optional[Pass] = None,
                    sanitize: Optional[bool] = None,
-                   fault_plan=None,
-                   retry_policy=None
+                   fault_plan=None
                    ) -> CompilationResult:
     """Run the full pipeline on ``module`` with one configuration.
 
@@ -239,25 +235,26 @@ def compile_module(module: Module, technique: str, *,
     compare techniques must regenerate the module per configuration (the
     workload generators are deterministic, so this is cheap and exact).
 
-    ``alignment_kernel``, ``jobs`` and ``executor`` select the merge
-    engine's DP backend (e.g. ``"nw-numpy"`` for the vectorized one) and the
-    plan/commit scheduler's parallelism (``executor="process"`` offloads the
-    alignment DPs to a worker pool); every choice produces identical merge
-    decisions and only changes the stage timings.
+    ``alignment_kernel`` selects the merge engine's DP backend (e.g.
+    ``"nw-numpy"`` for the vectorized one); every choice produces identical
+    merge decisions and only changes the stage timings.  ``jobs`` and
+    ``executor`` accept only ``None``/``1`` and ``"auto"``/``"serial"``
+    (anything else raises ValueError): merging is serial, and the two
+    parameters remain only for callers that pin that configuration
+    explicitly.
 
     A fresh pass aligns every candidate pair directly, with no alignment
     cache: a cold compile never repeats a pair, so a cache key would cost
-    more than the DP it could skip.  Only the process offload keeps one per
-    run, for its workers' results.
+    more than the DP it could skip.
 
     ``merge_pass`` injects a pre-built merging pass for ``technique="fmsa"``
     instead of constructing a :class:`FunctionMergingPass` from the knobs
     above.  It is the warm-engine seam - a long-lived host (the merge
     daemon) reuses one pass whose engine carries a resident alignment
-    cache, warm interner and keep-alive executor across calls - and the
+    cache and warm interner across calls - and the
     way the paper-figure harness runs
     :class:`~repro.core.reference.ReferenceMergingPass`.  The knobs that
-    would configure a fresh pass (threshold, oracle, kernels, jobs, ...)
+    would configure a fresh pass (threshold, oracle, kernel, ...)
     are ignored when a pass is injected; decisions depend only on the
     pass's own configuration, so a warm pass, the reference pass and the
     equivalent cold knobs produce bit-identical results.
@@ -270,13 +267,13 @@ def compile_module(module: Module, technique: str, *,
     are bit-identical with it on or off.  Ignored when ``merge_pass`` is
     injected (the pass's own engine configuration wins).
 
-    ``fault_plan`` / ``retry_policy`` (defaults: the ``REPRO_FAULTS`` /
-    ``REPRO_RETRY_*`` environment variables) configure deterministic fault
-    injection and the offload retry/deadline/fallback policy of the merge
-    engine (:mod:`repro.resilience`).  Runs that complete are bit-identical
-    to fault-free runs; like ``sanitize``, both are ignored when
-    ``merge_pass`` is injected.
+    ``fault_plan`` (default: the ``REPRO_FAULTS`` environment variable)
+    configures deterministic fault injection in the merge engine
+    (:mod:`repro.resilience`).  Runs that complete are bit-identical to
+    fault-free runs; like ``sanitize``, it is ignored when ``merge_pass``
+    is injected.
     """
+    check_serial_call_shape(jobs, executor)
     cost_model = get_target(target)
     profiles = {f.name: f.profile for f in module.defined_functions()
                 if getattr(f, "profile", None) is not None}
@@ -317,9 +314,8 @@ def compile_module(module: Module, technique: str, *,
                     target=cost_model, exploration_threshold=threshold, oracle=oracle,
                     options=merge_options or MergeOptions(),
                     hot_function_filter=hot_filter,
-                    alignment_kernel=alignment_kernel, jobs=jobs,
-                    executor=executor, sanitize=sanitize,
-                    fault_plan=fault_plan, retry_policy=retry_policy)
+                    alignment_kernel=alignment_kernel, sanitize=sanitize,
+                    fault_plan=fault_plan)
             merge_report = fmsa.run(module)
             merge_count += merge_report.merge_count
             stage_times = merge_report.stage_times

@@ -1,5 +1,5 @@
-"""Unified resilience layer: deterministic fault injection, retry/timeout
-policy, graceful-degradation bookkeeping, and the daemon circuit breaker.
+"""Unified resilience layer: deterministic fault injection,
+graceful-degradation bookkeeping, and the daemon circuit breaker.
 
 The contract the whole package exists to enforce (and the chaos suite in
 ``tests/resilience/`` property-tests): under any injected fault schedule,
@@ -22,7 +22,6 @@ from .faults import (
     install_fault_plan,
     maybe_install_env_plan,
 )
-from .retry import RetryPolicy
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "ResilienceError",
-    "RetryPolicy",
     "SiteTrigger",
     "active_fault_plan",
     "active_faults",

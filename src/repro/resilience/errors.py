@@ -4,10 +4,10 @@ The reliability contract every chaos test asserts is two-sided: a run that
 *completes* under injected faults produces bit-identical merge decisions to
 the fault-free run, and a run that *aborts* raises a
 :class:`ResilienceError` naming the fault site whose recovery budget was
-exhausted - never a hang, never an anonymous exception from deep inside a
-worker pool.  These types are deliberately dependency-free (no engine
-imports) so every layer - offload, scheduler, session, daemon - can
-raise and catch them without import cycles.
+exhausted - never a hang, never an anonymous exception from deep inside
+the engine.  These types are deliberately dependency-free (no engine
+imports) so every layer - engine, session, daemon - can raise and catch
+them without import cycles.
 """
 
 from __future__ import annotations
@@ -19,20 +19,16 @@ class ResilienceError(RuntimeError):
     """A failure the resilience layer could not recover from.
 
     ``site`` names the fault site (see :data:`~repro.resilience.FAULT_SITES`)
-    whose retry/fallback budget was exhausted - the one piece of context a
-    bare ``BrokenProcessPool`` or ``TimeoutError`` never carries.  Unlike
-    :class:`~repro.core.engine.scheduler.PlanningError` (which wraps), a
-    ResilienceError passes through the scheduler's error attribution
+    that fired or whose recovery was exhausted - the one piece of context a
+    bare ``TimeoutError`` never carries.  Unlike
+    :class:`~repro.core.engine.engine.PlanningError` (which wraps), a
+    ResilienceError passes through the engine's error attribution
     untouched, so chaos harnesses can assert the *typed* abort contract.
     """
 
-    def __init__(self, site: str, message: str,
-                 task_index: Optional[int] = None):
+    def __init__(self, site: str, message: str):
         super().__init__(message)
         self.site = site
-        #: Index of the offloaded task the failure was attributed to, when
-        #: the failing layer knows one (the offload executor does).
-        self.task_index = task_index
 
 
 class InjectedFault(ResilienceError):

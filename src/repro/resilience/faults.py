@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection behind named sites.
 
 Every failure-prone seam of the engine and the service declares a **fault
-site** - a stable name like ``offload.worker_crash`` - and consults this
+site** - a stable name like ``align.kernel_crash`` - and consults this
 module at runtime.  A :class:`FaultPlan` decides, deterministically, which
 consultations *fire*: each site gets its own seeded RNG (derived from the
 plan seed and the site name, so adding a site never perturbs another
@@ -16,17 +16,13 @@ production call, nothing else (the ``benchmarks/ci_resilience.py`` tripwire
 holds the end-to-end cost under 1.05x).
 
 Plans are **picklable** (the per-site RNGs and counters cross a pickle
-boundary intact; the installation lock is rebuilt on unpickle), so a plan
-can be shipped to worker processes.  In practice the offload executor keeps
-all trigger decisions on the dispatch side - workers are *instructed* to
-crash/hang/corrupt - so one process owns the deterministic stream even when
-the faults themselves happen in children.
+boundary intact; the installation lock is rebuilt on unpickle).
 
 Selection: pass ``fault_plan=`` to :class:`~repro.core.engine.MergeEngine`
 (or ``compile_module``), use the :func:`active_faults` context manager in
 tests, or export ``REPRO_FAULTS`` with the grammar::
 
-    REPRO_FAULTS="seed=42,offload.worker_crash:p=0.2:count=1,scheduler.plan_fail:nth=2"
+    REPRO_FAULTS="seed=42,align.kernel_crash:p=0.2:count=1,scheduler.plan_fail:nth=2"
 
 i.e. comma-separated clauses; ``seed=N`` sets the plan seed, every other
 clause is ``<site>[:p=<float>][:nth=<int>][:count=<int>]`` - fire with
@@ -53,11 +49,8 @@ FAULTS_ENV = "REPRO_FAULTS"
 #: this tuple is rejected at construction - a typo'd site that never fires
 #: would silently void a chaos schedule.
 FAULT_SITES = (
-    # offload.py - the out-of-process alignment workers
-    "offload.worker_crash",     # worker process dies (SIGKILL-equivalent)
-    "offload.worker_hang",      # worker stalls past any deadline
-    "offload.result_corrupt",   # worker returns a malformed alignment shape
-    # scheduler.py - the plan/commit driver
+    # engine.py - the worklist drain loop (site name kept from the
+    # scheduler it replaced, so existing REPRO_FAULTS specs still parse)
     "scheduler.plan_fail",      # a planner callback blows up
     # stages.py - the alignment kernel itself
     "align.kernel_crash",       # the DP kernel raises mid-pair
@@ -204,7 +197,7 @@ def fault_point(site: str) -> None:
 
 def fault_triggered(site: str) -> bool:
     """Non-raising consultation for sites whose fault behaviour the caller
-    implements itself (poisoning a worker chunk).
+    implements itself (dropping a response socket, stalling a read).
     Same zero-overhead guard as :func:`fault_point`."""
     if _ACTIVE is None:
         return False

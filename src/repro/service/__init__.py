@@ -3,11 +3,10 @@
 Public API:
 
 * :class:`MergeDaemon` / :class:`DaemonConfig` — the service itself: a
-  stdlib HTTP/unix-socket server owning a warm engine context (persistent
-  keep-alive worker pool, resident alignment cache, warm merge passes),
-  bounded-queue backpressure, concurrent
-  TTL-evicted :class:`~repro.core.engine.MergeSession`\\ s and pool
-  recycling after worker crashes (:mod:`repro.service.daemon`).
+  stdlib HTTP/unix-socket server owning a warm engine context (resident
+  alignment cache, warm merge passes, memoized responses), bounded-queue
+  backpressure, a circuit breaker and concurrent TTL-evicted
+  :class:`~repro.core.engine.MergeSession`\\ s (:mod:`repro.service.daemon`).
 * :class:`ServiceClient` / :class:`ServiceError` — the matching client
   (:mod:`repro.service.client`).
 * :mod:`repro.service.protocol` — the JSON wire protocol: regenerative
@@ -15,7 +14,7 @@ Public API:
 * ``repro-served`` / ``repro-client`` console scripts
   (:mod:`repro.service.cli`).
 
-Warm requests skip pool spawn and searcher construction, and repeated
+Warm requests skip pass and searcher construction, and repeated
 modules are aligned from the resident cache;
 decisions stay bit-identical to direct ``compile_module`` calls because
 the daemon routes through the same pipeline seams rather than a second

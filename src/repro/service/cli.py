@@ -4,7 +4,7 @@ Both are thin wrappers over :class:`~repro.service.daemon.MergeDaemon` and
 :class:`~repro.service.client.ServiceClient`; the evaluation pipeline and
 the CI smoke job drive the same objects in-process.  Examples::
 
-    repro-served --port 7463 --executor process --jobs 4
+    repro-served --port 7463
     repro-client --address 127.0.0.1:7463 health
     repro-client --address 127.0.0.1:7463 compile \\
                  --suite mibench --benchmark sha
@@ -27,26 +27,18 @@ from .daemon import DaemonConfig, MergeDaemon
 def serve_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-served",
-        description="Long-lived merge daemon: warm engine, persistent "
-                    "worker pool, resident alignment cache.")
+        description="Long-lived merge daemon: warm engine, resident "
+                    "alignment cache, memoized responses.")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7463,
                         help="TCP port (0 picks an ephemeral one)")
     parser.add_argument("--unix-socket", default=None, metavar="PATH",
                         help="serve on a unix socket instead of TCP")
-    parser.add_argument("--executor", default="auto",
-                        choices=("auto", "serial", "process"),
-                        help="plan executor leased to every request")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker count (default: cores - 1)")
     parser.add_argument("--queue-limit", type=int, default=8,
                         help="in-flight work requests before 429 rejections")
     parser.add_argument("--max-sessions", type=int, default=32)
     parser.add_argument("--session-ttl", type=float, default=300.0,
                         help="idle seconds before a session is evicted")
-    parser.add_argument("--recycle-after", type=int, default=0,
-                        help="recycle the worker pool every N requests "
-                             "(0: only after failures)")
     parser.add_argument("--result-cache", type=int, default=64,
                         help="memoized compile responses for identical "
                              "(module, options) requests (0 disables)")
@@ -65,10 +57,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--breaker-reset", type=float, default=5.0,
                         help="seconds the breaker stays open before a "
                              "half-open probe is admitted")
-    parser.add_argument("--degrade-after", type=int, default=3,
-                        help="consecutive worker-pool failures before the "
-                             "executor steps down its ladder "
-                             "(process -> serial; 0 disables)")
     parser.add_argument("--sanitize", action="store_true", default=None,
                         help="run the static-analysis sanitizer (verifier "
                              "v2 + merge linter) on every request; "
@@ -78,15 +66,13 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
     config = DaemonConfig(
         host=args.host, port=args.port, unix_socket=args.unix_socket,
-        executor=args.executor, jobs=args.jobs,
         queue_limit=args.queue_limit, max_sessions=args.max_sessions,
-        session_ttl=args.session_ttl, recycle_after=args.recycle_after,
+        session_ttl=args.session_ttl,
         result_cache_size=args.result_cache,
         max_payload_bytes=args.max_payload, target=args.target,
         request_timeout=args.request_timeout,
         breaker_threshold=args.breaker_threshold,
         breaker_reset_seconds=args.breaker_reset,
-        degrade_after_failures=args.degrade_after,
         sanitize=args.sanitize)
     daemon = MergeDaemon(config)
 
@@ -95,7 +81,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
     signal.signal(signal.SIGTERM, _stop)
     print(f"repro-served: listening on {daemon.address} "
-          f"(executor={config.executor}, queue_limit={config.queue_limit})",
+          f"(queue_limit={config.queue_limit})",
           flush=True)
     try:
         daemon.serve_forever()

@@ -1,20 +1,12 @@
 """Merge-as-a-service: the warm-engine daemon.
 
 Every ``compile_module`` call in a cold process pays the same fixed costs
-before the first alignment runs: spawn a fresh worker pool (the
-``"process"`` executor forks on first dispatch), build the merge pass and
-its searcher.  For edit-recompile traffic - many small requests against
+before the first alignment runs: build the merge pass, its searcher and
+its stages.  For edit-recompile traffic - many small requests against
 similar modules - those costs dominate (the compile-time setting of the
-paper's Figs. 12-13).  The daemon hoists all of them into one long-lived
-**warm engine context**:
+paper's Figs. 12-13).  The daemon hoists them into one long-lived **warm
+engine context**:
 
-* a **persistent worker pool**: one keep-alive
-  :class:`~repro.core.engine.offload.ProcessExecutor` (or the serial
-  executor), *leased* to every request and surviving each run's
-  end-of-run :meth:`~repro.core.engine.scheduler.PlanExecutor.release`;
-  failure paths still close the pool for real, and the next lease detects
-  ``closed`` and rebuilds - that is the pool-recycling story for killed
-  workers;
 * a **resident** :class:`~repro.core.engine.AlignmentCache`, handed to
   every warm pass and session and never cleared between requests (an
   engine never clears a cache it was given), so a repeated module's
@@ -36,14 +28,14 @@ per connection) behind a bounded admission semaphore - when
 requests serialize on the warm context's engine lock (one engine, one run
 at a time); sessions each own their engine and serialize only per session,
 so concurrent clients can drive separate sessions in parallel.  All of
-them share the leased pool (``ProcessPoolExecutor`` submits are
-thread-safe) and the thread-safe resident cache.
+them share the thread-safe resident cache.  A circuit breaker sheds work
+while the engine keeps failing.
 
 Decisions are bit-identical to the daemon-less path by construction: the
 daemon routes through the very same :func:`repro.evaluation.pipeline
 .compile_module` / :func:`open_compile_session` code, merely injecting its
-warm pass / resident cache / leased executor through their seams - there
-is no second merge path to diverge.
+warm pass / resident cache through their seams - there is no second merge
+path to diverge.
 """
 
 from __future__ import annotations
@@ -61,10 +53,10 @@ from typing import Dict, Optional, Tuple
 
 from ..analysis.sanitizer import Sanitizer
 from ..core.codegen import MergeOptions
-from ..core.engine import AlignmentCache, PlanningError, make_executor
+from ..core.engine import AlignmentCache
 from ..core.pass_ import FunctionMergingPass
 from ..evaluation.pipeline import compile_module, open_compile_session
-from ..resilience import CLOSED, CircuitBreaker, degradation_event, fault_triggered
+from ..resilience import CLOSED, CircuitBreaker, fault_triggered
 from . import protocol
 from .protocol import ProtocolError
 
@@ -85,14 +77,10 @@ class DaemonConfig:
     host: str = "127.0.0.1"
     port: int = 0                     # 0: ephemeral, read MergeDaemon.address
     unix_socket: Optional[str] = None  # unix path instead of TCP
-    executor: str = "auto"            # plan executor kind for all requests
-    jobs: Optional[int] = None        # worker count (None: engine default)
-    worker_kernel: str = "auto"       # process-pool alignment kernel
     queue_limit: int = 8              # in-flight work requests before 429
     max_sessions: int = 32            # concurrent open sessions before 429
     session_ttl: float = 300.0        # idle seconds before eviction
     tick_seconds: float = 1.0         # idle-session eviction ticker period
-    recycle_after: int = 0            # recycle pool after N requests (0: off)
     max_payload_bytes: int = protocol.DEFAULT_MAX_PAYLOAD_BYTES
     cache_capacity: int = 65536
     result_cache_size: int = 64       # memoized compile responses (0: off)
@@ -109,27 +97,20 @@ class DaemonConfig:
     request_timeout: float = 30.0
     #: Circuit breaker: after this many *consecutive* internal failures the
     #: daemon sheds work requests with ``unavailable`` (503 + Retry-After)
-    #: instead of burning worker slots, admitting one probe per
+    #: instead of burning admission slots, admitting one probe per
     #: ``breaker_reset_seconds`` window until a probe succeeds.  0: off.
     breaker_threshold: int = 3
     breaker_reset_seconds: float = 5.0
-    #: Executor degradation ladder: after this many consecutive worker-pool
-    #: failures the warm context steps the executor down one tier
-    #: (process -> serial) instead of rebuilding the same broken
-    #: pool forever; a successful request resets the count.  0: off.
-    degrade_after_failures: int = 3
 
 
 class WarmContext:
-    """The daemon's warm engine state: resident cache, leased keep-alive
-    executor, warm merge passes, and the counters behind ``/stats``."""
+    """The daemon's warm engine state: resident cache, warm merge passes,
+    and the counters behind ``/stats``."""
 
     def __init__(self, config: DaemonConfig):
         self.config = config
         self._lock = threading.Lock()
         self.cache = AlignmentCache(capacity=config.cache_capacity)
-        self._executor = None
-        self.pool_spawn_seconds = 0.0
         sanitize = config.sanitize
         if sanitize is None:
             sanitize = os.environ.get("REPRO_SANITIZE", "").strip().lower() \
@@ -141,103 +122,9 @@ class WarmContext:
         self._passes: Dict[tuple, FunctionMergingPass] = {}
         self.engine_lock = threading.Lock()
         self.counters: Dict[str, int] = {
-            "pool_recycles": 0,
-            "pool_builds": 0,
             "warm_requests": 0,
             "cold_requests": 0,
         }
-        self._requests_since_recycle = 0
-        self._inflight = 0
-        #: Executor degradation ladder (process -> serial): the
-        #: tier future leases build, stepped down by repeated worker-pool
-        #: failures.  Decisions are executor-invariant, so a degraded
-        #: daemon answers identically - only slower.
-        self.executor_kind: str = config.executor
-        self.degradations: list = []
-        self._consecutive_failures = 0
-
-    # -- executor leasing --------------------------------------------------
-    def lease_executor(self):
-        """A live keep-alive executor; rebuilt (and counted as a recycle)
-        when a failure path closed the previous pool.  Sessions receive
-        this method as their executor factory."""
-        with self._lock:
-            if self._executor is None or self._executor.closed:
-                start = time.perf_counter()
-                executor = make_executor(self.executor_kind,
-                                         self._resolve_jobs())
-                # keep_alive is an attribute contract on PlanExecutor, so a
-                # post-construction set covers every executor kind alike
-                executor.keep_alive = True
-                self.pool_spawn_seconds = time.perf_counter() - start
-                if self._executor is not None:
-                    self.counters["pool_recycles"] += 1
-                self.counters["pool_builds"] += 1
-                self._executor = executor
-            return self._executor
-
-    def _resolve_jobs(self) -> int:
-        if self.config.jobs is not None:
-            return max(1, int(self.config.jobs))
-        return max(1, (os.cpu_count() or 2) - 1)
-
-    def note_request_begin(self) -> None:
-        with self._lock:
-            self._inflight += 1
-
-    def note_request_done(self) -> None:
-        """Bookkeeping after a work request: graceful pool recycling after
-        ``recycle_after`` requests, deferred while other requests are still
-        in flight (a recycle closes the shared pool; the next lease
-        rebuilds it)."""
-        recycle = self.config.recycle_after
-        with self._lock:
-            self._inflight -= 1
-            self._requests_since_recycle += 1
-            if (recycle > 0 and self._inflight == 0
-                    and self._requests_since_recycle >= recycle):
-                self._requests_since_recycle = 0
-                if self._executor is not None and not self._executor.closed:
-                    self._executor.close()
-
-    #: Next-lower executor tier ("auto" resolves to the process pool for
-    #: jobs>1, so it degrades the same way).
-    _LADDER = {"auto": "serial", "process": "serial"}
-
-    def note_worker_failure(self) -> None:
-        """A run died on a broken pool: make sure the dead executor is
-        really closed so the next lease rebuilds it, and - after
-        ``degrade_after_failures`` consecutive failures - step the ladder
-        down one tier rather than rebuild the same broken pool forever."""
-        with self._lock:
-            if self._executor is not None and not self._executor.closed:
-                self._executor.close()
-            self._consecutive_failures += 1
-            limit = self.config.degrade_after_failures
-            if limit <= 0 or self._consecutive_failures < limit:
-                return
-            lower = self._LADDER.get(self.executor_kind)
-            if lower is None:  # already at the bottom (serial)
-                return
-            self.degradations.append(degradation_event(
-                "service-executor", self.executor_kind, lower,
-                f"{self._consecutive_failures} consecutive worker failures"))
-            self.executor_kind = lower
-            self._consecutive_failures = 0
-
-    def note_run_success(self) -> None:
-        """A work request completed: the pool is healthy, reset the
-        consecutive-failure count (the ladder only reacts to streaks)."""
-        with self._lock:
-            self._consecutive_failures = 0
-
-    def current_executor_kind(self) -> str:
-        with self._lock:
-            return self.executor_kind
-
-    def degradation_snapshot(self) -> list:
-        with self._lock:
-            return list(self.degradations)
 
     # -- warm passes -------------------------------------------------------
     def warm_pass(self, signature: tuple) -> Tuple[bool, FunctionMergingPass]:
@@ -255,35 +142,11 @@ class WarmContext:
             oracle=options["oracle"],
             options=MergeOptions(),
             alignment_cache=self.cache,
-            jobs=self._resolve_jobs(),
-            executor=self.config.executor,
             sanitize=self.sanitizer is not None,
             sanitizer=self.sanitizer)
         with self._lock:
             self._passes[signature] = pass_
         return False, pass_
-
-    def executor_stats(self) -> dict:
-        with self._lock:
-            executor = self._executor
-            kind = self.executor_kind
-        stats = {"executor_live": bool(executor is not None
-                                       and not executor.closed),
-                 "executor_kind": kind}
-        if executor is not None and hasattr(executor, "worker_pids") \
-                and not executor.closed:
-            try:
-                stats["worker_pids"] = executor.worker_pids()
-            except Exception:
-                stats["worker_pids"] = []
-        return stats
-
-    def close(self) -> None:
-        """Final teardown: shut the shared pool down for real."""
-        with self._lock:
-            if self._executor is not None and not self._executor.closed:
-                self._executor.close()
-            self._executor = None
 
 
 @dataclass
@@ -427,7 +290,6 @@ class MergeDaemon:
         for entry in sessions:
             with entry.lock:
                 entry.session.close()
-        self.context.close()
         if self.config.unix_socket:
             try:
                 os.unlink(self.config.unix_socket)
@@ -445,10 +307,8 @@ class MergeDaemon:
             breaker_state = self.breaker.state
             return {"ok": True, "uptime_seconds":
                     round(time.monotonic() - self.started, 3),
-                    "degraded": (breaker_state != CLOSED
-                                 or bool(self.context.degradation_snapshot())),
-                    "breaker": breaker_state,
-                    "executor_kind": self.context.current_executor_kind()}
+                    "degraded": breaker_state != CLOSED,
+                    "breaker": breaker_state}
         if method == "stats":
             return self.stats()
         # work methods: circuit breaker first (shed while the engine keeps
@@ -466,7 +326,6 @@ class MergeDaemon:
             raise ProtocolError(
                 "busy", f"daemon is at its in-flight request limit "
                 f"({self.config.queue_limit}); retry later")
-        self.context.note_request_begin()
         try:
             try:
                 if method == "compile_module":
@@ -490,10 +349,8 @@ class MergeDaemon:
                 self.breaker.record_failure()
                 raise
             self.breaker.record_success()
-            self.context.note_run_success()
             return result
         finally:
-            self.context.note_request_done()
             self._admission.release()
 
     @staticmethod
@@ -557,36 +414,21 @@ class MergeDaemon:
                 response["warm"] = True
                 response["result_cache_hit"] = True
                 return response
-        for attempt in (0, 1):
-            # decode fresh per attempt: a failed run leaves the module
-            # partially merged, and the payload regenerates it exactly
-            module = protocol.build_module(module_payload)
-            decode_seconds = time.perf_counter() - started
-            try:
-                with self.context.engine_lock:
-                    warm, merge_pass = self.context.warm_pass(signature)
-                    executor = self.context.lease_executor()
-                    merge_pass.engine.executor_kind = executor
-                    sanitizer = self.context.sanitizer
-                    violations_before = (sanitizer.violations
-                                         if sanitizer is not None else 0)
-                    compile_start = time.perf_counter()
-                    result = compile_module(
-                        module, technique,
-                        target=self.config.target,
-                        threshold=signature[1], oracle=signature[2],
-                        run_identical_first=signature[3],
-                        merge_pass=merge_pass)
-                    compile_seconds = time.perf_counter() - compile_start
-                break
-            except PlanningError:
-                # a worker died mid-run; the scheduler closed the pool.
-                # Recycle and retry once on a fresh pool + pristine module.
-                self.context.note_worker_failure()
-                if attempt:
-                    raise ProtocolError(
-                        "internal", "merge failed twice on a broken worker "
-                        "pool; giving up on this request")
+        module = protocol.build_module(module_payload)
+        decode_seconds = time.perf_counter() - started
+        with self.context.engine_lock:
+            warm, merge_pass = self.context.warm_pass(signature)
+            sanitizer = self.context.sanitizer
+            violations_before = (sanitizer.violations
+                                 if sanitizer is not None else 0)
+            compile_start = time.perf_counter()
+            result = compile_module(
+                module, technique,
+                target=self.config.target,
+                threshold=signature[1], oracle=signature[2],
+                run_identical_first=signature[3],
+                merge_pass=merge_pass)
+            compile_seconds = time.perf_counter() - compile_start
         with self.context._lock:
             key = "warm_requests" if warm else "cold_requests"
             self.context.counters[key] += 1
@@ -635,26 +477,14 @@ class MergeDaemon:
                 raise ProtocolError(
                     "busy", f"daemon is at its session limit "
                     f"({self.config.max_sessions}); close one or retry later")
-        module_payload = payload.get("module")
-        for attempt in (0, 1):
-            module = protocol.build_module(module_payload)
-            try:
-                session = open_compile_session(
-                    module,
-                    target=self.config.target,
-                    threshold=signature[1], oracle=signature[2],
-                    jobs=self.context._resolve_jobs(),
-                    alignment_cache=self.context.cache,
-                    session_executor=self.context.lease_executor,
-                    sanitize=self.context.sanitizer is not None,
-                    sanitizer=self.context.sanitizer)
-                break
-            except PlanningError:
-                self.context.note_worker_failure()
-                if attempt:
-                    raise ProtocolError(
-                        "internal", "session open failed twice on a broken "
-                        "worker pool; giving up on this request")
+        module = protocol.build_module(payload.get("module"))
+        session = open_compile_session(
+            module,
+            target=self.config.target,
+            threshold=signature[1], oracle=signature[2],
+            alignment_cache=self.context.cache,
+            sanitize=self.context.sanitizer is not None,
+            sanitizer=self.context.sanitizer)
         sid = uuid.uuid4().hex
         with self._sessions_lock:
             self._sessions[sid] = _SessionEntry(session=session)
@@ -686,15 +516,7 @@ class MergeDaemon:
             entry.last_used = time.monotonic()
             session = entry.session
             try:
-                try:
-                    update = session.update(edits)
-                except PlanningError:
-                    # the replay died on a broken pool: the session's next
-                    # update rolls the partial state back and replays; its
-                    # executor factory leases the recycled pool.  The edits
-                    # were already absorbed by the failed attempt.
-                    self.context.note_worker_failure()
-                    update = session.update([])
+                update = session.update(edits)
             except (ValueError, TypeError) as error:
                 raise ProtocolError("bad-request",
                                     f"invalid edit script: {error}")
@@ -742,10 +564,7 @@ class MergeDaemon:
             stats["sessions_open"] = len(self._sessions)
         with self.context._lock:
             stats.update(self.context.counters)
-        stats.update(self.context.executor_stats())
         stats.update(self.context.cache.stats_dict())
-        stats["pool_spawn_seconds"] = round(
-            self.context.pool_spawn_seconds, 6)
         stats["sanitize_enabled"] = self.context.sanitizer is not None
         if self.context.sanitizer is not None:
             stats.update(self.context.sanitizer.stats())
@@ -753,7 +572,6 @@ class MergeDaemon:
         stats["queue_limit"] = self.config.queue_limit
         stats["request_timeout_seconds"] = self.config.request_timeout
         stats["breaker"] = self.breaker.snapshot()
-        stats["degradations"] = self.context.degradation_snapshot()
         with self._result_cache_lock:
             stats["result_cache_entries"] = len(self._result_cache)
         return stats

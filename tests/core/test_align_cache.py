@@ -14,8 +14,9 @@ import pytest
 
 from repro.core import (FunctionMergingPass, MergeEngine, ModuleEdit,
                         ScoringScheme)
-from repro.core.alignment import needleman_wunsch_keyed
-from repro.core.engine.align_cache import AlignmentCache, ops_of, rehydrate
+from repro.core.alignment import (needleman_wunsch_keyed, ops_string,
+                                  result_from_ops)
+from repro.core.engine.align_cache import AlignmentCache
 from repro.core.engine.stages import AlignmentStage, LinearizeStage
 from repro.ir import IRBuilder, Module
 from repro.ir import types as ty
@@ -67,16 +68,16 @@ def test_ops_rehydrate_round_trip():
     seq1, seq2 = "ABCAD", "ABDAX"
     keys1, keys2 = [ord(c) for c in seq1], [ord(c) for c in seq2]
     result = needleman_wunsch_keyed(seq1, seq2, keys1, keys2)
-    ops = ops_of(result.entries)
+    ops = ops_string(result.entries)
     assert set(ops) <= {"m", "l", "r"}
-    back = rehydrate(ops, result.score, seq1, seq2)
+    back = result_from_ops(ops, result.score, seq1, seq2)
     assert back.score == result.score
     assert entry_pairs(back) == entry_pairs(result)
 
 
 def test_rehydrate_rejects_mismatched_sequences():
     with pytest.raises(ValueError, match="does not cover"):
-        rehydrate("ml", 1, "ABC", "A")
+        result_from_ops("ml", 1, "ABC", "A")
 
 
 # -- LRU bookkeeping ----------------------------------------------------------
@@ -194,19 +195,9 @@ class TestEngineCache:
         # families contain identical clones -> content hits even serially
         assert stats["align_cache_hits"] > 0
 
-    def test_conflict_replans_hit_the_cache(self):
-        # one big batch: every commit conflicts the rest of the batch, and
-        # each replan re-aligns pairs whose bodies did not change
-        report = FunctionMergingPass(exploration_threshold=2, jobs=1,
-                                     executor="serial", batch_size=64,
-                                     alignment_cache=AlignmentCache()
-                                     ).run(build_module(11, 6))
-        assert report.scheduler_stats["replans"] > 0
-        assert report.scheduler_stats["align_cache_hits"] > 0
-
     def test_cache_can_be_disabled(self):
-        # disabled is the default for a serial engine: no cache to consult
-        engine = MergeEngine(exploration_threshold=2, executor="serial")
+        # disabled is the default: no cache to consult
+        engine = MergeEngine(exploration_threshold=2)
         assert engine.align_cache is None
         report = engine.run(build_module())
         assert engine.align_cache is None
@@ -222,22 +213,8 @@ class TestEngineCache:
                 exploration_threshold=2,
                 alignment_cache=AlignmentCache()).run(build_module(seed))
             without = FunctionMergingPass(
-                exploration_threshold=2,
-                executor="serial").run(build_module(seed))
+                exploration_threshold=2).run(build_module(seed))
             assert decisions(with_cache) == decisions(without)
-
-    def test_cache_resets_between_runs(self):
-        # the offload's cache is the engine's own and lives for one run
-        engine = MergeEngine(exploration_threshold=2, executor="process",
-                             jobs=2)
-        first = engine.run(build_module(5))
-        second = engine.run(build_module(5))
-        assert not engine.alignment_cache_resident
-        # identical deterministic module, fresh counters: the second run's
-        # stats equal the first's instead of accumulating on top of them
-        keys = ("align_cache_hits", "align_cache_misses", "align_cache_bytes")
-        assert {k: first.scheduler_stats[k] for k in keys} == \
-            {k: second.scheduler_stats[k] for k in keys}
 
     def test_caller_owned_cache_is_never_cleared(self):
         cache = AlignmentCache()
@@ -257,12 +234,8 @@ class TestEngineCache:
 
 @pytest.fixture
 def digest_calls(monkeypatch):
-    """Count ``LinearizedFunction.canonical_digest`` calls, with the engine
-    defaults pinned to serial (the CI matrix exports process legs)."""
-    from repro.core.engine.scheduler import ENGINE_EXECUTOR_ENV
+    """Count ``LinearizedFunction.canonical_digest`` calls."""
     from repro.core.linearizer import LinearizedFunction
-    monkeypatch.delenv(ENGINE_EXECUTOR_ENV, raising=False)
-    monkeypatch.delenv("REPRO_ENGINE_JOBS", raising=False)
     calls = []
     original = LinearizedFunction.canonical_digest
 
@@ -277,7 +250,7 @@ def digest_calls(monkeypatch):
 class TestColdPathsComputeNoDigests:
     """A cold compile never repeats an alignment, so it must not pay for
     cache keys: no ``canonical_digest`` call on any default path, with
-    decisions equal to the cached and offloaded configurations."""
+    decisions equal to the cached configuration."""
 
     SEEDS = (3, 8)
 
@@ -289,8 +262,7 @@ class TestColdPathsComputeNoDigests:
             assert result.merge_report.merge_count > 0
         assert digest_calls == []
 
-    def test_default_engine_run_matches_cached_and_offloaded(self,
-                                                             digest_calls):
+    def test_default_engine_run_matches_cached(self, digest_calls):
         for seed in self.SEEDS:
             before = len(digest_calls)
             cold = MergeEngine(exploration_threshold=2).run(
@@ -299,13 +271,8 @@ class TestColdPathsComputeNoDigests:
             cached = MergeEngine(exploration_threshold=2,
                                  alignment_cache=AlignmentCache()).run(
                 helpers.build_module(seed))
-            offloaded = MergeEngine(exploration_threshold=2,
-                                    executor="process", jobs=2).run(
-                helpers.build_module(seed))
             assert cold.merge_count > 0
             assert cold.decision_keys() == cached.decision_keys()
-            assert cold.decision_keys() == offloaded.decision_keys()
-            assert offloaded.scheduler_stats["offload_tasks"] > 0
             assert "align_cache_hits" not in cold.scheduler_stats
         assert digest_calls  # the counter sees the cached runs' keys
 

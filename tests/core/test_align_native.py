@@ -15,13 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FunctionMergingPass, MergeEngine, ReferenceMergingPass
+from repro.core import FunctionMergingPass, ReferenceMergingPass
 from repro.core import native as native_mod
 from repro.core.align_np import numpy_available
 from repro.core.alignment import (ALGORITHMS, ScoringScheme, align,
                                   needleman_wunsch, needleman_wunsch_keyed,
                                   ops_string, solve_keyed_alignment)
-from repro.core.engine import ProcessExecutor
 from repro.core.engine.stages import AlignmentStage, resolve_alignment_kernel
 from repro.core.native import (native_available,
                                needleman_wunsch_native,
@@ -114,11 +113,11 @@ def test_native_degenerate_sequences(seq1, seq2):
 
 @requires_native
 def test_never_equivalent_keys_never_match():
-    # the linearizer's never-equivalent marker decodes to keys that differ
-    # everywhere; the native kernel must score them as all-mismatch, the
-    # same as the pure kernel does
-    from repro.core import decode_canonical_keys
-    k1, k2 = decode_canonical_keys([b"!", b"(i1;)"], [b"!", b"(i1;)"])
+    # never-equivalent entries get a fresh negative key each (the
+    # interner's rule), so they match nothing, not even each other; the
+    # native kernel must score them as mismatches, the same as the pure
+    # kernel does
+    k1, k2 = [-1, 0], [-2, 0]
     want = needleman_wunsch_keyed("AB", "AB", k1, k2)
     assert_same(needleman_wunsch_native_keyed("AB", "AB", k1, k2), want)
     assert solve_keyed_alignment_native(k1, k2, ScoringScheme()) \
@@ -175,7 +174,7 @@ def test_auto_resolves_to_native_when_available():
     assert resolve_alignment_kernel("auto", "needleman-wunsch") == "nw-native"
 
 
-# -- engine parity across executors ------------------------------------------
+# -- engine parity ------------------------------------------------------------
 
 @requires_native
 class TestNativeEngineParity:
@@ -183,31 +182,14 @@ class TestNativeEngineParity:
 
     @settings(max_examples=3, deadline=None)
     @given(st.integers(0, 10_000))
-    def test_executor_jobs_parity_on_randomized_modules(self, seed):
+    def test_parity_on_randomized_modules(self, seed):
         reference = ReferenceMergingPass(
             exploration_threshold=2).run(build_module(seed))
-        for executor, jobs in (("serial", 1), ("process", 2)):
-            module = build_module(seed)
-            report = FunctionMergingPass(
-                exploration_threshold=2, alignment_kernel="nw-native",
-                executor=executor, jobs=jobs).run(module)
-            assert decisions(report) == decisions(reference), (executor, jobs)
-            verify_or_raise(module)
-
-    def test_native_worker_leg(self):
-        # workers pinned to the native solver (auto would pick it too when
-        # the build cache is warm; pinning makes the leg deterministic)
-        reference = ReferenceMergingPass(exploration_threshold=2).run(build_module(9))
-        engine = MergeEngine(exploration_threshold=2, batch_size=8)
-        executor = ProcessExecutor(2, kernel="native")
-        scheduler = engine.make_scheduler(executor=executor)
-        module = build_module(9)
-        try:
-            report = engine.run(module, scheduler=scheduler)
-        finally:
-            scheduler.close()
+        module = build_module(seed)
+        report = FunctionMergingPass(
+            exploration_threshold=2, alignment_kernel="nw-native").run(module)
         assert decisions(report) == decisions(reference)
-        assert report.scheduler_stats["offload_tasks"] > 0
+        verify_or_raise(module)
 
 
 # -- behaviour without the extension ------------------------------------------

@@ -4,8 +4,7 @@ A cache handed to the engine (the merge daemon's resident cache) is never
 cleared, so a second run over the same content aligns nothing afresh.  The
 cache key has no kernel component, so entries computed by one keyed kernel
 serve every other; and decisions are bit-identical with the cache absent,
-cold, warm or filled by the process offload, for every kernel x jobs x
-batch-size combination.
+cold or warm, for every kernel.
 
 The on-disk snapshot layer is gone.  The classes named after it keep their
 test names and check what took each behaviour's place: LRU capacity and
@@ -23,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FunctionMergingPass, MergeEngine, numpy_available
-from repro.core.engine.align_cache import (_ENTRY_OVERHEAD, AlignmentCache,
-                                           ops_of, rehydrate)
+from repro.core.alignment import ops_string, result_from_ops
+from repro.core.engine.align_cache import _ENTRY_OVERHEAD, AlignmentCache
 from repro.core.engine.stages import AlignmentStage, LinearizeStage
 from repro.core.native import native_available
 from repro.evaluation.pipeline import compile_module
@@ -64,6 +63,12 @@ def _digest_key(byte1, byte2, scoring=(1, -1, -1)):
     return (bytes([byte1] * 16), bytes([byte2] * 16), scoring)
 
 
+def held(cache, key):
+    """Whether ``cache`` holds ``key``, without counting a lookup or
+    touching the LRU order."""
+    return key in cache._data
+
+
 def chain_pair(cache, opcodes1, opcodes2):
     """A keyed alignment stage over ``cache`` plus two linearized chains."""
     module = Module("pair")
@@ -77,29 +82,28 @@ def chain_pair(cache, opcodes1, opcodes2):
 
 class TestSnapshotRoundTrip:
     """Without a snapshot, a caller-owned cache is the only carrier of
-    alignments between runs; an engine-owned one lives for one run."""
+    alignments between runs."""
 
     def test_entries_computed_this_run_are_not_cross_run_hits(self):
-        # the offload's engine-owned cache is cleared per run: the second
-        # run ships every alignment to the workers again
-        engine = MergeEngine(exploration_threshold=2, executor="process",
-                             jobs=2)
+        # a default engine has no cache: the second run aligns every pair
+        # afresh, exactly as many as the first
+        engine = MergeEngine(exploration_threshold=2)
         first = engine.run(build_module())
         second = engine.run(build_module())
         assert not engine.alignment_cache_resident
-        assert (second.scheduler_stats["offload_tasks"]
-                == first.scheduler_stats["offload_tasks"] > 0)
+        assert (second.stage_stats["align"]["keyed"]
+                == first.stage_stats["align"]["keyed"] > 0)
+        assert "cache_hits" not in second.stage_stats["align"]
         assert decisions(second) == decisions(first)
 
     def test_save_load_preserves_entries_and_marks_persisted(self):
         # a cache handed to a second engine (the daemon rebuilds engines
         # per request) keeps every entry, and the engine marks it resident
         cache = AlignmentCache()
-        first = MergeEngine(exploration_threshold=2, executor="serial",
+        first = MergeEngine(exploration_threshold=2,
                             alignment_cache=cache).run(build_module())
         entries, misses = len(cache), cache.misses
-        engine = MergeEngine(exploration_threshold=2, executor="serial",
-                             alignment_cache=cache)
+        engine = MergeEngine(exploration_threshold=2, alignment_cache=cache)
         assert engine.alignment_cache_resident
         second = engine.run(build_module())
         assert len(cache) == entries > 0 and cache.misses == misses
@@ -141,34 +145,13 @@ class TestSnapshotRoundTrip:
         cache = AlignmentCache()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = run_pass(cache, executor="serial")
+            report = run_pass(cache)
         assert report.merge_count >= 1
         assert cache.misses == len(cache) > 0
         assert list(tmp_path.iterdir()) == []
 
 
 class TestSnapshotRejection:
-    def test_engine_survives_corrupt_snapshot(self):
-        # the offload is the one thing that still fills a cache from
-        # outside the process: a corrupt worker shape is caught before the
-        # cache, the run completes with the serial decisions, and every
-        # stored shape is well-formed
-        from repro.resilience import FaultPlan, RetryPolicy
-        reference = FunctionMergingPass(
-            exploration_threshold=2, executor="serial").run(build_module(5))
-        plan = FaultPlan.parse("seed=3,offload.result_corrupt:nth=1:count=1")
-        engine = MergeEngine(
-            exploration_threshold=2, executor="process", jobs=2,
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=3, task_deadline=60.0,
-                                     backoff_base=0.01, backoff_max=0.05))
-        report = engine.run(build_module(5))
-        assert plan.fired("offload.result_corrupt") == 1
-        assert report.scheduler_stats["offload_retries"] >= 1
-        assert decisions(report) == decisions(reference)
-        stored = list(engine.align_cache._data.values())
-        assert stored and all(set(ops) <= set("mlr") for ops, _ in stored)
-
     def test_malformed_entry(self):
         # a stored shape that does not fit the requesting pair is rejected
         # on rehydration, never turned into a wrong alignment
@@ -199,17 +182,17 @@ class TestEnginePersistence:
 
     def test_snapshot_accumulates_across_different_modules(self):
         cache = AlignmentCache()
-        run_pass(cache, seed=3, executor="serial")
+        run_pass(cache, seed=3)
         after_first, misses = len(cache), cache.misses
-        run_pass(cache, seed=11, executor="serial")
+        run_pass(cache, seed=11)
         assert len(cache) > after_first
         # the second module's entries did not push out the first's
-        run_pass(cache, seed=3, executor="serial")
+        run_pass(cache, seed=3)
         assert cache.misses == misses + (len(cache) - after_first)
 
     def test_no_path_means_no_snapshot(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        engine = MergeEngine(exploration_threshold=2, executor="serial")
+        engine = MergeEngine(exploration_threshold=2)
         assert not hasattr(engine, "alignment_cache_path")
         engine.run(build_module())
         assert engine.align_cache is None
@@ -222,8 +205,8 @@ class TestEnginePersistence:
         # no cache is attached and nothing is written at its path
         path = tmp_path / "cache.json"
         monkeypatch.setenv("REPRO_ALIGN_CACHE", str(path))
-        report = FunctionMergingPass(exploration_threshold=2,
-                                     executor="serial").run(build_module())
+        report = FunctionMergingPass(
+            exploration_threshold=2).run(build_module())
         assert report.merge_count >= 1
         assert "align_cache_hits" not in report.scheduler_stats
         assert not path.exists()
@@ -231,38 +214,26 @@ class TestEnginePersistence:
     def test_unkeyed_alignment_skips_snapshot_and_wave_planning(
             self, tmp_path, monkeypatch):
         # the generic predicate path (hirschberg has no keyed kernel) never
-        # consults a cache, so even an offloading run attaches none and
-        # pays for no content grouping
+        # consults a cache, even one handed in, and computes no digest
         monkeypatch.chdir(tmp_path)
+        cache = AlignmentCache()
         engine = MergeEngine(exploration_threshold=2,
                              alignment_kernel="hirschberg",
-                             executor="process", jobs=2)
-        scheduler = engine.make_scheduler()
-        try:
-            assert not engine.alignment.uses_cache
-            assert engine.align_cache is None
-            assert scheduler.content_key is None
-        finally:
-            scheduler.close()
+                             alignment_cache=cache)
+        assert not engine.alignment.uses_cache
         report = engine.run(build_module())
-        assert "align_cache_hits" not in report.scheduler_stats
+        assert report.merge_count >= 1
+        assert len(cache) == 0 and cache.hits == cache.misses == 0
         assert list(tmp_path.iterdir()) == []
-        # a keyed kernel on the offload does both
-        keyed = MergeEngine(exploration_threshold=2, executor="process",
-                            jobs=2)
-        scheduler = keyed.make_scheduler()
-        try:
-            assert keyed.alignment.uses_cache
-            assert scheduler.content_key is not None
-        finally:
-            scheduler.close()
+        # a keyed kernel with the same cache does consult it
+        keyed = MergeEngine(exploration_threshold=2, alignment_cache=cache)
+        assert keyed.alignment.uses_cache
 
     def test_pipeline_threads_the_path_through(self):
         # compile_module threads an injected merge pass, and with it the
         # pass's caller-owned cache, through to the engine
         cache = AlignmentCache()
         merge_pass = FunctionMergingPass(exploration_threshold=2,
-                                         executor="serial",
                                          alignment_cache=cache)
         compile_module(build_module(5), "fmsa", threshold=2,
                        merge_pass=merge_pass)
@@ -315,10 +286,10 @@ class TestSnapshotCompaction:
         cache = AlignmentCache(capacity=2)
         cache.put(_digest_key(1, 1), "m", 1)
         cache.put(_digest_key(2, 2), "m", 1)
-        assert cache.contains(_digest_key(1, 1))
+        assert held(cache, _digest_key(1, 1))
         cache.put(_digest_key(3, 3), "m", 1)
-        assert not cache.contains(_digest_key(1, 1))
-        assert cache.contains(_digest_key(2, 2))
+        assert not held(cache, _digest_key(1, 1))
+        assert held(cache, _digest_key(2, 2))
         assert cache.evictions == 1
 
     def test_hits_refresh_an_entrys_generation(self):
@@ -327,11 +298,11 @@ class TestSnapshotCompaction:
         for byte in range(2, 8):
             assert cache.get(_digest_key(1, 1)) == ("m", 1)  # referenced
             cache.put(_digest_key(byte, byte), "m", 1)
-        assert cache.contains(_digest_key(1, 1))
-        assert not cache.contains(_digest_key(6, 6))
-        # ``contains`` is not a reference: the next put evicts the entry
+        assert held(cache, _digest_key(1, 1))
+        assert not held(cache, _digest_key(6, 6))
+        # ``held`` is not a reference: the next put evicts the entry
         cache.put(_digest_key(8, 8), "m", 1)
-        assert not cache.contains(_digest_key(1, 1))
+        assert not held(cache, _digest_key(1, 1))
 
 
 # -- the shape codec the cache stores (packing went with the snapshot) --------
@@ -342,17 +313,17 @@ class TestPackedOps:
     def test_pack_round_trips_and_never_grows(self, ops):
         seq1 = list(range(ops.count("m") + ops.count("l")))
         seq2 = list(range(ops.count("m") + ops.count("r")))
-        result = rehydrate(ops, 0, seq1, seq2)
-        assert ops_of(result.entries) == ops
+        result = result_from_ops(ops, 0, seq1, seq2)
+        assert ops_string(result.entries) == ops
         assert len(result.entries) == len(ops)  # one column per op
 
     def test_pack_examples(self):
-        assert ops_of([]) == ""
-        result = rehydrate("mmllr", 2, "abcd", "xyz")
+        assert ops_string([]) == ""
+        result = result_from_ops("mmllr", 2, "abcd", "xyz")
         assert [(e.left, e.right) for e in result.entries] == [
             ("a", "x"), ("b", "y"), ("c", None), ("d", None), (None, "z")]
         assert result.score == 2
-        assert ops_of(result.entries) == "mmllr"
+        assert ops_string(result.entries) == "mmllr"
 
     @pytest.mark.parametrize("bad", ["3", "x", "0m", "3x", "m0l"])
     def test_malformed_packed_ops_rejected(self, bad):
@@ -361,7 +332,7 @@ class TestPackedOps:
         seq1 = list(range(bad.count("m") + bad.count("l")))
         seq2 = list(range(len(bad) - bad.count("l")))
         with pytest.raises(ValueError, match="unknown alignment op"):
-            rehydrate(bad, 0, seq1, seq2)
+            result_from_ops(bad, 0, seq1, seq2)
 
     def test_snapshot_stores_each_distinct_shape_once(self):
         # content addressing: six clones aligned against one function share
@@ -380,7 +351,7 @@ class TestPackedOps:
         assert cache.misses == 1 and cache.hits == 5
 
 
-# -- decision parity: cache modes x kernels x jobs ----------------------------
+# -- decision parity: cache modes x kernels -----------------------------------
 
 #: Alignment kernels exercised by the parity matrix (None = engine default).
 KERNELS = [None] + (["nw-numpy"] if numpy_available() else []) + (
@@ -388,34 +359,27 @@ KERNELS = [None] + (["nw-numpy"] if numpy_available() else []) + (
 
 
 class TestCacheModeParity:
-    """Merge decisions are bit-identical with the cache off, cold, warm and
-    filled by the offload, for every kernel x jobs x batch-size
-    combination."""
+    """Merge decisions are bit-identical with the cache off, cold and warm,
+    for every kernel."""
 
     @settings(max_examples=4, deadline=None)
     @given(st.integers(0, 10_000))
     def test_cache_modes_never_change_decisions(self, seed):
         reference = FunctionMergingPass(
-            exploration_threshold=2,
-            executor="serial").run(build_module(seed))
+            exploration_threshold=2).run(build_module(seed))
         shared = AlignmentCache()
         for kernel in KERNELS:
-            for jobs, batch_size in ((1, 1), (2, 8), (8, 32)):
-                # no caller cache: serial runs align directly, offloaded
-                # runs fill a per-run cache of their own
-                cold = FunctionMergingPass(
-                    exploration_threshold=2, alignment_kernel=kernel,
-                    jobs=jobs, batch_size=batch_size).run(build_module(seed))
-                assert decisions(cold) == decisions(reference), \
-                    ("cold", kernel, jobs, batch_size)
-                # shared: the first run of this matrix fills the cache,
-                # later runs of *every* config read it warm
-                warm = FunctionMergingPass(
-                    exploration_threshold=2, alignment_kernel=kernel,
-                    jobs=jobs, batch_size=batch_size,
-                    alignment_cache=shared).run(build_module(seed))
-                assert decisions(warm) == decisions(reference), \
-                    ("warm", kernel, jobs, batch_size)
+            # no caller cache: the run aligns every pair directly
+            cold = FunctionMergingPass(
+                exploration_threshold=2,
+                alignment_kernel=kernel).run(build_module(seed))
+            assert decisions(cold) == decisions(reference), ("cold", kernel)
+            # shared: the first run of this matrix fills the cache, later
+            # runs of *every* kernel read it warm
+            warm = FunctionMergingPass(
+                exploration_threshold=2, alignment_kernel=kernel,
+                alignment_cache=shared).run(build_module(seed))
+            assert decisions(warm) == decisions(reference), ("warm", kernel)
 
     def test_warm_runs_still_verify(self):
         from repro.ir import verify_or_raise

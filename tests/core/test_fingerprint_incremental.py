@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import (Fingerprint, FunctionMergingPass, MergeEngine,
                         MergeOptions, ReferenceMergingPass, merge_functions)
+from repro.core.engine import AlignmentCache
 from repro.core.fingerprint import FingerprintDelta
 from repro.ir import IRBuilder, Module
 from repro.ir import types as ty
@@ -87,9 +88,14 @@ class TestOfMergedEqualsRescan:
         FunctionMergingPass(oracle=True,
                             verify_fingerprints=True).run(build_module(3))
 
-    def test_parallel_planner(self):
-        FunctionMergingPass(exploration_threshold=2, jobs=4, batch_size=16,
-                            verify_fingerprints=True).run(build_module(5, 6))
+    def test_with_caller_owned_cache(self):
+        # the second run's alignments come back rehydrated from the cache;
+        # merged fingerprints composed from them must still match rescans
+        cache = AlignmentCache()
+        for _ in range(2):
+            FunctionMergingPass(exploration_threshold=2, alignment_cache=cache,
+                                verify_fingerprints=True).run(build_module(5, 6))
+        assert cache.hits > 0
 
 
 def test_of_merged_matches_rescan_for_direct_merge():

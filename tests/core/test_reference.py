@@ -13,7 +13,7 @@ from repro.ir import verify_or_raise
 from repro.workloads.mibench import build_mibench_benchmark
 from repro.workloads.spec2006 import build_spec_benchmark
 
-from tests.core.test_scheduler import build_module, decisions
+from tests.helpers import build_module, decisions
 
 #: Workload modules that merge under every threshold below.
 WORKLOADS = {

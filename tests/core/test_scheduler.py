@@ -1,7 +1,10 @@
-"""Tests for the plan/commit scheduler: bit-identical parity with the
-reference pass across executors / job counts / batch sizes, incremental
+"""Tests for the merge engine's serial worklist loop (``MergeEngine.drain``):
+bit-identical parity with the reference pass across kernels, incremental
 call-graph maintenance verified against from-scratch rebuilds after every
-commit, oracle profit-bound pruning, and the stale/conflict accounting."""
+commit, oracle profit-bound pruning, stale-entry accounting, error
+attribution, and the serial-only ``jobs``/``executor`` parameters."""
+
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -9,46 +12,34 @@ from hypothesis import strategies as st
 
 from repro.core import (FunctionMergingPass, MergeEngine,
                         ReferenceMergingPass, numpy_available)
-from repro.core.engine import AlignmentCache, make_executor
+from repro.core.engine import PlanningError
+from repro.core.engine.report import MergeReport
+from repro.evaluation import compile_module
+from repro.evaluation.pipeline import open_compile_session
 from repro.ir import Module, verify_or_raise
 from repro.ir.callgraph import CallGraph
 
-from tests.helpers import build_module
-
-
-def decisions(report):
-    return [(m.function1, m.function2, m.merged_name, m.rank_position, m.delta)
-            for m in report.merges]
+from tests.helpers import build_module, decisions
 
 
 class TestSchedulerParity:
-    """The parallel scheduler reproduces the reference pass bit for bit."""
+    """The drain loop reproduces the reference pass bit for bit."""
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 5))
-    def test_jobs_parity_on_randomized_modules(self, seed, families):
+    def test_drain_parity_on_randomized_modules(self, seed, families):
         reference = ReferenceMergingPass(
             exploration_threshold=2).run(build_module(seed, families))
-        for jobs in (1, 2, 8):
-            module = build_module(seed, families)
-            report = FunctionMergingPass(exploration_threshold=2,
-                                         jobs=jobs).run(module)
-            assert decisions(report) == decisions(reference)
-            assert report.candidates_evaluated == reference.candidates_evaluated
-            assert report.codegen_failures == reference.codegen_failures
-            verify_or_raise(module)
-
-    @settings(max_examples=8, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 32))
-    def test_batch_size_never_changes_decisions(self, seed, batch_size):
-        reference = ReferenceMergingPass(
-            exploration_threshold=2).run(build_module(seed))
-        report = FunctionMergingPass(exploration_threshold=2, jobs=2,
-                                     batch_size=batch_size).run(build_module(seed))
+        module = build_module(seed, families)
+        report = FunctionMergingPass(exploration_threshold=2).run(module)
         assert decisions(report) == decisions(reference)
+        assert report.candidates_evaluated == reference.candidates_evaluated
+        assert report.codegen_failures == reference.codegen_failures
+        assert report.stale_entries == reference.stale_entries
+        verify_or_raise(module)
 
     def test_stale_entries_match_seed_silent_skips(self):
-        # the scheduler must count exactly the consumed worklist names the
+        # the loop must count exactly the consumed worklist names the
         # reference pass skips
         module = build_module(5)
         report = FunctionMergingPass(exploration_threshold=2).run(module)
@@ -60,25 +51,6 @@ class TestSchedulerParity:
         assert report.stale_entries <= report.functions_considered
         assert report.scheduler_stats["stale_entries"] == report.stale_entries
 
-    def test_conflicts_are_detected_and_requeued(self):
-        # batch the whole worklist: every commit invalidates later plans in
-        # the same batch, so conflicts must surface (and be replanned)
-        serial = FunctionMergingPass(exploration_threshold=2,
-                                     batch_size=1).run(build_module(7, families=6))
-        batched_module = build_module(7, families=6)
-        batched = FunctionMergingPass(exploration_threshold=2, jobs=1,
-                                      executor="serial",
-                                      batch_size=64).run(batched_module)
-        assert decisions(batched) == decisions(serial)
-        stats = batched.scheduler_stats
-        assert stats["batch_size"] == 64
-        assert stats["conflicts"] > 0
-        assert stats["replans"] == stats["conflicts"]
-        assert stats["committed"] == batched.merge_count
-        # serial single-entry batches can never conflict
-        assert serial.scheduler_stats["conflicts"] == 0
-        verify_or_raise(batched_module)
-
 
 #: Every selectable alignment kernel (None = the engine default); the NumPy
 #: backend joins in when the ``fast`` extra is installed.
@@ -87,30 +59,28 @@ KERNELS = [None] + (["nw-numpy"] if numpy_available() else [])
 
 class TestKernelParity:
     """Merge decisions are bit-identical to the reference pass for every
-    alignment kernel x jobs x batch-size combination."""
+    alignment kernel."""
 
     @settings(max_examples=5, deadline=None)
     @given(st.integers(0, 10_000))
-    def test_kernel_jobs_batch_parity(self, seed):
+    def test_kernel_parity(self, seed):
         reference = ReferenceMergingPass(
             exploration_threshold=2).run(build_module(seed))
         for kernel in KERNELS:
-            for jobs, batch_size in ((1, 1), (2, 8), (8, 32)):
-                module = build_module(seed)
-                report = FunctionMergingPass(
-                    exploration_threshold=2, jobs=jobs, batch_size=batch_size,
-                    alignment_kernel=kernel).run(module)
-                assert decisions(report) == decisions(reference), \
-                    (kernel, jobs, batch_size)
-                verify_or_raise(module)
+            module = build_module(seed)
+            report = FunctionMergingPass(
+                exploration_threshold=2,
+                alignment_kernel=kernel).run(module)
+            assert decisions(report) == decisions(reference), kernel
+            verify_or_raise(module)
 
     @pytest.mark.parametrize("kernel", [k for k in KERNELS if k])
     def test_kernel_parity_without_cache_and_under_oracle(self, kernel):
         reference = ReferenceMergingPass(oracle=True).run(
             build_module(3, families=5))
         report = FunctionMergingPass(
-            oracle=True, alignment_kernel=kernel,
-            executor="serial").run(build_module(3, families=5))
+            oracle=True, alignment_kernel=kernel).run(
+                build_module(3, families=5))
         assert decisions(report) == decisions(reference)
 
 
@@ -131,24 +101,21 @@ class TestIncrementalCallGraph:
 
     def test_graph_matches_rebuild_after_every_commit(self):
         engine = MergeEngine(exploration_threshold=2)
-        scheduler = engine.make_scheduler()
         checked = []
 
         def check(plan, events):
             self.assert_graph_matches_rebuild(engine._call_graph, engine._module)
             checked.append(events)
 
-        scheduler.on_commit = check
-        report = engine.run(build_module(9, families=5), scheduler=scheduler)
+        report = engine.run(build_module(9, families=5), on_commit=check)
         assert report.merge_count >= 2
         assert len(checked) == report.merge_count
 
     def test_events_name_what_the_commit_touched(self):
         engine = MergeEngine(exploration_threshold=2)
-        scheduler = engine.make_scheduler()
         events = []
-        scheduler.on_commit = lambda plan, ev: events.append(ev)
-        report = engine.run(build_module(11, families=4), scheduler=scheduler)
+        report = engine.run(build_module(11, families=4),
+                            on_commit=lambda plan, ev: events.append(ev))
         assert events
         for record, ev in zip(report.merges, events):
             assert ev.consumed == (record.function1, record.function2)
@@ -250,47 +217,54 @@ class TestOraclePruning:
 
 
 class TestExecutors:
-    def test_auto_picks_serial_for_one_job(self):
-        executor = make_executor("auto", 1)
-        assert executor.jobs == 1
-        assert executor.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
+    """``jobs`` and ``executor`` accept only the serial configuration, on
+    every entry point that still takes them."""
 
-    def test_process_executor_offloads_and_maps_in_process(self):
-        # planning (map) stays in the calling process - plans hold live IR -
-        # while run_tasks is the offload seam
-        executor = make_executor("process", 2)
-        try:
-            assert executor.offloads_alignment
-            assert executor.jobs == 2
-            local = object()
-            assert executor.map(lambda name: (name, local),
-                                ["a", "b"]) == [("a", local), ("b", local)]
-        finally:
-            executor.close()
+    @staticmethod
+    def entry_points(**kwargs):
+        """Call all three entry points with ``kwargs``; returns their
+        decision keys."""
+        engine = MergeEngine(exploration_threshold=2, **kwargs).run(
+            build_module(3))
+        compiled = compile_module(build_module(3), "fmsa", threshold=2,
+                                  **kwargs).merge_report
+        with open_compile_session(build_module(3), threshold=2,
+                                  **kwargs) as session:
+            opened = session.report
+        return [r.decision_keys() for r in (engine, compiled, opened)]
 
-    def test_auto_picks_process_for_several_jobs(self):
-        executor = make_executor("auto", 2)
-        try:
-            assert executor.offloads_alignment
-            assert executor.jobs == 2
-        finally:
-            executor.close()
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"jobs": None}, {"jobs": 1}, {"executor": "auto"},
+        {"executor": "serial"}, {"jobs": 1, "executor": "serial"}])
+    def test_serial_values_accepted_on_every_entry_point(self, kwargs):
+        assert self.entry_points(**kwargs) == self.entry_points()
 
-    def test_unknown_executor_rejected(self, monkeypatch):
-        # "thread" names the removed thread-pool executor
-        for kind in ("gpu", "thread"):
-            with pytest.raises(ValueError, match=r"\['process', 'serial'\]"):
-                make_executor(kind, 2)
-            with pytest.raises(ValueError):
-                MergeEngine(executor=kind, jobs=2).run(Module("empty"))
-            monkeypatch.setenv("REPRO_ENGINE_EXECUTOR", kind)
-            with pytest.raises(ValueError, match=r"\['process', 'serial'\]"):
-                MergeEngine(jobs=2).run(Module("empty"))
+    @pytest.mark.parametrize("kwargs", [
+        {"jobs": 0}, {"jobs": 2}, {"jobs": 8}, {"executor": "process"},
+        {"executor": "thread"}, {"executor": "gpu"},
+        {"jobs": 2, "executor": "serial"}, {"jobs": 1, "executor": "process"}])
+    def test_other_values_rejected_on_every_entry_point(self, kwargs):
+        with pytest.raises(ValueError, match="serial"):
+            MergeEngine(**kwargs)
+        with pytest.raises(ValueError, match="serial"):
+            compile_module(build_module(3), "fmsa", **kwargs)
+        with pytest.raises(ValueError, match="serial"):
+            # rejected before the merge pass is even consulted
+            compile_module(build_module(3), "baseline", **kwargs)
+        with pytest.raises(ValueError, match="serial"):
+            open_compile_session(build_module(3), **kwargs)
+
+    def test_unknown_executor_rejected(self):
+        # "thread" and "process" name the removed executors
+        for kind in ("gpu", "thread", "process"):
+            with pytest.raises(ValueError, match="'auto' or 'serial'"):
+                MergeEngine(executor=kind)
+            with pytest.raises(ValueError, match="'auto' or 'serial'"):
+                FunctionMergingPass(executor=kind)
 
 
 class TestPlanningErrors:
-    """A planner exception names the worklist entry it came from, and the
-    worker pool is still shut down through the engine's finally path."""
+    """A plan callback exception names the worklist entry it came from."""
 
     def _poisoned_engine(self, poison, **kwargs):
         """An engine whose searcher raises when ranking one specific name."""
@@ -305,86 +279,28 @@ class TestPlanningErrors:
         engine.searcher.rank_candidates = exploding
         return engine
 
-    def test_error_names_the_entry_under_process_executor(self):
-        from repro.core.engine import PlanningError
+    def test_error_names_the_entry_serially_too(self):
         module = build_module(5)
         poison = sorted(f.name for f in module.defined_functions())[3]
-        engine = self._poisoned_engine(poison, jobs=2, batch_size=8,
-                                       executor="process")
-        schedulers = []
-        original = engine.make_scheduler
-        engine.make_scheduler = lambda: schedulers.append(original()) or schedulers[-1]
+        engine = self._poisoned_engine(poison)
         with pytest.raises(PlanningError, match=repr(poison)) as excinfo:
             engine.run(module)
         assert isinstance(excinfo.value.__cause__, KeyError)
         assert excinfo.value.entry == poison
-        # the engine's finally path closed the pool despite the error
-        [scheduler] = schedulers
-        assert scheduler.executor.closed
-        assert scheduler.executor._pool._shutdown_thread
-
-    def test_error_names_the_entry_serially_too(self):
-        from repro.core.engine import PlanningError
-        module = build_module(5)
-        poison = sorted(f.name for f in module.defined_functions())[0]
-        engine = self._poisoned_engine(poison, jobs=1)
-        with pytest.raises(PlanningError, match=repr(poison)):
-            engine.run(module)
+        # the run state is detached on the failure path too
+        assert engine._module is None and engine._report is None
 
     def test_planning_error_is_not_double_wrapped(self):
-        from collections import deque
-        from repro.core.engine import MergeScheduler, PlanningError
-        from repro.core.engine.scheduler import SerialExecutor
-
         def plan(name):
             raise PlanningError(name, ValueError("inner"))
 
-        scheduler = MergeScheduler(
-            plan=plan, commit=None, query_key=None, absorb=None,
-            executor=SerialExecutor())
-        with pytest.raises(PlanningError, match="'only'") as excinfo:
-            scheduler.run(deque(["only"]), {"only"})
-        assert excinfo.value.entry == "only"
-
-
-class TestCacheAwarePlanning:
-    """Content-duplicate batch entries are planned in a second wave, so the
-    duplicate pairs' DPs run once and the followers hit the cache."""
-
-    @staticmethod
-    def clone_heavy_module(seed=7, families=6):
-        return build_module(seed, families=families, clones=3)
-
-    def test_duplicates_deferred_and_never_recomputed(self):
-        # executor pinned to serial: under the process offload, worker
-        # results are stored without a counted miss, so the miss==entries
-        # invariant below is specific to in-process planning
-        report = FunctionMergingPass(
-            exploration_threshold=2, executor="serial", batch_size=64,
-            alignment_cache=AlignmentCache()).run(self.clone_heavy_module())
-        stats = report.scheduler_stats
-        assert stats["content_dup_deferred"] > 0
-        # the guarantee (not luck): every miss is a distinct content key,
-        # i.e. no alignment DP ever ran twice within the run
-        assert stats["align_cache_misses"] == (stats["align_cache_entries"]
-                                               + stats["align_cache_evictions"])
-
-    def test_wave_planning_keeps_decisions_identical(self):
-        reference = ReferenceMergingPass(
-            exploration_threshold=2).run(self.clone_heavy_module())
-        for jobs, batch_size in ((2, 16), (4, 64)):
-            report = FunctionMergingPass(
-                exploration_threshold=2, jobs=jobs,
-                batch_size=batch_size).run(self.clone_heavy_module())
-            assert decisions(report) == decisions(reference)
-
-    def test_no_cache_disables_content_grouping(self):
-        engine = MergeEngine(exploration_threshold=2, jobs=2, batch_size=16,
-                             executor="serial")
-        scheduler = engine.make_scheduler()
+        engine = MergeEngine()
+        engine.attach_run_state(Module("empty"), None, {"only"},
+                                deque(["only"]), MergeReport())
         try:
-            assert scheduler.content_key is None
+            with pytest.raises(PlanningError, match="'only'") as excinfo:
+                engine.drain(plan=plan)
         finally:
-            scheduler.close()
-        report = engine.run(self.clone_heavy_module())
-        assert report.scheduler_stats["content_dup_deferred"] == 0
+            engine.detach_run_state()
+        assert excinfo.value.entry == "only"
+        assert str(excinfo.value).count("planning worklist entry") == 1

@@ -1,7 +1,7 @@
 """Tests for incremental engine sessions: random edit scripts replayed
 through a warm :class:`MergeSession` must be bit-identical to a cold
 ``engine.run()`` on the edited module - decisions, counters, call graph,
-and printed function bodies - across executors and kernels; plus the
+and printed function bodies - across kernels and the oracle; plus the
 failure-recovery, plan/linearization-reuse, delta-report, and edit
 validation behaviour."""
 
@@ -24,8 +24,8 @@ from repro.workloads import FamilySpec, FunctionSpec, make_family
 
 
 def build_module(seed=7, families=4, clones=2):
-    """Deterministic multi-family module population (same as the scheduler
-    tests, so the workloads exercise real merge/conflict traffic)."""
+    """Deterministic multi-family module population (same as the engine
+    tests, so the workloads exercise real merge traffic)."""
     module = Module(f"sess_{seed}")
     rng = random.Random(seed)
     for index in range(families):
@@ -105,7 +105,7 @@ def assert_graph_matches_rebuild(graph, module):
 
 def assert_session_matches_cold(session, seed, history, **engine_kwargs):
     """The full bit-identity contract: decisions, per-run counters,
-    scheduler accounting, call graph, verifier, and printed bodies."""
+    call graph, verifier, and printed bodies."""
     cold_module, cold = cold_rerun(seed, history, **engine_kwargs)
     warm = session.report
     assert warm.decision_keys() == cold.decision_keys()
@@ -114,8 +114,8 @@ def assert_session_matches_cold(session, seed, history, **engine_kwargs):
     assert warm.candidates_pruned == cold.candidates_pruned
     assert warm.stale_entries == cold.stale_entries
     assert warm.functions_considered == cold.functions_considered
-    for key in ("planned", "committed", "conflicts", "replans"):
-        assert warm.scheduler_stats[key] == cold.scheduler_stats[key], key
+    assert (warm.scheduler_stats["stale_entries"]
+            == cold.scheduler_stats["stale_entries"])
     verify_or_raise(session.module)
     assert_graph_matches_rebuild(session.graph, session.module)
     warm_names = sorted(f.name for f in session.module.functions)
@@ -145,7 +145,7 @@ def run_session_script(seed, updates=3, edits_per_update=2, **engine_kwargs):
             history.extend(edits)
             assert_session_matches_cold(session, seed, history,
                                         **engine_kwargs)
-    assert session._executor.closed
+    assert session.closed
 
 
 class TestSessionParity:
@@ -155,9 +155,6 @@ class TestSessionParity:
     @given(st.integers(0, 10_000))
     def test_random_edit_scripts_serial(self, seed):
         run_session_script(seed)
-
-    def test_random_edit_scripts_process_executor(self):
-        run_session_script(7, jobs=2, executor="process", batch_size=8)
 
     def test_random_edit_scripts_under_oracle(self):
         run_session_script(5, oracle=True)
@@ -191,13 +188,12 @@ class TestSessionParity:
 
 
 class TestSessionRecovery:
-    """A failed update tears the executor down; the next update recovers
-    with a fresh pool and converges to the cold post-edit state."""
+    """A failed update leaves partial commits; the next update rolls them
+    back and converges to the cold post-edit state."""
 
     def _crashing_session(self, seed=9):
         module = build_module(seed)
-        engine = MergeEngine(exploration_threshold=2, jobs=2,
-                             executor="process", batch_size=8)
+        engine = MergeEngine(exploration_threshold=2)
         session = MergeSession(engine, module)
         real_plan = engine.plan_entry
         poison = sorted(session._source_fps)[len(session._source_fps) // 2]
@@ -210,7 +206,7 @@ class TestSessionRecovery:
         engine.plan_entry = exploding
         return session, engine, real_plan
 
-    def test_failed_update_closes_pool_and_recovers(self):
+    def test_failed_update_rolls_back_and_recovers(self):
         seed = 9
         session, engine, real_plan = self._crashing_session(seed)
         donor = build_module(seed + 100).functions[0]
@@ -218,24 +214,20 @@ class TestSessionRecovery:
                                                       name="post_crash_fn"))
         with pytest.raises(PlanningError):
             session.update([edit])
-        assert session._executor.closed
         # the edit landed in the shadow before the replay died, and some
         # merges may have re-committed: the next update must roll that
         # partial state back and land exactly on the cold post-edit answer
         engine.plan_entry = real_plan
         session.update([])
-        assert not session._executor.closed
-        assert_session_matches_cold(session, seed, [edit],
-                                    jobs=2, executor="process", batch_size=8)
+        assert_session_matches_cold(session, seed, [edit])
         # and the session stays healthy for further edits
         donor2 = build_module(seed + 101).functions[1]
         edit2 = ModuleEdit.add(clone_function_detached(donor2,
                                                        name="post_crash_fn2"))
         session.update([edit2])
-        assert_session_matches_cold(session, seed, [edit, edit2],
-                                    jobs=2, executor="process", batch_size=8)
+        assert_session_matches_cold(session, seed, [edit, edit2])
         session.close()
-        assert session._executor.closed
+        assert session.closed
 
     def test_failed_validation_mutates_nothing(self):
         module = build_module(9)
@@ -320,7 +312,7 @@ class TestSessionReuse:
                 [ModuleEdit.add(clone_function_detached(donor, name="x_fn"))])
             for key in ("plans_reused", "functions_replanned",
                         "linearize_cache_hits", "linearize_cache_misses",
-                        "linearize_stale_evicted", "rank_reuse_hits"):
+                        "linearize_stale_evicted", "stale_entries"):
                 assert key in report.scheduler_stats, key
 
 
@@ -507,22 +499,11 @@ class TestDirtySet:
 
 
 class TestSessionLifecycle:
-    """Deterministic executor release: ``close()`` frees an owned pool,
-    borrowed keep-alive executors survive, factories re-lease on demand."""
+    """``close()`` is idempotent, and a closed session rejects updates."""
 
     def _engine(self, **kwargs):
         kwargs.setdefault("exploration_threshold", 2)
         return MergeEngine(**kwargs)
-
-    def test_close_frees_the_owned_executor(self):
-        from repro.core.engine.scheduler import make_executor  # noqa: F401
-        session = MergeSession(self._engine(executor="process", jobs=2),
-                               build_module(3))
-        executor = session._executor
-        assert not executor.closed
-        session.close()
-        assert session.closed
-        assert executor.closed
 
     def test_close_is_idempotent_and_update_after_close_raises(self):
         session = MergeSession(self._engine(), build_module(3))
@@ -532,53 +513,6 @@ class TestSessionLifecycle:
             session.update([])
 
     def test_context_manager_closes(self):
-        with MergeSession(self._engine(executor="process", jobs=2),
-                          build_module(3)) as session:
-            executor = session._executor
+        with MergeSession(self._engine(), build_module(3)) as session:
             assert session.report is not None
         assert session.closed
-        assert executor.closed
-
-    def test_borrowed_keep_alive_executor_survives_close(self):
-        from repro.core.engine.scheduler import make_executor
-        executor = make_executor("process", 2)
-        executor.keep_alive = True
-        try:
-            session = MergeSession(self._engine(jobs=2), build_module(3),
-                                   executor=executor)
-            assert session._executor is executor
-            session.update([])
-            session.close()
-            assert not executor.closed  # the owner decides its lifetime
-        finally:
-            executor.close()
-
-    def test_closed_injected_executor_falls_back_to_a_fresh_one(self):
-        from repro.core.engine.scheduler import make_executor
-        stale = make_executor("process", 2)
-        stale.close()
-        session = MergeSession(self._engine(executor="process", jobs=2),
-                               build_module(3), executor=stale)
-        assert session._executor is not stale
-        assert not session._executor.closed
-        session.close()
-
-    def test_factory_releases_on_recovery(self):
-        from repro.core.engine.scheduler import make_executor
-        built = []
-
-        def lease():
-            executor = make_executor("serial", None)
-            built.append(executor)
-            return executor
-
-        session = MergeSession(self._engine(), build_module(3),
-                               executor=lease)
-        assert built and session._executor is built[0]
-        # simulate the daemon recycling the shared pool out from under the
-        # session: the next update re-leases through the factory
-        built[0].closed = True
-        session.update([])
-        assert session._executor is built[-1]
-        assert len(built) == 2
-        session.close()

@@ -55,6 +55,12 @@ def build_module(seed=7, families=4, clones=2):
     return module
 
 
+def decisions(report):
+    """A report's merges in comparable form (pair, name, rank, delta)."""
+    return [(m.function1, m.function2, m.merged_name, m.rank_position, m.delta)
+            for m in report.merges]
+
+
 def make_binary_chain_function(module: Module, name: str, opcodes: Sequence[str],
                                constant: int = 3, linkage: str = "internal") -> Function:
     """int f(int a, int b): a chain of binary ops ending in a compare-guarded

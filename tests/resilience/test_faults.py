@@ -16,11 +16,11 @@ from repro.resilience import faults as faults_module
 class TestFaultPlan:
     def test_unknown_site_is_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown fault site"):
-            FaultPlan(sites={"offload.worker_crsh": SiteTrigger()})
+            FaultPlan(sites={"align.kernel_crsh": SiteTrigger()})
 
     def test_registry_covers_every_instrumented_layer(self):
         prefixes = {site.split(".", 1)[0] for site in FAULT_SITES}
-        assert prefixes == {"offload", "scheduler", "align",
+        assert prefixes == {"scheduler", "align",
                             "session", "service"}
 
     def test_nth_trigger_fires_exactly_once_on_the_nth_hit(self):
@@ -32,8 +32,8 @@ class TestFaultPlan:
 
     def test_count_budget_caps_an_always_trigger(self):
         plan = FaultPlan(sites={
-            "offload.worker_crash": SiteTrigger(probability=1.0, count=2)})
-        fires = [plan.should_fire("offload.worker_crash") for _ in range(5)]
+            "align.kernel_crash": SiteTrigger(probability=1.0, count=2)})
+        fires = [plan.should_fire("align.kernel_crash") for _ in range(5)]
         assert fires == [True, True, False, False, False]
         assert plan.fired() == 2
 
@@ -74,7 +74,7 @@ class TestFaultPlan:
     def test_pickle_round_trip_preserves_schedule_state(self):
         plan = FaultPlan(seed=7, sites={
             "session.replay_fail": SiteTrigger(probability=0.5),
-            "offload.worker_crash": SiteTrigger(nth=4)})
+            "align.kernel_crash": SiteTrigger(nth=4)})
         head = [plan.should_fire("session.replay_fail") for _ in range(10)]
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.seed == plan.seed and clone.sites == plan.sites
@@ -89,9 +89,9 @@ class TestFaultPlan:
 class TestParseGrammar:
     def test_full_grammar_round_trip(self):
         plan = FaultPlan.parse(
-            "seed=42,offload.worker_crash:p=0.2:count=1,session.replay_fail:nth=2")
+            "seed=42,align.kernel_crash:p=0.2:count=1,session.replay_fail:nth=2")
         assert plan.seed == 42
-        assert plan.sites["offload.worker_crash"] \
+        assert plan.sites["align.kernel_crash"] \
             == SiteTrigger(probability=0.2, nth=None, count=1)
         assert plan.sites["session.replay_fail"] \
             == SiteTrigger(probability=0.0, nth=2, count=None)
@@ -103,8 +103,8 @@ class TestParseGrammar:
 
     @pytest.mark.parametrize("spec", [
         "seed=x",                       # unparseable seed
-        "offload.worker_crash:boom=1",  # unknown trigger key
-        "offload.worker_crash:nth=x",   # unparseable value
+        "align.kernel_crash:boom=1",  # unknown trigger key
+        "align.kernel_crash:nth=x",   # unparseable value
         "no.such.site",                 # unknown site
     ])
     def test_bad_specs_are_rejected(self, spec):

@@ -3,17 +3,14 @@
 Everything runs against a real daemon bound to an ephemeral localhost port
 (or a unix socket), talked to through the real client - the full wire
 path.  Covers: request/response happy paths, bit-identical decisions vs
-the direct (daemon-less) pipeline under serial/process executors,
-warm-request accounting, wire-level rejections (malformed JSON, oversized
-payloads, unknown methods/sessions), bounded-queue backpressure (429),
-concurrent clients hammering one daemon, session TTL eviction, killed
-alignment workers (pool recycles, ``stats`` reports it, subsequent
-requests succeed) and client disconnects mid-request.
+the direct (daemon-less) pipeline, warm-request accounting, wire-level
+rejections (malformed JSON, oversized payloads, unknown methods/sessions),
+bounded-queue backpressure (429), concurrent clients hammering one daemon,
+session TTL eviction and client disconnects mid-request.
 """
 
 import json
 import os
-import signal
 import socket
 import threading
 import time
@@ -39,8 +36,7 @@ int scale5(int a, int b) { int c; c = a + b; return c * 5; }
 
 
 def make_daemon(**overrides):
-    settings = dict(port=0, executor="serial", session_ttl=60.0,
-                    tick_seconds=0.05)
+    settings = dict(port=0, session_ttl=60.0, tick_seconds=0.05)
     settings.update(overrides)
     return MergeDaemon(DaemonConfig(**settings)).start()
 
@@ -151,17 +147,14 @@ class TestBasics:
 # -- bit-identity vs the direct path ------------------------------------------
 
 class TestDecisionParity:
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_daemon_decisions_match_direct_compile(self, executor):
-        daemon = make_daemon(executor=executor, jobs=2)
+    def test_daemon_decisions_match_direct_compile(self):
+        daemon = make_daemon()
         try:
             with ServiceClient(daemon.address, timeout=60.0) as client:
                 served = client.compile_module(WORKLOAD)
         finally:
             daemon.shutdown()
-        for direct_executor in ("serial", "process"):
-            assert served["decisions"] == direct_decisions(
-                WORKLOAD, executor=direct_executor, jobs=2), direct_executor
+        assert served["decisions"] == direct_decisions(WORKLOAD)
 
     def test_session_decisions_match_direct_session_after_edits(self, client):
         sid = client.open_session({"kind": "source", "text": SOURCE})["session"]
@@ -310,9 +303,8 @@ class TestBackpressure:
 # -- concurrency --------------------------------------------------------------
 
 class TestConcurrentClients:
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_hammering_clients_get_bit_identical_decisions(self, executor):
-        daemon = make_daemon(executor=executor, jobs=2, queue_limit=16)
+    def test_hammering_clients_get_bit_identical_decisions(self):
+        daemon = make_daemon(queue_limit=16)
         payloads = [
             WORKLOAD,
             {"kind": "workload", "suite": "mibench", "benchmark": "sha"},
@@ -420,51 +412,6 @@ class TestEviction:
 
 # -- failure recovery ---------------------------------------------------------
 
-class TestWorkerCrashRecovery:
-    def test_killed_worker_recycles_the_pool_and_requests_succeed(self):
-        daemon = make_daemon(executor="process", jobs=2)
-        try:
-            with ServiceClient(daemon.address, timeout=120.0) as client:
-                first = client.compile_module(WORKLOAD)
-                stats = client.stats()
-                pids = stats.get("worker_pids", [])
-                assert pids, "process executor should expose worker pids"
-                for pid in pids:
-                    os.kill(pid, signal.SIGKILL)
-                # a repeat of WORKLOAD would be answered from the resident
-                # cache without touching the pool; an unseen module forces
-                # fresh alignment work onto the (dead) pool - the daemon
-                # recycles it and retries, so the request still succeeds
-                second = client.compile_module(
-                    {"kind": "source", "text": SOURCE})
-                assert second["merge_count"] >= 1
-                stats = client.stats()
-                assert stats["pool_recycles"] >= 1
-                new_pids = stats.get("worker_pids", [])
-                assert new_pids and not (set(new_pids) & set(pids))
-                # and the daemon keeps serving, bit-identically
-                assert (client.compile_module(WORKLOAD)["decisions"]
-                        == first["decisions"])
-        finally:
-            daemon.shutdown()
-
-    def test_killed_worker_mid_session_recovers(self):
-        daemon = make_daemon(executor="process", jobs=1)
-        try:
-            with ServiceClient(daemon.address, timeout=120.0) as client:
-                sid = client.open_session(
-                    {"kind": "source", "text": SOURCE})["session"]
-                pids = client.stats().get("worker_pids", [])
-                for pid in pids:
-                    os.kill(pid, signal.SIGKILL)
-                update = client.session_update(
-                    sid, [{"op": "add", "name": "scale5",
-                           "source": EXTRA_FUNCTION}])
-                assert update["merge_count"] >= 1
-        finally:
-            daemon.shutdown()
-
-
 class TestClientDisconnect:
     def test_disconnect_mid_request_is_survived_and_counted(self, daemon):
         host, _, port = daemon.address.rpartition(":")
@@ -483,30 +430,6 @@ class TestClientDisconnect:
             assert client.stats()["client_disconnects"] >= 1
             # the daemon still serves normal requests
             assert client.compile_module(WORKLOAD)["merge_count"] >= 1
-
-
-# -- pool recycling by request count ------------------------------------------
-
-class TestScheduledRecycle:
-    def test_recycle_after_n_requests(self):
-        daemon = make_daemon(executor="process", jobs=1, recycle_after=2)
-        # distinct seeds: every request must actually reach the engine
-        # (identical ones would be answered from the result cache)
-        variant = [dict(WORKLOAD, seed=n) for n in (1, 2, 3)]
-        try:
-            with ServiceClient(daemon.address, timeout=120.0) as client:
-                client.compile_module(variant[0])
-                pids_before = client.stats().get("worker_pids", [])
-                client.compile_module(variant[1])  # hits the threshold
-                third = client.compile_module(variant[2])
-                assert third["merge_count"] >= 0
-                stats = client.stats()
-                assert stats["pool_builds"] >= 2
-                pids_after = stats.get("worker_pids", [])
-                assert pids_before and pids_after
-                assert not (set(pids_before) & set(pids_after))
-        finally:
-            daemon.shutdown()
 
 
 class TestSanitizerMode:
