@@ -19,10 +19,10 @@ Public API:
 """
 
 from .align_np import (needleman_wunsch_numpy, needleman_wunsch_numpy_keyed,
-                       numpy_available, solve_keyed_alignment_numpy)
+                       numpy_available)
 from .alignment import (AlignedEntry, AlignmentResult, ScoringScheme, align,
                         hirschberg, needleman_wunsch, needleman_wunsch_keyed,
-                        ops_string, solve_keyed_alignment)
+                        ops_string)
 from .codegen import (CodegenError, MergeCodeGenerator, MergeOptions,
                       MergeResult, merge_cost, merge_functions,
                       merge_parameter_lists, merge_return_types)
@@ -38,8 +38,7 @@ from .fingerprint import (Fingerprint, FingerprintDelta, fingerprint_module,
 from .linearizer import (LinearEntry, LinearizedFunction, linearize,
                          linearize_with_keys, sequence_signature)
 from .native import (native_available, needleman_wunsch_native,
-                     needleman_wunsch_native_keyed,
-                     solve_keyed_alignment_native)
+                     needleman_wunsch_native_keyed)
 from .pass_ import (FunctionMergingPass, MergeRecord, MergeReport, STAGES,
                     make_hotness_filter)
 from .profitability import MergeEvaluation, estimate_profit, evaluate_merge
@@ -51,11 +50,11 @@ __all__ = [
     "AlignedEntry", "AlignmentResult", "ScoringScheme", "align", "hirschberg",
     "needleman_wunsch", "needleman_wunsch_keyed",
     "needleman_wunsch_numpy", "needleman_wunsch_numpy_keyed",
-    "numpy_available", "solve_keyed_alignment_numpy",
+    "numpy_available",
     "native_available", "needleman_wunsch_native",
-    "needleman_wunsch_native_keyed", "solve_keyed_alignment_native",
+    "needleman_wunsch_native_keyed",
     "AlignmentCache",
-    "ops_string", "solve_keyed_alignment",
+    "ops_string",
     "CodegenError", "MergeCodeGenerator", "MergeOptions", "MergeResult",
     "merge_cost", "merge_functions", "merge_parameter_lists",
     "merge_return_types",

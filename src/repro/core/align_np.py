@@ -41,12 +41,12 @@ the pure-Python inner loop by an order of magnitude.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, TypeVar
+from typing import Sequence, TypeVar
 
 from .alignment import (AlignmentResult, EquivalenceFn, ScoringScheme,
                         MOVE_LEFT, MOVE_MATCH, MOVE_MISMATCH, MOVE_UP,
                         _default_equivalence, moves_to_ops,
-                        needleman_wunsch_keyed, ops_string, result_from_ops)
+                        needleman_wunsch_keyed, result_from_ops)
 
 T = TypeVar("T")
 
@@ -180,23 +180,6 @@ def needleman_wunsch_numpy(seq1: Sequence[T], seq2: Sequence[T],
         eq[i] = [equivalent(a, b) for b in seq2]
     moves, score = _nw_fill_moves_numpy(np, n, m, lambda i: eq[i], scoring)
     return result_from_ops(moves_to_ops(moves, n, m), score, seq1, seq2)
-
-
-def solve_keyed_alignment_numpy(keys1: Sequence[int], keys2: Sequence[int],
-                                scoring: ScoringScheme = ScoringScheme()
-                                ) -> Tuple[str, int]:
-    """Vectorized task-level alignment over pure data: the NumPy twin of
-    :func:`repro.core.alignment.solve_keyed_alignment`.
-
-    Integer key sequences in, alignment shape ``(ops, score)`` out -
-    bit-identical to the pure-Python solver by construction (the fill
-    computes the same integers, the traceback is shared).  Requires the
-    ``fast`` extra.
-    """
-    result = needleman_wunsch_numpy_keyed(range(len(keys1)),
-                                          range(len(keys2)), keys1, keys2,
-                                          scoring)
-    return ops_string(result.entries), result.score
 
 
 #: Keyed kernels by algorithm name, for the AlignmentStage dispatch table.

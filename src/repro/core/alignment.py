@@ -215,24 +215,6 @@ def moves_to_ops(moves, n: int, m: int) -> str:
     return "".join(out)
 
 
-def solve_keyed_alignment(keys1: Sequence[int], keys2: Sequence[int],
-                          scoring: ScoringScheme = ScoringScheme()
-                          ) -> Tuple[str, int]:
-    """Task-level alignment over *pure data*: integer key sequences in,
-    alignment shape ``(ops, score)`` out.
-
-    No linearized entries, no IR, no interner - just the key sequences (whose
-    cross-sequence equality pattern fully determines the DP) and the
-    scoring scheme.  The result is bit-identical to running
-    :func:`needleman_wunsch_keyed` over the originating pair and
-    serializing it with :func:`ops_string`, because the kernel only ever
-    reads the keys.
-    """
-    result = needleman_wunsch_keyed(range(len(keys1)), range(len(keys2)),
-                                    keys1, keys2, scoring)
-    return ops_string(result.entries), result.score
-
-
 # ---------------------------------------------------------------------------
 # Needleman-Wunsch
 # ---------------------------------------------------------------------------

@@ -593,9 +593,16 @@ class MergeEngine:
         worklist = deque(sorted(available))
         report.functions_considered = len(available)
 
+        searcher = self.searcher
+
+        def after_commit(plan: MergePlan, events: CommitEvents) -> None:
+            searcher.sweep_memo()  # consumed contents never come back
+            if on_commit is not None:
+                on_commit(plan, events)
+
         self.attach_run_state(module, call_graph, available, worklist, report)
         try:
-            stale = self.drain(on_commit=on_commit)
+            stale = self.drain(on_commit=after_commit)
             self.finish_report(report, stale)
         finally:
             self.detach_run_state()

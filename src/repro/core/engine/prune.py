@@ -36,6 +36,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ...ir.function import Function
 from ...targets.cost_model import TargetCostModel
+from .search import shared_count
 
 
 class _CostVector:
@@ -48,25 +49,6 @@ class _CostVector:
         self.op_costs = [cost for _, cost in op_vec]
         self.body_total = sum(self.op_costs)
         self.fixed_overhead = fixed_overhead
-
-
-def _shared_cost(ids1: List[int], costs1: List[int],
-                 ids2: List[int], costs2: List[int]) -> int:
-    """Two-pointer merge: sum of min totals over the shared opcode ids."""
-    i = j = shared = 0
-    n1, n2 = len(ids1), len(ids2)
-    while i < n1 and j < n2:
-        a, b = ids1[i], ids2[j]
-        if a == b:
-            c1, c2 = costs1[i], costs2[j]
-            shared += c1 if c1 < c2 else c2
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
-    return shared
 
 
 class ProfitBoundIndex:
@@ -125,5 +107,5 @@ class ProfitBoundIndex:
         cardinality_cap = min(e1.body_total, e2.body_total) + slack
         if cardinality_cap <= floor:
             return cardinality_cap
-        shared = _shared_cost(e1.op_ids, e1.op_costs, e2.op_ids, e2.op_costs)
+        shared = shared_count(e1.op_ids, e1.op_costs, e2.op_ids, e2.op_costs)
         return shared + slack

@@ -9,11 +9,16 @@ cheap:
 * **sorted-vector fingerprints** - the opcode/type multisets as parallel
   ``(feature id, count)`` arrays sorted by interned feature id - so an exact
   similarity is a two-pointer merge over ints instead of hash probes;
+* a **pair-score memo** keyed by interned fingerprint *content* (the two
+  vectors): a pair of contents is scored once, however many queries, names
+  or session replays visit it, for as long as both contents are remembered
+  (a pair first cut short by the early exit may be completed once later;
+  see :class:`_Content`);
 * an **early-exit similarity bound**: ``min(|a|,|b|) / (|a|+|b|)`` per
   feature kind upper-bounds the UB formula using only the cached multiset
-  cardinalities, letting a candidate be discarded (or the type-side merge be
-  skipped) before any intersection work when it provably cannot beat the
-  current t-th best score.
+  cardinalities, letting an unscored candidate be discarded (or the
+  type-side merge be skipped) before any intersection work when it provably
+  cannot beat the current t-th best score.
 
 There is deliberately no inverted index in front of the scan: every
 function shares ``ret`` and some type with every other, so on the benchmark
@@ -25,45 +30,72 @@ The searcher reproduces :class:`CandidateRanker` results *exactly* - same
 candidates, same scores, same order, same tie behaviour - because it visits
 candidates in the ranker's iteration order (fingerprint insertion order)
 and applies the identical bounded-heap policy; the bounds only skip
-candidates that provably cannot enter the heap.
+candidates that provably cannot enter the heap, and a memoised score is the
+bit-identical float the merge would compute again.
 """
 
 from __future__ import annotations
 
 import heapq
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ...ir.function import Function
 from ..fingerprint import Fingerprint
 from ..ranking import RankedCandidate
 
 
-class _IndexedFingerprint:
-    """Sorted-vector view of one fingerprint plus its insertion order."""
+class _Content:
+    """One interned fingerprint content: sorted vectors, cardinalities and
+    the content's row of the pair-score memo.
 
-    __slots__ = ("name", "order", "op_ids", "op_counts", "ty_ids", "ty_counts",
-                 "op_total", "ty_total")
+    ``row`` maps a partner content to the pair's score.  A value ``>= 0``
+    is the exact similarity (counts are positive, so exact scores are); a
+    negative value ``-u`` records only the opcode-side upper bound ``u > 0``
+    at which an early exit stopped, which can still answer "cannot beat
+    this floor" but is never used as a score.  Every entry is written to
+    both partners' rows (similarity is symmetric to the last bit: min
+    counts and integer denominators), so a content's row also lists every
+    row that holds an entry for it.
+    """
 
-    def __init__(self, name: str, order: int,
-                 op_vec: List[Tuple[int, int]], ty_vec: List[Tuple[int, int]],
-                 op_total: int, ty_total: int):
-        self.name = name
-        self.order = order
+    __slots__ = ("key", "op_ids", "op_counts", "ty_ids", "ty_counts",
+                 "op_total", "ty_total", "row", "refs", "epoch")
+
+    def __init__(self, key: tuple):
+        self.key = key
+        op_vec, ty_vec = key
         self.op_ids = [fid for fid, _ in op_vec]
         self.op_counts = [count for _, count in op_vec]
         self.ty_ids = [fid for fid, _ in ty_vec]
         self.ty_counts = [count for _, count in ty_vec]
-        self.op_total = op_total
-        self.ty_total = ty_total
+        self.op_total = sum(self.op_counts)
+        self.ty_total = sum(self.ty_counts)
+        self.row: Dict["_Content", float] = {}
+        #: indexed names currently holding this content
+        self.refs = 0
+        #: the last memo epoch in which an entry took or dropped it
+        self.epoch = 0
+
+
+class _IndexedFingerprint:
+    """One indexed name: its content plus its insertion order."""
+
+    __slots__ = ("name", "order", "content")
+
+    def __init__(self, name: str, order: int, content: _Content):
+        self.name = name
+        self.order = order
+        self.content = content
 
 
 _order = attrgetter("order")
 
 
-def _shared_count(ids1: List[int], counts1: List[int],
-                  ids2: List[int], counts2: List[int]) -> int:
-    """Two-pointer merge: sum of min counts over the shared feature ids."""
+def shared_count(ids1: List[int], counts1: List[int],
+                 ids2: List[int], counts2: List[int]) -> int:
+    """Two-pointer merge of two sorted ``(id, count)`` vectors: the sum of
+    the smaller count over the shared ids."""
     i = j = shared = 0
     n1, n2 = len(ids1), len(ids2)
     while i < n1 and j < n2:
@@ -82,7 +114,17 @@ def _shared_count(ids1: List[int], counts1: List[int],
 
 class IndexedCandidateSearcher:
     """Drop-in replacement for :class:`CandidateRanker` over sorted-vector
-    fingerprints.  Exact: returns identical top-``t`` rankings."""
+    fingerprints.  Exact: returns identical top-``t`` rankings.
+
+    The pair-score memo lives as long as the index: :meth:`clear` (every
+    engine run) drops it, and :meth:`sweep_memo` drops the scores of
+    contents no indexed name has taken or dropped since the previous sweep.
+    A session sweeps after every update, so a dead content outlives its
+    last use by at most one update; a cold run sweeps after every commit.
+    The memo takes no lock: a searcher belongs to one engine, and an engine
+    is driven by one thread at a time (a daemon session owns its engine;
+    warm passes run under the daemon's engine lock).
+    """
 
     def __init__(self, exploration_threshold: int = 1,
                  minimum_similarity: float = 0.0):
@@ -93,10 +135,22 @@ class IndexedCandidateSearcher:
         self._entries: Dict[str, _IndexedFingerprint] = {}
         self._op_feature_ids: Dict[object, int] = {}
         self._ty_feature_ids: Dict[object, int] = {}
+        self._contents: Dict[tuple, _Content] = {}
+        # contents whose last holder left; swept by sweep_memo()
+        self._released: Set[_Content] = set()
+        self._epoch = 0
         self._next_order = 0
+        # every entry in iteration order; None until the next query after
+        # an index change
+        self._ordered: Optional[List[_IndexedFingerprint]] = None
+        #: Pairs scored by a two-pointer merge / candidates answered from
+        #: the memo, over the searcher's lifetime (the candidate-search
+        #: stage reports them per run).
+        self.pairs_scored = 0
+        self.pair_memo_hits = 0
 
     # -- index maintenance ---------------------------------------------------
-    def _vector(self, freq, feature_ids: Dict[object, int]) -> List[Tuple[int, int]]:
+    def _vector(self, freq, feature_ids: Dict[object, int]) -> Tuple[Tuple[int, int], ...]:
         vec = []
         for feature, count in freq.items():
             fid = feature_ids.get(feature)
@@ -104,7 +158,22 @@ class IndexedCandidateSearcher:
                 fid = feature_ids[feature] = len(feature_ids)
             vec.append((fid, count))
         vec.sort()
-        return vec
+        return tuple(vec)
+
+    def _intern(self, fp: Fingerprint) -> _Content:
+        key = (self._vector(fp.opcode_freq, self._op_feature_ids),
+               self._vector(fp.type_freq, self._ty_feature_ids))
+        content = self._contents.get(key)
+        if content is None:
+            content = self._contents[key] = _Content(key)
+        return content
+
+    def _release(self, entry: _IndexedFingerprint) -> None:
+        content = entry.content
+        content.refs -= 1
+        content.epoch = self._epoch
+        if not content.refs:
+            self._released.add(content)
 
     def add_function(self, function: Function) -> None:
         self.add_fingerprint(Fingerprint.of(function))
@@ -125,27 +194,59 @@ class IndexedCandidateSearcher:
         existing = self._entries.get(name)
         if existing is not None:
             order = existing.order
+            self._release(existing)
         elif order is None:
             order = self._next_order
             self._next_order += 1
         else:
             self._next_order = max(self._next_order, order + 1)
-        entry = _IndexedFingerprint(
-            name, order,
-            self._vector(fp.opcode_freq, self._op_feature_ids),
-            self._vector(fp.type_freq, self._ty_feature_ids),
-            fp.opcode_total, fp.type_total)
-        self._entries[name] = entry
+        content = self._intern(fp)
+        content.refs += 1
+        content.epoch = self._epoch
+        self._entries[name] = _IndexedFingerprint(name, order, content)
+        self._ordered = None
 
     def remove_function(self, name: str) -> None:
-        self._entries.pop(name, None)
+        entry = self._entries.pop(name, None)
+        if entry is not None:
+            self._release(entry)
+            self._ordered = None
 
     def clear(self) -> None:
-        """Forget every fingerprint (fresh state per engine run)."""
+        """Forget every fingerprint and memoised score (fresh state per
+        engine run)."""
         self._entries.clear()
         self._op_feature_ids.clear()
         self._ty_feature_ids.clear()
+        self._contents.clear()
+        self._released.clear()
         self._next_order = 0
+        self._ordered = None
+
+    def sweep_memo(self) -> None:
+        """Close one memo epoch: drop every content that no indexed name
+        has taken or dropped since the previous sweep, with its row and its
+        entries in its partners' rows.
+
+        A session sweeps once per update, so a content it rolls back and
+        replays (a restored source, a merged function that recurs) keeps
+        its scores; a cold run sweeps once per commit, since it never
+        brings a consumed function back.
+        """
+        epoch = self._epoch
+        recent: Set[_Content] = set()
+        for content in self._released:
+            if content.refs:
+                continue  # taken again: no longer released
+            if content.epoch == epoch:
+                recent.add(content)  # released in this epoch: keep one more
+                continue
+            del self._contents[content.key]
+            for partner in content.row:
+                if partner is not content:
+                    partner.row.pop(content, None)
+        self._released = recent
+        self._epoch = epoch + 1
 
     def order_of(self, name: str) -> Optional[int]:
         """Iteration position of an indexed fingerprint (session bookkeeping:
@@ -164,62 +265,84 @@ class IndexedCandidateSearcher:
         return len(self._entries)
 
     # -- queries ----------------------------------------------------------------
-    def _candidates(self, entry: _IndexedFingerprint) -> List[_IndexedFingerprint]:
-        """Every other function, in the linear ranker's iteration
-        (insertion) order."""
-        ordered = [other for other in self._entries.values() if other is not entry]
-        ordered.sort(key=_order)
-        return ordered
-
-    def _bound(self, a: _IndexedFingerprint, b: _IndexedFingerprint) -> float:
-        """Cardinality-only upper bound on ``similarity``: shared counts can
-        never exceed the smaller multiset."""
-        op_denominator = a.op_total + b.op_total
-        ty_denominator = a.ty_total + b.ty_total
-        if op_denominator == 0 or ty_denominator == 0:
-            return 0.0
-        op_bound = min(a.op_total, b.op_total) / op_denominator
-        ty_bound = min(a.ty_total, b.ty_total) / ty_denominator
-        return op_bound if op_bound < ty_bound else ty_bound
-
-    def _similarity(self, a: _IndexedFingerprint, b: _IndexedFingerprint,
-                    cutoff: float) -> float:
-        """Exact similarity, or any value <= ``cutoff`` once the opcode-side
-        upper bound proves the exact score cannot exceed ``cutoff``."""
-        op_denominator = a.op_total + b.op_total
-        ty_denominator = a.ty_total + b.ty_total
-        if op_denominator == 0 or ty_denominator == 0:
-            return 0.0
-        op_ub = _shared_count(a.op_ids, a.op_counts, b.op_ids, b.op_counts) / op_denominator
-        if op_ub <= cutoff:
-            return op_ub  # early exit: min(op_ub, ty_ub) <= op_ub <= cutoff
-        ty_ub = _shared_count(a.ty_ids, a.ty_counts, b.ty_ids, b.ty_counts) / ty_denominator
-        return op_ub if op_ub < ty_ub else ty_ub
-
     def rank_candidates(self, name: str,
                         limit: Optional[int] = None) -> List[RankedCandidate]:
         """Top merge candidates for ``name``; same contract and same results
-        as :meth:`CandidateRanker.rank_candidates`."""
+        as :meth:`CandidateRanker.rank_candidates`.
+
+        A candidate is skipped exactly when its score cannot beat ``floor``
+        (the minimum similarity, or the t-th best score once the heap is
+        full), which is what the ranker's heap policy amounts to.
+        """
         entry = self._entries.get(name)
         if entry is None:
             return []
         if limit is None:
             limit = self.exploration_threshold
-        minimum = self.minimum_similarity
+        ordered = self._ordered
+        if ordered is None:
+            ordered = self._ordered = sorted(self._entries.values(), key=_order)
+        content = entry.content
+        row = content.row
+        op_ids, op_counts = content.op_ids, content.op_counts
+        ty_ids, ty_counts = content.ty_ids, content.ty_counts
+        op_total, ty_total = content.op_total, content.ty_total
+        floor = self.minimum_similarity
+        full = False
         heap: List[Tuple[float, str]] = []
-        for other in self._candidates(entry):
-            full = bool(limit) and len(heap) >= limit
-            floor = heap[0][0] if full else minimum
-            if self._bound(entry, other) <= floor:
+        scored = hits = 0
+        for other in ordered:
+            if other is entry:
                 continue
-            score = self._similarity(entry, other, floor)
-            if score <= minimum:
+            theirs = other.content
+            score = row.get(theirs)
+            if score is not None and score >= 0.0:
+                hits += 1
+            else:
+                op_denominator = op_total + theirs.op_total
+                ty_denominator = ty_total + theirs.ty_total
+                if not op_denominator or not ty_denominator:
+                    score = 0.0  # a featureless side: the ranker's score
+                elif score is not None and -score <= floor:
+                    hits += 1  # the stored op-side bound already fails
+                    continue
+                else:
+                    # cardinality bound: shared counts never exceed the
+                    # smaller multiset
+                    other_op, other_ty = theirs.op_total, theirs.ty_total
+                    if ((op_total if op_total < other_op else other_op)
+                            / op_denominator <= floor
+                            or (ty_total if ty_total < other_ty else other_ty)
+                            / ty_denominator <= floor):
+                        continue
+                    scored += 1
+                    if score is None:
+                        score = shared_count(op_ids, op_counts, theirs.op_ids,
+                                             theirs.op_counts) / op_denominator
+                        if 0.0 < score <= floor:
+                            # early exit: min(op, ty) <= op <= floor
+                            row[theirs] = theirs.row[content] = -score
+                            continue
+                    else:
+                        score = -score
+                    if score > 0.0:
+                        ty_score = shared_count(ty_ids, ty_counts, theirs.ty_ids,
+                                                theirs.ty_counts) / ty_denominator
+                        if ty_score < score:
+                            score = ty_score
+                    row[theirs] = theirs.row[content] = score
+            if score <= floor:
                 continue
             if full:
-                if score > heap[0][0]:
-                    heapq.heapreplace(heap, (score, other.name))
+                heapq.heapreplace(heap, (score, other.name))
+                floor = heap[0][0]
             else:
                 heapq.heappush(heap, (score, other.name))
-        ordered = sorted(heap, key=lambda item: (-item[0], item[1]))
-        return [RankedCandidate(n, s, i + 1) for i, (s, n) in enumerate(ordered)]
-
+                if len(heap) == limit:
+                    full = True
+                    floor = heap[0][0]
+        self.pairs_scored += scored
+        self.pair_memo_hits += hits
+        ordered_heap = sorted(heap, key=lambda item: (-item[0], item[1]))
+        return [RankedCandidate(n, s, i + 1)
+                for i, (s, n) in enumerate(ordered_heap)]

@@ -11,7 +11,6 @@ driver loop in :class:`~repro.core.engine.engine.MergeEngine`.
 from __future__ import annotations
 
 import os
-import threading
 import warnings
 from typing import Dict, List, Optional, Tuple
 
@@ -227,7 +226,12 @@ class FingerprintStage(Stage):
 
 
 class CandidateSearchStage(Stage):
-    """Answers top-``t`` candidate queries against the fingerprint index."""
+    """Answers top-``t`` candidate queries against the fingerprint index.
+
+    Besides ``candidates`` it counts, per query, the pairs the searcher
+    scored (``pairs_scored``) and the candidates its pair-score memo
+    answered (``pair_memo_hits``).
+    """
 
     name = "candidate-search"
     legacy_stage = "ranking"
@@ -237,8 +241,13 @@ class CandidateSearchStage(Stage):
         self.searcher = searcher
 
     def query(self, name: str, limit: int) -> List[RankedCandidate]:
-        candidates = self.timed(self.searcher.rank_candidates, name, limit)
-        self.stats.bump("candidates", len(candidates))
+        searcher = self.searcher
+        scored, hits = searcher.pairs_scored, searcher.pair_memo_hits
+        candidates = self.timed(searcher.rank_candidates, name, limit)
+        stats = self.stats
+        stats.bump("candidates", len(candidates))
+        stats.bump("pairs_scored", searcher.pairs_scored - scored)
+        stats.bump("pair_memo_hits", searcher.pair_memo_hits - hits)
         return candidates
 
 
@@ -262,10 +271,6 @@ class LinearizeStage(Stage):
         # same Function object therefore can never resurrect a stale
         # linearization even if an invalidate call is missed.
         self._cache: Dict[str, tuple] = {}
-        # callers on several threads must not race the interner's id
-        # assignment (keys only matter by equality, but a torn insert could
-        # hand two ids to one equivalence class)
-        self._lock = threading.Lock()
 
     @staticmethod
     def _body_token(function: Function) -> Optional[int]:
@@ -275,20 +280,19 @@ class LinearizeStage(Stage):
         return self.timed(self._get, function)
 
     def _get(self, function: Function) -> LinearizedFunction:
-        with self._lock:
-            token = self._body_token(function)
-            slot = self._cache.get(function.name)
-            if slot is not None and slot[0] != token:
-                self.stats.bump("stale_evicted")
-                slot = None
-            if slot is None:
-                cached = linearize_with_keys(function, self.traversal, self.interner)
-                self._cache[function.name] = (token, cached)
-                self.stats.bump("linearized")
-            else:
-                cached = slot[1]
-                self.stats.bump("cache_hits")
-            return cached
+        token = self._body_token(function)
+        slot = self._cache.get(function.name)
+        if slot is not None and slot[0] != token:
+            self.stats.bump("stale_evicted")
+            slot = None
+        if slot is None:
+            cached = linearize_with_keys(function, self.traversal, self.interner)
+            self._cache[function.name] = (token, cached)
+            self.stats.bump("linearized")
+        else:
+            cached = slot[1]
+            self.stats.bump("cache_hits")
+        return cached
 
     def cached_names(self):
         """Names with a live cached linearization (session reuse metering)."""

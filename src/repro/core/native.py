@@ -36,7 +36,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
-from typing import List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Sequence, TypeVar
 
 from .alignment import (AlignmentResult, EquivalenceFn, ScoringScheme,
                         _default_equivalence, needleman_wunsch_keyed,
@@ -273,31 +273,8 @@ def needleman_wunsch_native(seq1: Sequence[T], seq2: Sequence[T],
 
 
 # ---------------------------------------------------------------------------
-# Task-level solver and dispatch tables
+# Dispatch tables
 # ---------------------------------------------------------------------------
-
-def solve_keyed_alignment_native(keys1: Sequence[int], keys2: Sequence[int],
-                                 scoring: ScoringScheme = ScoringScheme()
-                                 ) -> Tuple[str, int]:
-    """Native task-level alignment over pure data: the C twin of
-    :func:`repro.core.alignment.solve_keyed_alignment`.
-
-    Integer key sequences in, alignment shape ``(ops, score)`` out,
-    bit-identical to the pure solver.  It skips the entry-rehydration step
-    entirely - the C kernel already returns the shape.
-    """
-    native = require_native("nw-native")
-    n, m = len(keys1), len(keys2)
-    if _fits_native(n, m, scoring):
-        try:
-            return native.solve_keyed(_as_key_list(keys1),
-                                      _as_key_list(keys2), scoring.match,
-                                      scoring.mismatch, scoring.gap)
-        except (OverflowError, TypeError):
-            pass
-    from .alignment import solve_keyed_alignment
-    return solve_keyed_alignment(keys1, keys2, scoring)
-
 
 #: Keyed kernels by algorithm name, for the AlignmentStage dispatch table.
 KEYED_NATIVE_KERNELS = {"nw-native": needleman_wunsch_native_keyed}

@@ -19,13 +19,11 @@ from repro.core import FunctionMergingPass, ReferenceMergingPass
 from repro.core import native as native_mod
 from repro.core.align_np import numpy_available
 from repro.core.alignment import (ALGORITHMS, ScoringScheme, align,
-                                  needleman_wunsch, needleman_wunsch_keyed,
-                                  ops_string, solve_keyed_alignment)
+                                  needleman_wunsch, needleman_wunsch_keyed)
 from repro.core.engine.stages import AlignmentStage, resolve_alignment_kernel
 from repro.core.native import (native_available,
                                needleman_wunsch_native,
-                               needleman_wunsch_native_keyed,
-                               solve_keyed_alignment_native)
+                               needleman_wunsch_native_keyed)
 from repro.ir import Module, verify_or_raise
 from repro.workloads import FamilySpec, FunctionSpec, make_family
 
@@ -95,9 +93,12 @@ def test_native_keyed_matches_keyed_kernel(seq1, seq2, scoring):
 @given(st.lists(st.integers(0, 3), max_size=12),
        st.lists(st.integers(0, 3), max_size=12), scorings)
 def test_solve_keyed_native_matches_pure_solver(keys1, keys2, scoring):
-    want = solve_keyed_alignment(keys1, keys2, scoring)
-    got = solve_keyed_alignment_native(keys1, keys2, scoring)
-    assert got == want
+    # the C solve_keyed entry point behind the keyed native kernel, over
+    # integer keys alone (the entries are just positions)
+    seq1, seq2 = range(len(keys1)), range(len(keys2))
+    want = needleman_wunsch_keyed(seq1, seq2, keys1, keys2, scoring)
+    assert_same(needleman_wunsch_native_keyed(seq1, seq2, keys1, keys2,
+                                              scoring), want)
 
 
 @requires_native
@@ -120,8 +121,6 @@ def test_never_equivalent_keys_never_match():
     k1, k2 = [-1, 0], [-2, 0]
     want = needleman_wunsch_keyed("AB", "AB", k1, k2)
     assert_same(needleman_wunsch_native_keyed("AB", "AB", k1, k2), want)
-    assert solve_keyed_alignment_native(k1, k2, ScoringScheme()) \
-        == (ops_string(want.entries), want.score)
 
 
 @requires_native
@@ -133,8 +132,6 @@ def test_huge_scores_fall_back_to_pure_and_still_match():
     keys1, keys2 = [ord(c) for c in "ABCA"], [ord(c) for c in "ABDA"]
     assert_same(needleman_wunsch_native_keyed("ABCA", "ABDA", keys1, keys2,
                                               scoring), want)
-    assert solve_keyed_alignment_native(keys1, keys2, scoring) \
-        == (ops_string(want.entries), want.score)
     # keys outside int64 take the same fallback
     big = [2**70, 2**70 + 1]
     want_big = needleman_wunsch_keyed("AB", "AB", big, big)
@@ -152,8 +149,6 @@ def test_front_door_dispatches_native_algorithms():
 def test_scores_are_plain_ints():
     result = needleman_wunsch_native_keyed("ABC", "ABD", [1, 2, 3], [1, 2, 4])
     assert type(result.score) is int
-    ops, score = solve_keyed_alignment_native([1, 2, 3], [1, 2, 4])
-    assert type(ops) is str and type(score) is int
 
 
 # -- kernel resolution: explicit / env / auto ---------------------------------

@@ -97,6 +97,10 @@ class TestEnginePipeline:
         assert stats["align"]["seconds"] > 0.0
         assert stats["align"]["keyed"] >= 1
         assert stats["candidate-search"]["calls"] >= 1
+        # the pair-score memo's counters, once per query; the second of
+        # two family members visits the pair the first one scored
+        assert stats["candidate-search"]["pairs_scored"] >= 1
+        assert stats["candidate-search"]["pair_memo_hits"] >= 1
         assert stats["commit"]["merges"] == report.merge_count
         # legacy buckets still exactly the Figure-13 stages
         assert set(report.stage_times) == set(STAGES)

@@ -364,3 +364,107 @@ class TestChurnAndRestore:
         for fp in fingerprints + [extra]:
             cold.add_fingerprint(fp)
         self._assert_rankings_match(searcher, cold)
+
+
+class TestPairScoreMemo:
+    """The searcher's pair-score memo under index churn: every ranking
+    equals a linear ranker's over the live fingerprints in the searcher's
+    iteration order, however the memo was filled and swept."""
+
+    #: few tiny contents: names share them, and scores tie constantly
+    contents = st.lists(
+        st.tuples(st.dictionaries(st.sampled_from("abc"), st.integers(1, 3),
+                                  max_size=3),
+                  st.dictionaries(st.sampled_from("xy"), st.integers(1, 3),
+                                  max_size=2)),
+        min_size=1, max_size=5)
+    steps = st.lists(
+        st.tuples(st.sampled_from(("add", "remove", "restore", "sweep",
+                                   "query")),
+                  st.integers(0, 5), st.integers(0, 4),
+                  st.sampled_from((None, 0, 1, 2, 3))),
+        max_size=40)
+
+    @settings(max_examples=150, deadline=None)
+    @given(contents, steps, st.integers(1, 3), st.sampled_from((0.0, -1.0)))
+    def test_rankings_match_the_linear_ranker_under_churn(
+            self, contents, steps, threshold, minimum):
+        searcher = IndexedCandidateSearcher(exploration_threshold=threshold,
+                                            minimum_similarity=minimum)
+        live = {}      # name -> fingerprint
+        orders = {}    # name -> iteration position (kept after removal)
+        next_order = 0
+
+        def fingerprint(name, index):
+            opcodes, types = contents[index % len(contents)]
+            return Fingerprint(name, Counter(opcodes), Counter(types),
+                               sum(opcodes.values()))
+
+        def check(name, limit):
+            linear = CandidateRanker(exploration_threshold=threshold,
+                                     minimum_similarity=minimum)
+            for other in sorted(live, key=orders.get):
+                linear.add_fingerprint(live[other])
+            assert (_ranked_tuples(searcher, name, limit)
+                    == _ranked_tuples(linear, name, limit)), (name, limit)
+
+        for kind, name_index, content_index, limit in steps:
+            name = f"f{name_index}"
+            if kind == "add":
+                # a fresh name takes the next position, an overwrite keeps
+                # its own; either way the name may now share a content
+                fp = fingerprint(name, content_index)
+                searcher.add_fingerprint(fp)
+                if name not in live:
+                    orders[name] = next_order
+                    next_order += 1
+                live[name] = fp
+            elif kind == "remove":
+                searcher.remove_function(name)
+                live.pop(name, None)
+            elif kind == "restore" and name in orders:
+                # a session rollback: a consumed name comes back at its old
+                # position, possibly with the content it had before
+                fp = fingerprint(name, content_index)
+                searcher.add_fingerprint(fp, order=orders[name])
+                next_order = max(next_order, orders[name] + 1)
+                live[name] = fp
+            elif kind == "sweep":
+                searcher.sweep_memo()
+            elif kind == "query" and name in live:
+                check(name, limit)
+            assert [searcher.order_of(n) for n in sorted(live)] \
+                == [orders[n] for n in sorted(live)]
+        for name in live:
+            for limit in (None, 0, 1, 3):
+                check(name, limit)
+
+    def test_one_content_under_several_names_is_scored_once(self):
+        searcher = IndexedCandidateSearcher()
+        for name in ("a", "b", "c"):
+            searcher.add_fingerprint(
+                Fingerprint(name, Counter("aab"), Counter("xy"), 3))
+        searcher.add_fingerprint(
+            Fingerprint("d", Counter("abb"), Counter("xy"), 3))
+        searcher.rank_candidates("a", 0)
+        # a-b scores the shared content with itself, a-c reuses it
+        assert (searcher.pairs_scored, searcher.pair_memo_hits) == (2, 1)
+        searcher.rank_candidates("b", 0)
+        searcher.rank_candidates("d", 0)
+        assert (searcher.pairs_scored, searcher.pair_memo_hits) == (2, 7)
+
+    def test_sweep_drops_a_dead_content_one_epoch_later(self):
+        searcher = IndexedCandidateSearcher(exploration_threshold=2)
+        for name, ops in (("a", "aab"), ("b", "abb"), ("c", "abc")):
+            searcher.add_fingerprint(
+                Fingerprint(name, Counter(ops), Counter("xy"), 3))
+        searcher.rank_candidates("a", 0)
+        searcher.remove_function("c")
+        searcher.sweep_memo()  # released in this epoch: kept one more
+        searcher.rank_candidates("a", 0)
+        assert searcher.pairs_scored == 2
+        searcher.sweep_memo()  # dead for a whole epoch: dropped
+        searcher.add_fingerprint(
+            Fingerprint("c", Counter("abc"), Counter("xy"), 3))
+        searcher.rank_candidates("a", 0)
+        assert searcher.pairs_scored == 3  # a-c is scored again

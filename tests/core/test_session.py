@@ -316,6 +316,38 @@ class TestSessionReuse:
                 assert key in report.scheduler_stats, key
 
 
+class TestPairScoreMemo:
+    """The candidate searcher's pair-score memo across session updates."""
+
+    def test_memo_stays_bounded_across_many_updates(self):
+        # every update gives c0 a body it never had before, so each one
+        # leaves a dead content behind; the per-update sweep must drop it
+        # (with its scores) one update later instead of keeping them all
+        ops = ["add", "mul", "xor", "sub"]
+        module = Module("memo")
+        for index in range(8):
+            _chain(module, f"c{index}",
+                   [ops[(index + k) % 4] for k in range(4 + index % 3)])
+        engine = MergeEngine(exploration_threshold=2)
+        searcher = engine.searcher
+        sizes = []
+        with MergeSession(engine, module) as session:
+            for update in range(30):
+                donor = _chain(Module("donor"), "c0",
+                               [ops[k % 4] for k in range(3 + update)])
+                session.update(
+                    [ModuleEdit.replace(clone_function_detached(donor))])
+                kept = set(searcher._contents.values())
+                for content in kept:
+                    # held now, or released during the update just done
+                    assert content.refs or content.epoch == searcher._epoch - 1
+                    assert set(content.row) <= kept
+                sizes.append(len(kept))
+            assert session.report.stage_stats["candidate-search"][
+                "pair_memo_hits"] > 0
+        assert max(sizes[-10:]) <= max(sizes[:10]) < 30
+
+
 class TestSessionUpdateReport:
     """The update report is a coherent delta against the previous state."""
 
