@@ -20,8 +20,6 @@ setup(
     extras_require={"fast": ["numpy"]},
     entry_points={
         "console_scripts": [
-            "repro-served = repro.service.cli:serve_main",
-            "repro-client = repro.service.cli:client_main",
             "repro-lint = repro.analysis.cli:lint_main",
         ],
     },

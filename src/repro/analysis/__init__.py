@@ -23,7 +23,7 @@ from .dataflow import (AnalysisCache, DefUseChains, DominatorTree,
 from .diagnostics import (AnalysisDiagnostic, AnalysisError, errors_of,
                           format_diagnostics, warnings_of)
 from .merge_lint import lint_callgraph, lint_commit, lint_module
-from .sanitizer import Sanitizer, make_sanitizer
+from .sanitizer import Sanitizer
 from .verifier2 import (Verifier, verify_function_v2, verify_module_or_raise,
                         verify_module_v2)
 
@@ -42,7 +42,6 @@ __all__ = [
     "lint_callgraph",
     "lint_commit",
     "lint_module",
-    "make_sanitizer",
     "verify_function_v2",
     "verify_module_or_raise",
     "verify_module_v2",

@@ -79,7 +79,7 @@ def format_diagnostics(diagnostics: Iterable[AnalysisDiagnostic]) -> str:
 
 class AnalysisError(Exception):
     """Raised when error-severity diagnostics reach a raising entry point
-    (``verify_module_or_raise``, the sanitizer in raising mode)."""
+    (``verify_module_or_raise``, the sanitizer)."""
 
     def __init__(self, diagnostics: Iterable[AnalysisDiagnostic], context: str = ""):
         self.diagnostics: List[AnalysisDiagnostic] = list(diagnostics)

@@ -12,15 +12,12 @@ engine routes every structural boundary through one :class:`Sanitizer`:
   and call-graph reconciliation;
 * after a session rollback (``after_rollback``) — the restored module must
   re-verify *and* print bit-identically to the shadow copy it was restored
-  from;
-* on daemon responses — the service layer calls ``after_run`` on the warm
-  pass result and folds :meth:`stats` into its ``stats`` response.
+  from.
 
-The sanitizer keeps cheap counters (runs, violations, wall-clock) so
-long-lived deployments can alert on them, and either raises
-:class:`AnalysisError` (the default: a violation is a bug, fail loudly) or
-records diagnostics for later inspection (``mode="record"``, used by the
-property tests that seed deliberate defects).
+A violation is always an engine bug, so every check raises
+:class:`AnalysisError` carrying the offending diagnostics.  The sanitizer
+keeps cheap counters (runs, violations, wall-clock) that the engine folds
+into ``MergeReport.scheduler_stats``.
 """
 
 from __future__ import annotations
@@ -41,23 +38,17 @@ from .verifier2 import Verifier
 class Sanitizer:
     """Runs the analysis stack at engine stage boundaries.
 
-    One instance lives for the duration of an engine (or daemon) and reuses
-    one :class:`AnalysisCache`, so repeated checks of untouched functions
-    hit cached dataflow results.  ``mode`` is ``"raise"`` (default) or
-    ``"record"``.
+    One instance lives for the duration of an engine and reuses one
+    :class:`AnalysisCache`, so repeated checks of untouched functions hit
+    cached dataflow results.
     """
 
-    def __init__(self, mode: str = "raise",
-                 cache: Optional[AnalysisCache] = None):
-        if mode not in ("raise", "record"):  # pragma: no cover - defensive
-            raise ValueError(f"unknown sanitizer mode {mode!r}")
-        self.mode = mode
-        self.cache = cache if cache is not None else AnalysisCache()
+    def __init__(self):
+        self.cache = AnalysisCache()
         self.verifier = Verifier(cache=self.cache)
         self.runs = 0
         self.violations = 0
         self.wall_seconds = 0.0
-        self.recorded: List[AnalysisDiagnostic] = []
 
     # -- bookkeeping ---------------------------------------------------------
     def invalidate(self, name: str) -> None:
@@ -72,9 +63,7 @@ class Sanitizer:
         bad = errors_of(diagnostics)
         if bad:
             self.violations += len(bad)
-            self.recorded.extend(bad)
-            if self.mode == "raise":
-                raise AnalysisError(diagnostics, context=context)
+            raise AnalysisError(diagnostics, context=context)
         return diagnostics
 
     def stats(self) -> dict:
@@ -130,8 +119,7 @@ class Sanitizer:
     def after_run(self, module: Module,
                   call_graph: Optional[CallGraph] = None
                   ) -> List[AnalysisDiagnostic]:
-        """Whole-module check at the end of an engine run (and on daemon
-        responses)."""
+        """Whole-module check at the end of an engine run."""
         started = time.perf_counter()
         diagnostics = self.verifier.verify_module(module)
         diagnostics.extend(lint_module(module, call_graph))
@@ -173,8 +161,3 @@ def _render(function: Function) -> str:
         return f"declare {function.name}"
     return function_to_str(function)
 
-
-def make_sanitizer(enabled: bool, mode: str = "raise") -> Optional[Sanitizer]:
-    """Convenience for the engine plumbing: a :class:`Sanitizer` when
-    ``enabled``, else ``None`` (zero overhead on the hot path)."""
-    return Sanitizer(mode=mode) if enabled else None

@@ -12,9 +12,9 @@ different keys, hence a different digest: a stale body can never satisfy a
 lookup, so there is nothing to invalidate by name.
 
 A key costs more to compute than the DP a hit skips, so the engine uses a
-cache only when its caller hands one in to share across runs - the merge
-daemon's resident cache.  Cold compiles run without one and never compute
-a digest.
+cache only when its caller hands one in to share across runs.  No
+production path does: compiles and sessions run without one and never
+compute a digest.
 
 What is stored is not the :class:`~repro.core.alignment.AlignmentResult`
 itself - its entries reference the concrete ``LinearEntry`` objects of one
@@ -24,9 +24,8 @@ column).  Rehydrating the ops against the requesting pair's entry lists
 reproduces exactly the entries the kernel would have produced, because the
 keyed DP depends only on the key sequences and the scoring scheme.
 
-The cache is a bounded LRU and thread-safe: the merge daemon shares one
-cache between concurrent requests behind one lock (the critical sections
-are dict ops).
+The cache is a bounded LRU and thread-safe: engines that share one cache
+across threads serialize on one lock (the critical sections are dict ops).
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ engine aggregates the per-stage numbers into the legacy Figure-13 buckets of
 ``MergeReport.stage_stats``.
 
 Every stage runs on the calling thread, so stage *seconds* are wall-clock
-time of that thread.  Stats updates stay
-lock-protected because a long-lived host (the merge daemon) shares warm
-passes and the resident cache between concurrently served requests.
+time of that thread.  Stats updates stay lock-protected so a caller may
+share one pass between threads.
 """
 
 from __future__ import annotations

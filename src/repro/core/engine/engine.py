@@ -111,7 +111,6 @@ class MergeEngine:
                  executor: str = "auto",
                  verify_fingerprints: Optional[bool] = None,
                  sanitize: Optional[bool] = None,
-                 sanitizer: Optional["Sanitizer"] = None,
                  fault_plan: Optional[FaultPlan] = None):
         """Create the engine.
 
@@ -140,12 +139,14 @@ class MergeEngine:
                 ``"auto"``.  When
                 None, the ``REPRO_ALIGN_KERNEL`` environment variable is
                 consulted, then ``options.alignment_algorithm``.  Every
-                kernel produces bit-identical alignments and therefore
-                bit-identical merge decisions.
+                Needleman-Wunsch kernel produces bit-identical alignments
+                and therefore bit-identical merge decisions;
+                ``"hirschberg"`` matches their score but breaks ties
+                differently, so its decisions differ.
             alignment_cache: a caller-owned :class:`AlignmentCache` to
-                memoise keyed alignments in, shared across runs and engines
-                (the merge daemon's resident cache).  The engine never
-                clears a cache it was handed; its hit/miss/bytes counters
+                memoise keyed alignments in, shared across runs and
+                engines.  The engine never clears a cache it was
+                handed; its hit/miss/bytes counters
                 accumulate and land in ``MergeReport.scheduler_stats``.
                 When None (the default) the engine aligns every candidate
                 pair directly: a cache key costs more than the DP a hit
@@ -172,10 +173,6 @@ class MergeEngine:
                 on or off; the counters land in
                 ``MergeReport.scheduler_stats`` (``sanitize_runs``,
                 ``sanitize_violations``, ``sanitize_wall_seconds``).
-            sanitizer: inject a pre-built
-                :class:`~repro.analysis.Sanitizer` (the daemon shares one
-                across warm passes so its ``stats`` response can aggregate
-                the counters); implies ``sanitize=True``.
             fault_plan: install this :class:`~repro.resilience.FaultPlan`
                 process-wide (deterministic fault injection at the named
                 sites of :data:`~repro.resilience.FAULT_SITES`).  When
@@ -194,12 +191,9 @@ class MergeEngine:
         if verify_fingerprints is None:
             verify_fingerprints = _env_flag("REPRO_VERIFY_FINGERPRINTS")
         self.verify_fingerprints = verify_fingerprints
-        if sanitizer is not None:
-            self.sanitizer: Optional[Sanitizer] = sanitizer
-        else:
-            if sanitize is None:
-                sanitize = _env_flag("REPRO_SANITIZE")
-            self.sanitizer = Sanitizer() if sanitize else None
+        if sanitize is None:
+            sanitize = _env_flag("REPRO_SANITIZE")
+        self.sanitizer: Optional[Sanitizer] = Sanitizer() if sanitize else None
         if fault_plan is not None:
             install_fault_plan(fault_plan)
         else:
@@ -566,9 +560,9 @@ class MergeEngine:
             stage.reset()
         self.linearize.clear()
         if self.sanitizer is not None:
-            # analyses describe the previous module's bodies; a daemon's
-            # shared sanitizer keeps its *counters* across runs, only the
-            # per-function dataflow results are dropped
+            # analyses describe the previous module's bodies; the
+            # counters accumulate across runs, only the per-function
+            # dataflow results are dropped
             self.sanitizer.cache.clear()
         # the original pass built a fresh ranker per run(): a reused engine
         # must not rank against the previous module's fingerprints

@@ -122,8 +122,7 @@ class IndexedCandidateSearcher:
     A session sweeps after every update, so a dead content outlives its
     last use by at most one update; a cold run sweeps after every commit.
     The memo takes no lock: a searcher belongs to one engine, and an engine
-    is driven by one thread at a time (a daemon session owns its engine;
-    warm passes run under the daemon's engine lock).
+    is driven by one thread at a time.
     """
 
     def __init__(self, exploration_threshold: int = 1,

@@ -3,7 +3,7 @@ workloads.
 
 A :class:`MergeSession` wraps a warm :class:`~repro.core.engine.engine.MergeEngine`
 around one module for the whole lifetime of an edit-recompile loop (a JIT
-tier, an IDE daemon, a watch-mode build).  Instead of rerunning the full
+tier, an IDE plugin, a watch-mode build).  Instead of rerunning the full
 pipeline after every source change, callers describe the change as
 :class:`ModuleEdit`\\ s and the session replans only the slice of the merge
 space the edits (and their ripples) actually invalidated::

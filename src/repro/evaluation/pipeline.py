@@ -170,9 +170,7 @@ def open_compile_session(module: Module, *,
                          alignment_kernel: Optional[str] = None,
                          jobs: Optional[int] = None,
                          executor: str = "auto",
-                         alignment_cache=None,
                          sanitize: Optional[bool] = None,
-                         sanitizer=None,
                          fault_plan=None) -> MergeSession:
     """Open a long-lived incremental merge session over ``module``.
 
@@ -182,19 +180,17 @@ def open_compile_session(module: Module, *,
     holds the merged module; feed it :class:`repro.core.ModuleEdit` scripts
     via :meth:`MergeSession.update` and each update re-merges by replanning
     only the edit-affected slice, bit-identical to recompiling the edited
-    module from scratch - the edit-recompile seam for daemon/IDE-style
-    drivers on top of the evaluation pipeline.
+    module from scratch.  A long-lived Python process (an IDE plugin, a
+    watch-mode build) opens one session, calls ``update`` per edit and
+    ``close`` at the end.
 
     Unlike ``compile_module(technique="fmsa")`` this does not run the
     Identical-merging pre-pass (its rewrites are not replayable through the
     session's edit model) and applies no *post* cleanup; compare against
     cold ``MergeEngine`` runs, not full ``compile_module`` results.
 
-    The warm-host seam: ``alignment_cache`` adopts a caller-owned
-    :class:`repro.core.engine.AlignmentCache` instance, which the session
-    reads and fills but never clears (the merge daemon shares its resident
-    cache this way).  By default the session has no alignment cache.
-    ``jobs`` and ``executor`` accept only ``None``/``1`` and
+    The session aligns every candidate pair directly, with no alignment
+    cache.  ``jobs`` and ``executor`` accept only ``None``/``1`` and
     ``"auto"``/``"serial"``: merging is serial, and the two parameters
     remain only for callers that pin that configuration explicitly.
     """
@@ -207,8 +203,8 @@ def open_compile_session(module: Module, *,
         target=cost_model, exploration_threshold=threshold, oracle=oracle,
         options=merge_options or MergeOptions(),
         hot_function_filter=hot_filter,
-        alignment_kernel=alignment_kernel, alignment_cache=alignment_cache,
-        sanitize=sanitize, sanitizer=sanitizer, fault_plan=fault_plan)
+        alignment_kernel=alignment_kernel, sanitize=sanitize,
+        fault_plan=fault_plan)
     return MergeSession(fmsa.engine, module)
 
 
@@ -249,15 +245,12 @@ def compile_module(module: Module, technique: str, *,
 
     ``merge_pass`` injects a pre-built merging pass for ``technique="fmsa"``
     instead of constructing a :class:`FunctionMergingPass` from the knobs
-    above.  It is the warm-engine seam - a long-lived host (the merge
-    daemon) reuses one pass whose engine carries a resident alignment
-    cache and warm interner across calls - and the
-    way the paper-figure harness runs
-    :class:`~repro.core.reference.ReferenceMergingPass`.  The knobs that
-    would configure a fresh pass (threshold, oracle, kernel, ...)
-    are ignored when a pass is injected; decisions depend only on the
-    pass's own configuration, so a warm pass, the reference pass and the
-    equivalent cold knobs produce bit-identical results.
+    above; the paper-figure harness runs
+    :class:`~repro.core.reference.ReferenceMergingPass` this way.  The
+    knobs that would configure a fresh pass (threshold, oracle, kernel,
+    ...) are ignored when a pass is injected; decisions depend only on the
+    pass's own configuration, so the reference pass and the equivalent
+    cold knobs produce bit-identical results.
 
     ``sanitize`` (default: the ``REPRO_SANITIZE`` environment variable)
     runs the static-analysis sanitizer - verifier v2 plus the

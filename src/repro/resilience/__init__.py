@@ -1,5 +1,5 @@
-"""Unified resilience layer: deterministic fault injection,
-graceful-degradation bookkeeping, and the daemon circuit breaker.
+"""Unified resilience layer: deterministic fault injection and
+graceful-degradation bookkeeping.
 
 The contract the whole package exists to enforce (and the chaos suite in
 ``tests/resilience/`` property-tests): under any injected fault schedule,
@@ -22,13 +22,8 @@ from .faults import (
     install_fault_plan,
     maybe_install_env_plan,
 )
-from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 
 __all__ = [
-    "CLOSED",
-    "CircuitBreaker",
-    "HALF_OPEN",
-    "OPEN",
     "FAULT_SITES",
     "FAULTS_ENV",
     "FaultPlan",

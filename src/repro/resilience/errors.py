@@ -6,7 +6,7 @@ the fault-free run, and a run that *aborts* raises a
 :class:`ResilienceError` naming the fault site whose recovery budget was
 exhausted - never a hang, never an anonymous exception from deep inside
 the engine.  These types are deliberately dependency-free (no engine
-imports) so every layer - engine, session, daemon - can raise and catch
+imports) so every layer - engine, session, stages - can raise and catch
 them without import cycles.
 """
 
@@ -47,7 +47,7 @@ class InjectedFault(ResilienceError):
 def degradation_event(component: str, from_tier: str, to_tier: str,
                       reason: str) -> dict:
     """One graceful-degradation transition, as the plain dict every stats
-    surface (``scheduler_stats["degradations"]``, the daemon's ``/stats``)
-    records and JSON can carry."""
+    surface (``scheduler_stats["degradations"]``) records and JSON can
+    carry."""
     return {"component": component, "from": from_tier, "to": to_tier,
             "reason": reason}

@@ -1,8 +1,8 @@
 """Deterministic, seeded fault injection behind named sites.
 
-Every failure-prone seam of the engine and the service declares a **fault
-site** - a stable name like ``align.kernel_crash`` - and consults this
-module at runtime.  A :class:`FaultPlan` decides, deterministically, which
+Every failure-prone seam of the engine declares a **fault site** - a
+stable name like ``align.kernel_crash`` - and consults this module at
+runtime.  A :class:`FaultPlan` decides, deterministically, which
 consultations *fire*: each site gets its own seeded RNG (derived from the
 plan seed and the site name, so adding a site never perturbs another
 site's stream) plus optional nth-hit and budget triggers.  The same plan
@@ -56,9 +56,6 @@ FAULT_SITES = (
     "align.kernel_crash",       # the DP kernel raises mid-pair
     # session.py - incremental replay
     "session.replay_fail",      # a replay plan callback blows up
-    # service/daemon.py - the wire layer
-    "service.socket_drop",      # response socket breaks mid-write
-    "service.slow_client",      # client stalls past the request timeout
 )
 
 
@@ -231,7 +228,7 @@ def active_faults(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
 def maybe_install_env_plan() -> Optional[FaultPlan]:
     """Install the ``REPRO_FAULTS`` plan once per process (no-op when unset
     or when a plan is already active).  Engine construction calls this so an
-    exported knob reaches daemons and test runs without code changes."""
+    exported knob reaches scripts and test runs without code changes."""
     global _ENV_CHECKED
     if _ACTIVE is not None or _ENV_CHECKED:
         return _ACTIVE

@@ -77,7 +77,7 @@ def benchmark_rng(name: str, seed: int) -> random.Random:
 
     Seeded from a CRC of the name, not ``hash(name)``: Python randomizes
     string hashes per process, and a module must come out identical in
-    every process (paper-figure runs, daemon regenerative payloads).
+    every process (paper-figure runs, benchmark baselines, pinned tests).
     """
     return random.Random((zlib.crc32(name.encode("utf-8")) ^ seed) & 0xFFFFFFFF)
 

@@ -1,10 +1,10 @@
-"""Sanitizer tests: raise/record modes, rollback divergence detection,
-stats counters, and the headline guarantee — sanitize on/off makes
+"""Sanitizer tests: violations raise with their diagnostics, rollback
+divergence detection, stats counters, and the headline guarantee — sanitize on/off makes
 bit-identical merge decisions."""
 
 import pytest
 
-from repro.analysis import AnalysisError, Sanitizer, make_sanitizer
+from repro.analysis import AnalysisError, Sanitizer
 from repro.core import apply_merge, merge_functions
 from repro.core.engine import MergeEngine
 from repro.evaluation import compile_module
@@ -48,13 +48,6 @@ def _broken_module():
 
 
 class TestModes:
-    def test_make_sanitizer(self):
-        assert make_sanitizer(False) is None
-        sanitizer = make_sanitizer(True)
-        assert isinstance(sanitizer, Sanitizer)
-        assert sanitizer.mode == "raise"
-        assert make_sanitizer(True, mode="record").mode == "record"
-
     def test_raise_mode_raises_on_violation(self):
         sanitizer = Sanitizer()
         with pytest.raises(AnalysisError) as excinfo:
@@ -63,14 +56,16 @@ class TestModes:
         assert sanitizer.runs == 1
         assert sanitizer.violations >= 1
 
-    def test_record_mode_counts_without_raising(self):
-        sanitizer = Sanitizer(mode="record")
-        sanitizer.after_run(_broken_module())
+    def test_counters_accumulate_across_a_raising_run(self):
+        sanitizer = Sanitizer()
+        with pytest.raises(AnalysisError) as excinfo:
+            sanitizer.after_run(_broken_module())
         sanitizer.after_run(_simple_module())
         assert sanitizer.runs == 2
         assert sanitizer.violations >= 1
-        assert sanitizer.recorded  # the diagnostics were kept
-        assert all(d.severity == "error" for d in sanitizer.recorded)
+        errors = [d for d in excinfo.value.diagnostics
+                  if d.severity == "error"]
+        assert len(errors) == sanitizer.violations  # the error carries them
 
     def test_clean_module_counts_a_run(self):
         sanitizer = Sanitizer()
@@ -128,20 +123,22 @@ class TestAfterRollback:
     def test_divergent_body_is_flagged(self):
         module = _simple_module(constant=7)
         shadow = _simple_module(constant=8)
-        sanitizer = Sanitizer(mode="record")
-        sanitizer.after_rollback(module, shadow, ["f"])
+        sanitizer = Sanitizer()
+        with pytest.raises(AnalysisError) as excinfo:
+            sanitizer.after_rollback(module, shadow, ["f"])
         assert sanitizer.violations >= 1
         assert any(d.rule == "sanitizer.rollback-divergence"
-                   for d in sanitizer.recorded)
+                   for d in excinfo.value.diagnostics)
 
     def test_missing_function_is_flagged(self):
         module = _simple_module(name="f")
         shadow = _simple_module(name="f")
         shadow.create_function("ghost", ty.function_type(ty.I32, []))
-        sanitizer = Sanitizer(mode="record")
-        sanitizer.after_rollback(module, shadow, ["f", "ghost"])
+        sanitizer = Sanitizer()
+        with pytest.raises(AnalysisError) as excinfo:
+            sanitizer.after_rollback(module, shadow, ["f", "ghost"])
         assert any(d.rule == "sanitizer.rollback-divergence"
-                   for d in sanitizer.recorded)
+                   for d in excinfo.value.diagnostics)
 
 
 class TestEngineIntegration:
@@ -155,11 +152,6 @@ class TestEngineIntegration:
         # explicit argument wins over the environment
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert MergeEngine(sanitize=False).sanitizer is None
-
-    def test_injected_sanitizer_is_used(self):
-        shared = Sanitizer(mode="record")
-        engine = MergeEngine(sanitizer=shared)
-        assert engine.sanitizer is shared
 
     def test_decisions_are_bit_identical_with_sanitize_on(self):
         def run(sanitize):

@@ -1,7 +1,6 @@
 """Tests for a caller-owned alignment cache that persists across engine runs.
 
-A cache handed to the engine (the merge daemon's resident cache) is never
-cleared, so a second run over the same content aligns nothing afresh.  The
+A cache handed to the engine by its caller is never cleared, so a second run over the same content aligns nothing afresh.  The
 cache key has no kernel component, so entries computed by one keyed kernel
 serve every other; and decisions are bit-identical with the cache absent,
 cold or warm, for every kernel.
@@ -97,8 +96,8 @@ class TestSnapshotRoundTrip:
         assert decisions(second) == decisions(first)
 
     def test_save_load_preserves_entries_and_marks_persisted(self):
-        # a cache handed to a second engine (the daemon rebuilds engines
-        # per request) keeps every entry, and the engine marks it resident
+        # a cache handed to a second engine keeps every entry, and the
+        # engine marks it resident
         cache = AlignmentCache()
         first = MergeEngine(exploration_threshold=2,
                             alignment_cache=cache).run(build_module())
@@ -249,8 +248,8 @@ class TestEnginePersistence:
 
 class TestConcurrentSnapshotWriters:
     def test_racing_writers_lose_no_entries(self):
-        # the merge daemon shares one cache between concurrent requests:
-        # racing writers and readers lose no entry and no count
+        # engines on several threads may share one cache: racing writers
+        # and readers lose no entry and no count
         cache = AlignmentCache()
         writers, per_writer = 4, 300
         barrier = threading.Barrier(writers)

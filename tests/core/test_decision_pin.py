@@ -15,7 +15,6 @@ import sys
 
 from repro.core import MergeEngine
 from repro.evaluation import compile_module
-from repro.service.protocol import jsonable_decisions
 from repro.workloads.mibench import build_mibench_benchmark
 from repro.workloads.spec2006 import build_spec_benchmark
 
@@ -52,11 +51,11 @@ def current_decisions() -> dict:
         report = MergeEngine(exploration_threshold=threshold).run(
             build_module(seed, families))
         record[f"build_module/{seed}/{families}/t{threshold}"] = \
-            jsonable_decisions(report.decision_keys())
+            report.decision_keys()
     for name, build in SUITE_CASES.items():
         result = compile_module(build(), "fmsa")
         record[f"compile_module/{name}"] = {
-            "decisions": jsonable_decisions(result.merge_report.decision_keys()),
+            "decisions": result.merge_report.decision_keys(),
             "size_after": result.size_after,
         }
     return record

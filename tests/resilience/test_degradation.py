@@ -59,7 +59,7 @@ class TestKernelLadder:
 @pytest.mark.skipif(not numpy_available(), reason="requires numpy")
 class TestDegradationAccounting:
     def test_degradations_are_cumulative_across_runs(self):
-        # engine-lifetime semantics (like the resident-cache counters):
+        # engine-lifetime semantics (like a caller-owned cache's counters):
         # the downgrade is sticky, and a second run still reports the
         # first run's event
         plan = FaultPlan.parse("seed=1,align.kernel_crash:nth=1:count=1")

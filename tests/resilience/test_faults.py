@@ -20,8 +20,7 @@ class TestFaultPlan:
 
     def test_registry_covers_every_instrumented_layer(self):
         prefixes = {site.split(".", 1)[0] for site in FAULT_SITES}
-        assert prefixes == {"scheduler", "align",
-                            "session", "service"}
+        assert prefixes == {"scheduler", "align", "session"}
 
     def test_nth_trigger_fires_exactly_once_on_the_nth_hit(self):
         plan = FaultPlan(sites={"scheduler.plan_fail": SiteTrigger(nth=3)})
