@@ -15,9 +15,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # the core stays dependency-free; the "fast" extra enables the
-    # vectorized NumPy alignment backend (nw-numpy)
-    extras_require={"fast": ["numpy"]},
     entry_points={
         "console_scripts": [
             "repro-lint = repro.analysis.cli:lint_main",
@@ -25,7 +22,7 @@ setup(
     },
     # the native DP kernel (nw-native).  optional=True:
     # a missing compiler skips the extension instead of failing the
-    # install - repro.core.native then degrades to the NumPy or pure tier
+    # install - repro.core.native then degrades to the pure-Python kernel
     # (and can still build the extension on demand where a compiler
     # appears later).
     ext_modules=[Extension("repro.core._nw_native",

@@ -16,8 +16,8 @@ engine routes every structural boundary through one :class:`Sanitizer`:
 
 A violation is always an engine bug, so every check raises
 :class:`AnalysisError` carrying the offending diagnostics.  The sanitizer
-keeps cheap counters (runs, violations, wall-clock) that the engine folds
-into ``MergeReport.scheduler_stats``.
+keeps cheap counters (runs, wall-clock) that the engine folds into
+``MergeReport.scheduler_stats``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class Sanitizer:
         self.cache = AnalysisCache()
         self.verifier = Verifier(cache=self.cache)
         self.runs = 0
-        self.violations = 0
         self.wall_seconds = 0.0
 
     # -- bookkeeping ---------------------------------------------------------
@@ -62,14 +61,12 @@ class Sanitizer:
         self.wall_seconds += time.perf_counter() - started
         bad = errors_of(diagnostics)
         if bad:
-            self.violations += len(bad)
             raise AnalysisError(diagnostics, context=context)
         return diagnostics
 
     def stats(self) -> dict:
         stats = {
             "sanitize_runs": self.runs,
-            "sanitize_violations": self.violations,
             "sanitize_wall_seconds": round(self.wall_seconds, 6),
         }
         stats.update(self.cache.stats())

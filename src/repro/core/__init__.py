@@ -18,8 +18,6 @@ Public API:
 * :func:`apply_merge` — commit a merge into a module (thunks / call updates).
 """
 
-from .align_np import (needleman_wunsch_numpy, needleman_wunsch_numpy_keyed,
-                       numpy_available)
 from .alignment import (AlignedEntry, AlignmentResult, ScoringScheme, align,
                         hirschberg, needleman_wunsch, needleman_wunsch_keyed,
                         ops_string)
@@ -37,8 +35,7 @@ from .fingerprint import (Fingerprint, FingerprintDelta, fingerprint_module,
                           similarity)
 from .linearizer import (LinearEntry, LinearizedFunction, linearize,
                          linearize_with_keys, sequence_signature)
-from .native import (native_available, needleman_wunsch_native,
-                     needleman_wunsch_native_keyed)
+from .native import native_available, needleman_wunsch_native_keyed
 from .pass_ import (FunctionMergingPass, MergeRecord, MergeReport, STAGES,
                     make_hotness_filter)
 from .profitability import MergeEvaluation, estimate_profit, evaluate_merge
@@ -49,10 +46,7 @@ from .thunks import AppliedMerge, apply_merge, build_thunk
 __all__ = [
     "AlignedEntry", "AlignmentResult", "ScoringScheme", "align", "hirschberg",
     "needleman_wunsch", "needleman_wunsch_keyed",
-    "needleman_wunsch_numpy", "needleman_wunsch_numpy_keyed",
-    "numpy_available",
-    "native_available", "needleman_wunsch_native",
-    "needleman_wunsch_native_keyed",
+    "native_available", "needleman_wunsch_native_keyed",
     "AlignmentCache",
     "ops_string",
     "CodegenError", "MergeCodeGenerator", "MergeOptions", "MergeResult",

@@ -1,4 +1,4 @@
-/* Native Needleman-Wunsch alignment kernels (the "nw-native" tier).
+/* Native Needleman-Wunsch alignment kernel (the "nw-native" tier).
  *
  * Implements the keyed NW DP fill *and* traceback over integer equivalence
  * keys.  The contract is bit-identical output: for any
@@ -27,8 +27,7 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Packed traceback move codes - shared with repro.core.alignment's
- * moves_to_ops decoder and the NumPy packed-move fills. */
+/* Packed traceback move codes, one per DP cell (decoded by traceback_ops). */
 #define MV_MATCH 0
 #define MV_MISMATCH 1
 #define MV_UP 2   /* gap in seq2: consumes seq1[i-1], emits 'l' */
@@ -183,53 +182,6 @@ fill_moves_keyed(const int64_t *k1, Py_ssize_t n, const int64_t *k2,
     return 0;
 }
 
-/* Same fill over a precomputed n*m equivalence byte matrix (the generic
- * predicate front door: the predicate sweep happens in Python, only the DP
- * arithmetic runs here). */
-static int
-fill_moves_matrix(const uint8_t *eq, Py_ssize_t n, Py_ssize_t m,
-                  int64_t match, int64_t mismatch, int64_t gap,
-                  uint8_t *moves, int64_t *score_out)
-{
-    int64_t *base = PyMem_Malloc(((size_t)m + 1) * 2 * sizeof(int64_t));
-    if (base == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    int64_t *prev = base;
-    int64_t *cur = base + (m + 1);
-    for (Py_ssize_t j = 0; j <= m; j++)
-        prev[j] = (int64_t)j * gap;
-    for (Py_ssize_t i = 1; i <= n; i++) {
-        cur[0] = (int64_t)i * gap;
-        const uint8_t *erow = eq + (size_t)(i - 1) * (size_t)m;
-        uint8_t *mrow = moves + (size_t)(i - 1) * (size_t)m;
-        for (Py_ssize_t j = 1; j <= m; j++) {
-            int is_eq = erow[j - 1] != 0;
-            int64_t best = prev[j - 1] + (is_eq ? match : mismatch);
-            uint8_t mv = is_eq ? MV_MATCH : MV_MISMATCH;
-            int64_t up = prev[j] + gap;
-            if (up > best) {
-                best = up;
-                mv = MV_UP;
-            }
-            int64_t left = cur[j - 1] + gap;
-            if (left > best) {
-                best = left;
-                mv = MV_LEFT;
-            }
-            cur[j] = best;
-            mrow[j - 1] = mv;
-        }
-        int64_t *tmp = prev;
-        prev = cur;
-        cur = tmp;
-    }
-    *score_out = prev[m];
-    PyMem_Free(base);
-    return 0;
-}
-
 static PyObject *
 nw_solve_keyed(PyObject *self, PyObject *args)
 {
@@ -272,61 +224,19 @@ nw_solve_keyed(PyObject *self, PyObject *args)
     return Py_BuildValue("(NL)", ops, (long long)score);
 }
 
-static PyObject *
-nw_solve_matrix(PyObject *self, PyObject *args)
-{
-    Py_buffer eq;
-    Py_ssize_t n, m;
-    long long match, mismatch, gap;
-    if (!PyArg_ParseTuple(args, "y*nnLLL", &eq, &n, &m, &match, &mismatch,
-                          &gap))
-        return NULL;
-    if (n < 0 || m < 0 || eq.len != (Py_ssize_t)((size_t)n * (size_t)m)) {
-        PyBuffer_Release(&eq);
-        PyErr_SetString(PyExc_ValueError,
-                        "equivalence matrix does not match n*m");
-        return NULL;
-    }
-    uint8_t *moves = alloc_moves(n, m);
-    if (moves == NULL) {
-        PyBuffer_Release(&eq);
-        return NULL;
-    }
-    int64_t score = 0;
-    int status;
-    Py_BEGIN_ALLOW_THREADS
-    status = fill_moves_matrix((const uint8_t *)eq.buf, n, m, match, mismatch,
-                               gap, moves, &score);
-    Py_END_ALLOW_THREADS
-    PyBuffer_Release(&eq);
-    if (status != 0) {
-        PyMem_Free(moves);
-        return NULL;
-    }
-    PyObject *ops = traceback_ops(moves, n, m);
-    PyMem_Free(moves);
-    if (ops == NULL)
-        return NULL;
-    return Py_BuildValue("(NL)", ops, (long long)score);
-}
-
 static PyMethodDef nw_native_methods[] = {
     {"solve_keyed", nw_solve_keyed, METH_VARARGS,
      "solve_keyed(keys1, keys2, match, mismatch, gap) -> (ops, score)\n\n"
      "Full keyed Needleman-Wunsch: fill + packed traceback, bit-identical\n"
      "to repro.core.alignment.needleman_wunsch_keyed's shape."},
-    {"solve_matrix", nw_solve_matrix, METH_VARARGS,
-     "solve_matrix(eq_bytes, n, m, match, mismatch, gap) -> (ops, score)\n\n"
-     "Full NW over a precomputed n*m equivalence byte matrix (the generic\n"
-     "predicate front door)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef nw_native_module = {
     PyModuleDef_HEAD_INIT,
     "_nw_native",
-    "Native Needleman-Wunsch DP kernels (fill + packed traceback),\n"
-    "bit-identical to the pure-Python kernels of repro.core.alignment.",
+    "Native keyed Needleman-Wunsch DP (fill + packed traceback),\n"
+    "bit-identical to repro.core.alignment.needleman_wunsch_keyed.",
     -1,
     nw_native_methods,
 };

@@ -158,63 +158,6 @@ def result_from_ops(ops: str, score: int, seq1: Sequence[T],
     return AlignmentResult(entries, score)
 
 
-# -- packed tracebacks -------------------------------------------------------
-#
-# The fast fills (native C, packed NumPy) do not keep the score
-# matrix for a Python traceback; they record one *move* per DP cell in a
-# uint8 matrix, chosen during the fill with the exact preference order of
-# :func:`_traceback` (diagonal - match or mismatch - then the seq1-side gap,
-# then the seq2-side gap).  That is ~8x less peak memory than the int64
-# score matrix, and the decode below is shared by every packed backend so
-# tie-breaking is defined in exactly one place.
-
-#: Packed move codes (shared with ``_nw_native.c``).
-MOVE_MATCH = 0
-MOVE_MISMATCH = 1
-MOVE_UP = 2    #: gap in seq2 - consumes seq1[i-1], emits ``l``
-MOVE_LEFT = 3  #: gap in seq1 - consumes seq2[j-1], emits ``r``
-
-
-def moves_to_ops(moves, n: int, m: int) -> str:
-    """Decode a packed ``(n, m)`` move matrix into the forward op string.
-
-    ``moves[i][j]`` (0-based) is the move recorded for DP cell
-    ``(i+1, j+1)``; boundary cells have no recorded move (``i == 0`` forces
-    ``r``, ``j == 0`` forces ``l``, the implicit gap runs of the DP).
-    Mismatch diagonals expand to ``l`` then ``r`` in forward order,
-    mirroring :func:`_traceback`'s two one-sided entries.
-    """
-    out: List[str] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i == 0:
-            out.append("r")
-            j -= 1
-            continue
-        if j == 0:
-            out.append("l")
-            i -= 1
-            continue
-        move = moves[i - 1][j - 1]
-        if move == MOVE_MATCH:
-            out.append("m")
-            i -= 1
-            j -= 1
-        elif move == MOVE_MISMATCH:
-            out.append("r")
-            out.append("l")
-            i -= 1
-            j -= 1
-        elif move == MOVE_UP:
-            out.append("l")
-            i -= 1
-        else:
-            out.append("r")
-            j -= 1
-    out.reverse()
-    return "".join(out)
-
-
 # ---------------------------------------------------------------------------
 # Needleman-Wunsch
 # ---------------------------------------------------------------------------
@@ -411,44 +354,13 @@ def alignment_score(entries: List[AlignedEntry[T]],
     return total
 
 
-def _nw_numpy(seq1: Sequence[T], seq2: Sequence[T],
-              equivalent: EquivalenceFn = _default_equivalence,
-              scoring: ScoringScheme = ScoringScheme()) -> AlignmentResult[T]:
-    """Registry thunk for the NumPy backend (:mod:`repro.core.align_np`).
-
-    Importing :mod:`repro.core.alignment` must not import NumPy - the
-    vectorized kernel lives behind the optional ``fast`` extra - so the
-    registry holds this late-binding wrapper; calling it without NumPy
-    raises an ImportError naming the extra.
-    """
-    from . import align_np
-    return align_np.needleman_wunsch_numpy(seq1, seq2, equivalent, scoring)
-
-
-def _nw_native(seq1: Sequence[T], seq2: Sequence[T],
-               equivalent: EquivalenceFn = _default_equivalence,
-               scoring: ScoringScheme = ScoringScheme()) -> AlignmentResult[T]:
-    """Registry thunk for the C-extension backend (:mod:`repro.core.native`).
-
-    Same late-binding discipline as :func:`_nw_numpy`: importing this module
-    never imports (or builds) the extension; calling the thunk without it
-    raises an ImportError naming the build requirements.
-    """
-    from . import native
-    return native.needleman_wunsch_native(seq1, seq2, equivalent, scoring)
-
-
-#: Registry of alignment algorithms: the predicate-based references and one
-#: Needleman-Wunsch per backend tier.  ``nw-numpy`` requires the optional
-#: ``fast`` extra (NumPy), ``nw-native`` the ``_nw_native`` C extension
-#: (built with the ``fast`` extra when a compiler is present, or on
-#: demand); both produce bit-identical results to ``needleman-wunsch``.
+#: Registry of the predicate-based alignment algorithms behind :func:`align`.
+#: The engine's ``nw-native`` kernel is keyed only (see
+#: :mod:`repro.core.native`), so it has no entry here.
 ALGORITHMS = {
     "needleman-wunsch": needleman_wunsch,
     "nw": needleman_wunsch,
     "hirschberg": hirschberg,
-    "nw-numpy": _nw_numpy,
-    "nw-native": _nw_native,
 }
 
 

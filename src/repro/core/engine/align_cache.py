@@ -5,7 +5,7 @@ name: the key is ``(digest(keys1), digest(keys2), scoring)``, where the
 digests come from :meth:`LinearizedFunction.canonical_digest` (a BLAKE2b
 hash of the *structural* equivalence-key sequence, independent of any
 interner's id assignment).  The kernel is deliberately **not** part of the
-key: every keyed kernel (pure, NumPy, native) is bit-identical by
+key: every keyed kernel (pure, native) is bit-identical by
 construction, so an entry computed by one kernel satisfies a lookup from
 any other.  When a commit rewrites a function, its fresh linearization has
 different keys, hence a different digest: a stale body can never satisfy a

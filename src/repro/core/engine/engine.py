@@ -134,11 +134,12 @@ class MergeEngine:
             minimum_function_size: functions with fewer instructions are not
                 considered (they cannot possibly yield a profit).
             alignment_kernel: alignment algorithm override - any
-                ``ALGORITHMS`` name (``"nw-numpy"`` selects the vectorized
-                NumPy backend, ``"nw-native"`` the C extension) or
-                ``"auto"``.  When
+                ``ALGORITHMS`` name, ``"nw-native"`` (the C extension) or
+                ``"auto"`` (native when it is available, else pure; a
+                native kernel that crashes degrades native -> pure).  When
                 None, the ``REPRO_ALIGN_KERNEL`` environment variable is
-                consulted, then ``options.alignment_algorithm``.  Every
+                consulted, then ``options.alignment_algorithm`` (default
+                ``"needleman-wunsch"``, the pure kernel).  Every
                 Needleman-Wunsch kernel produces bit-identical alignments
                 and therefore bit-identical merge decisions;
                 ``"hirschberg"`` matches their score but breaks ties
@@ -172,7 +173,7 @@ class MergeEngine:
                 variable.  Decisions are bit-identical with the sanitizer
                 on or off; the counters land in
                 ``MergeReport.scheduler_stats`` (``sanitize_runs``,
-                ``sanitize_violations``, ``sanitize_wall_seconds``).
+                ``sanitize_wall_seconds``).
             fault_plan: install this :class:`~repro.resilience.FaultPlan`
                 process-wide (deterministic fault injection at the named
                 sites of :data:`~repro.resilience.FAULT_SITES`).  When

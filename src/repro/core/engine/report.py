@@ -54,9 +54,9 @@ class MergeReport:
     #: enqueue and commit, counted so that dropped work stays visible.
     stale_entries: int = 0
     #: Run-level counters: ``stale_entries``, the alignment kernel's
-    #: ``degradations``, the sanitizer's ``sanitize_*`` counters when it
-    #: runs, plus the content-addressed alignment cache's
-    #: ``align_cache_hits`` / ``align_cache_misses`` /
+    #: ``degradations``, the sanitizer's ``sanitize_runs`` /
+    #: ``sanitize_wall_seconds`` when it runs, plus the content-addressed
+    #: alignment cache's ``align_cache_hits`` / ``align_cache_misses`` /
     #: ``align_cache_evictions`` / ``align_cache_entries`` /
     #: ``align_cache_bytes`` when the engine has a (caller-owned) cache.
     scheduler_stats: Dict[str, int] = field(default_factory=dict)

@@ -18,12 +18,10 @@ from ...ir.callgraph import CallGraph
 from ...ir.function import Function
 from ...ir.module import Module
 from ...passes.reg2mem import demote_phis
-from ..align_np import (KEYED_NUMPY_KERNELS, NUMPY_KERNELS,
-                        PURE_PYTHON_FALLBACKS, numpy_available, require_numpy)
 from ..alignment import (ALGORITHMS, AlignmentResult, ScoringScheme, align,
                          needleman_wunsch_keyed, ops_string, result_from_ops)
-from ..native import (KEYED_NATIVE_KERNELS, NATIVE_KERNELS, native_available,
-                      native_fallback, require_native)
+from ..native import (KEYED_NATIVE_KERNELS, NATIVE_KERNELS,
+                      PURE_PYTHON_FALLBACKS, native_available, require_native)
 from ..codegen import MergeOptions, MergeResult, merge_cost, merge_functions
 from ..equivalence import EquivalenceKeyInterner, entries_equivalent
 from ..fingerprint import Fingerprint
@@ -37,8 +35,8 @@ from .base import Stage
 
 #: Environment knob selecting the alignment kernel for every engine that
 #: does not pass one explicitly (the CI matrix leg runs the whole suite on
-#: the NumPy backend this way).  Accepts any ``ALGORITHMS`` name or
-#: ``"auto"``.
+#: the native kernel this way).  Accepts any ``ALGORITHMS`` name,
+#: ``"nw-native"`` or ``"auto"``.
 ALIGN_KERNEL_ENV = "REPRO_ALIGN_KERNEL"
 
 
@@ -48,14 +46,13 @@ def resolve_alignment_kernel(kernel: Optional[str], algorithm: str) -> str:
     Priority: the explicit ``kernel`` argument, then the
     ``REPRO_ALIGN_KERNEL`` environment variable, then ``algorithm`` (the
     historical ``MergeOptions.alignment_algorithm``).  ``"auto"`` picks the
-    fastest available tier: the native C extension, then the NumPy backend,
-    then the keyed pure-Python kernel - all bit-identical.
+    native C kernel when it is available, else ``algorithm``.
 
-    Requesting a NumPy or native kernel explicitly (argument or options)
-    when its backend is unavailable raises an ImportError naming what to
-    install; requesting it through the *environment* downgrades to the best
-    still-available kernel of identical behaviour with a warning instead,
-    so a globally exported knob never breaks dependency-free checkouts.
+    Requesting the native kernel explicitly (argument or options) when the
+    extension is unavailable raises an ImportError naming the build
+    requirements; requesting it through the *environment* downgrades to the
+    pure-Python kernel with a warning instead, so a globally exported knob
+    never breaks compiler-less checkouts.
     """
     explicit = kernel is not None
     if kernel is None:
@@ -64,28 +61,18 @@ def resolve_alignment_kernel(kernel: Optional[str], algorithm: str) -> str:
             kernel = algorithm
             explicit = True
     if kernel == "auto":
-        if native_available():
-            return "nw-native"
-        return "nw-numpy" if numpy_available() else algorithm
-    if kernel not in ALGORITHMS:
-        raise ValueError(f"unknown alignment kernel {kernel!r}; "
-                         f"available: {sorted(set(ALGORITHMS))} (or 'auto')")
+        return "nw-native" if native_available() else algorithm
+    if kernel not in ALGORITHMS and kernel not in NATIVE_KERNELS:
+        raise ValueError(f"unknown alignment kernel {kernel!r}; available: "
+                         f"{sorted({*ALGORITHMS, *NATIVE_KERNELS})} "
+                         f"(or 'auto')")
     if kernel in NATIVE_KERNELS and not native_available():
         if explicit:
             require_native(kernel)  # raises, naming the build requirements
-        fallback = native_fallback(kernel)
+        fallback = PURE_PYTHON_FALLBACKS[kernel]
         warnings.warn(
             f"{ALIGN_KERNEL_ENV}={kernel} requested but the _nw_native C "
             f"extension is not available; falling back to the {fallback!r} "
-            f"kernel (identical alignments)", RuntimeWarning, stacklevel=2)
-        kernel = fallback  # may itself be a NumPy kernel: checked below
-    if kernel in NUMPY_KERNELS and not numpy_available():
-        if explicit:
-            require_numpy(kernel)  # raises, naming the 'fast' extra
-        fallback = PURE_PYTHON_FALLBACKS[kernel]
-        warnings.warn(
-            f"{ALIGN_KERNEL_ENV}={kernel} requested but NumPy is not "
-            f"installed; falling back to the pure-Python {fallback!r} "
             f"kernel (identical alignments)", RuntimeWarning, stacklevel=2)
         return fallback
     return kernel
@@ -314,8 +301,7 @@ class AlignmentStage(Stage):
     only cheaper per cell (``hirschberg`` has no keyed kernel and runs the
     structural equivalence predicate).  ``kernel``
     overrides the algorithm name (falling back to the ``REPRO_ALIGN_KERNEL``
-    environment variable, then to ``algorithm``); ``nw-numpy`` runs the
-    vectorized backend of :mod:`repro.core.align_np`, ``nw-native`` the C
+    environment variable, then to ``algorithm``); ``nw-native`` runs the C
     extension behind :mod:`repro.core.native`.
 
     When a :class:`~repro.core.engine.align_cache.AlignmentCache` is
@@ -336,7 +322,6 @@ class AlignmentStage(Stage):
         "needleman-wunsch": needleman_wunsch_keyed,
         "nw": needleman_wunsch_keyed,
     }
-    KEYED_KERNELS.update(KEYED_NUMPY_KERNELS)
     KEYED_KERNELS.update(KEYED_NATIVE_KERNELS)
 
     def __init__(self, scoring: ScoringScheme = ScoringScheme(),
@@ -349,7 +334,7 @@ class AlignmentStage(Stage):
         self.cache = cache
         self._scoring_key = (scoring.match, scoring.mismatch, scoring.gap)
         #: Kernel-ladder transitions (``degradation_event`` dicts): a keyed
-        #: kernel that raises mid-pair downgrades native -> numpy -> pure
+        #: kernel that raises mid-pair downgrades native -> pure
         #: (sticky for the rest of the run).  Bit-identity is free - every
         #: keyed kernel produces the same alignments by construction.
         self.degradations: List[dict] = []
@@ -395,26 +380,12 @@ class AlignmentStage(Stage):
         return align(lin1.entries, lin2.entries, entries_equivalent,
                      self.scoring, self.algorithm)
 
-    @staticmethod
-    def _kernel_fallback(algorithm: str) -> Optional[str]:
-        """The next rung of the kernel degradation ladder (native -> numpy
-        -> pure), or None on the pure tier.  Skips a numpy rung whose
-        backend this process cannot even import."""
-        if algorithm in NATIVE_KERNELS:
-            fallback = native_fallback(algorithm)
-            if fallback in NUMPY_KERNELS and not numpy_available():
-                fallback = PURE_PYTHON_FALLBACKS[fallback]
-            return fallback
-        if algorithm in NUMPY_KERNELS:
-            return PURE_PYTHON_FALLBACKS[algorithm]
-        return None
-
     def _solve_keyed(self, lin1: LinearizedFunction,
                      lin2: LinearizedFunction) -> AlignmentResult:
         """Run the keyed kernel, degrading down the ladder when it raises.
 
-        A crashing fast kernel (a broken native build, a NumPy regression,
-        or the ``align.kernel_crash`` injection) downgrades *sticky* to the
+        A crashing native kernel (a broken build or the
+        ``align.kernel_crash`` injection) downgrades *sticky* to the
         next tier of identical behaviour and the pair is re-solved there;
         only the pure-Python tier, which has no rung below it, re-raises.
         Each transition lands in :attr:`degradations` and warns once.
@@ -427,7 +398,8 @@ class AlignmentStage(Stage):
                 return kernel(lin1.entries, lin2.entries,
                               lin1.keys, lin2.keys, self.scoring)
             except Exception as error:
-                fallback = self._kernel_fallback(self.algorithm)
+                # the ladder is native -> pure; the pure tier has no rung
+                fallback = PURE_PYTHON_FALLBACKS.get(self.algorithm)
                 if fallback is None:
                     raise
                 warnings.warn(

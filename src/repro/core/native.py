@@ -1,18 +1,16 @@
-"""Native (C extension) Needleman-Wunsch kernels: the ``nw-native`` tier.
+"""Native (C extension) Needleman-Wunsch kernel: the ``nw-native`` tier.
 
 The DP fill *and* traceback run inside :mod:`repro.core._nw_native`, a
 dependency-free CPython extension compiled from ``_nw_native.c``.  The
-contract is the same as for the NumPy backend - *bit-identical output* to
-the pure-Python kernels (entries, scores and op strings, tie-breaking
-included) - but the fill is a plain C loop over ``int64`` scores with a
-packed ``uint8`` move matrix, roughly an order of magnitude faster than the
-row-vectorized NumPy fill and ~8x leaner than a full score matrix held for
-the Python traceback.
+contract is *bit-identical output* to the pure-Python keyed kernel
+(entries, scores and op strings, tie-breaking included), but the fill is a
+plain C loop over ``int64`` scores with a packed ``uint8`` move matrix,
+~8x leaner than a full score matrix held for the Python traceback.
 
 Availability is best-effort, never load-bearing:
 
-1. an installed extension (``pip install repro[fast]`` with a C compiler
-   present builds it via ``setup.py``; the build is marked *optional*, so a
+1. an installed extension (``pip install .`` with a C compiler present
+   builds it via ``setup.py``; the build is marked *optional*, so a
    missing compiler degrades the install instead of failing it);
 2. otherwise a **build-on-demand** path compiles ``_nw_native.c`` with the
    system C compiler into a per-user cache directory and loads the shared
@@ -20,8 +18,8 @@ Availability is best-effort, never load-bearing:
 3. otherwise - no compiler, sandboxed filesystem, exotic platform - the
    native tier is simply unavailable: :func:`native_available` returns
    False, explicit requests raise an ImportError naming the build
-   requirements, and environment-variable requests downgrade to the NumPy
-   or pure-Python kernels with a warning (see
+   requirements, and environment-variable requests downgrade to the
+   pure-Python kernel with a warning (see
    ``repro.core.engine.stages.resolve_alignment_kernel``).
 
 Setting ``REPRO_NATIVE=0`` disables the native tier outright (CI uses this
@@ -38,9 +36,8 @@ import sysconfig
 import tempfile
 from typing import List, Optional, Sequence, TypeVar
 
-from .alignment import (AlignmentResult, EquivalenceFn, ScoringScheme,
-                        _default_equivalence, needleman_wunsch_keyed,
-                        result_from_ops)
+from .alignment import (AlignmentResult, ScoringScheme,
+                        needleman_wunsch_keyed, result_from_ops)
 
 T = TypeVar("T")
 
@@ -54,13 +51,8 @@ NATIVE_ENV = "REPRO_NATIVE"
 NATIVE_BUILD_DIR_ENV = "REPRO_NATIVE_BUILD_DIR"
 
 #: Pure-Python algorithm each native kernel downgrades to (identical
-#: results); when NumPy is available the resolver prefers its tier instead
-#: (see :func:`native_fallback`).
+#: results).
 PURE_PYTHON_FALLBACKS = {"nw-native": "needleman-wunsch"}
-
-#: NumPy twin of each native kernel, preferred for the downgrade when the
-#: ``fast`` extra is installed.
-NUMPY_FALLBACKS = {"nw-native": "nw-numpy"}
 
 _native = None  # unresolved; False once loading failed (or was disabled)
 _load_error: Optional[str] = None
@@ -177,28 +169,17 @@ def native_available() -> bool:
 
 def require_native(kernel: str):
     """Return the extension module or raise an ImportError naming the build
-    requirements (mirrors :func:`repro.core.align_np.require_numpy`)."""
+    requirements."""
     module = _load_native()
     if module is None:
         detail = f" ({_load_error})" if _load_error else ""
         raise ImportError(
             f"alignment kernel {kernel!r} requires the repro._nw_native C "
-            f"extension, which is not available{detail}; install with a C "
-            f"compiler present (pip install repro[fast]) or select the "
-            f"{NUMPY_FALLBACKS.get(kernel, 'nw-numpy')!r} / "
+            f"extension, which is not available{detail}; install or run "
+            f"with a C compiler present, or select the "
             f"{PURE_PYTHON_FALLBACKS.get(kernel, 'needleman-wunsch')!r} "
-            f"kernels instead")
+            f"kernel instead")
     return module
-
-
-def native_fallback(kernel: str) -> str:
-    """Best still-available kernel to downgrade an env-requested native
-    kernel to: the NumPy twin when the ``fast`` extra is importable, else
-    the pure-Python algorithm.  Results are bit-identical either way."""
-    from .align_np import numpy_available
-    if numpy_available():
-        return NUMPY_FALLBACKS.get(kernel, "nw-numpy")
-    return PURE_PYTHON_FALLBACKS.get(kernel, "needleman-wunsch")
 
 
 def _fits_native(n: int, m: int, scoring: ScoringScheme) -> bool:
@@ -237,38 +218,6 @@ def needleman_wunsch_native_keyed(seq1: Sequence[T], seq2: Sequence[T],
                                         scoring.gap)
     except (OverflowError, TypeError):
         return needleman_wunsch_keyed(seq1, seq2, keys1, keys2, scoring)
-    return result_from_ops(ops, score, seq1, seq2)
-
-
-# ---------------------------------------------------------------------------
-# Generic predicate front doors (registry entries)
-# ---------------------------------------------------------------------------
-
-def needleman_wunsch_native(seq1: Sequence[T], seq2: Sequence[T],
-                            equivalent: EquivalenceFn = _default_equivalence,
-                            scoring: ScoringScheme = ScoringScheme()
-                            ) -> AlignmentResult[T]:
-    """Native NW behind the generic predicate interface.
-
-    The predicate sweep still happens in Python (n*m calls, same as the
-    pure kernel); only the DP fill and traceback run natively, over a
-    packed equivalence byte matrix.
-    """
-    native = require_native("nw-native")
-    n, m = len(seq1), len(seq2)
-    if not _fits_native(n, m, scoring):
-        from .alignment import needleman_wunsch
-        return needleman_wunsch(seq1, seq2, equivalent, scoring)
-    eq = bytearray(n * m)
-    pos = 0
-    for i in range(n):
-        a = seq1[i]
-        for b in seq2:
-            if equivalent(a, b):
-                eq[pos] = 1
-            pos += 1
-    ops, score = native.solve_matrix(bytes(eq), n, m, scoring.match,
-                                     scoring.mismatch, scoring.gap)
     return result_from_ops(ops, score, seq1, seq2)
 
 

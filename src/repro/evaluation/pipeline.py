@@ -232,12 +232,12 @@ def compile_module(module: Module, technique: str, *,
     workload generators are deterministic, so this is cheap and exact).
 
     ``alignment_kernel`` selects the merge engine's DP backend (e.g.
-    ``"nw-numpy"`` for the vectorized one); every choice produces identical
-    merge decisions and only changes the stage timings.  ``jobs`` and
-    ``executor`` accept only ``None``/``1`` and ``"auto"``/``"serial"``
-    (anything else raises ValueError): merging is serial, and the two
-    parameters remain only for callers that pin that configuration
-    explicitly.
+    ``"nw-native"`` for the C extension); every Needleman-Wunsch choice
+    produces identical merge decisions and only changes the stage timings.
+    ``jobs`` and ``executor`` accept only ``None``/``1`` and
+    ``"auto"``/``"serial"`` (anything else raises ValueError): merging is
+    serial, and the two parameters remain only for callers that pin that
+    configuration explicitly.
 
     A fresh pass aligns every candidate pair directly, with no alignment
     cache: a cold compile never repeats a pair, so a cache key would cost

@@ -1,12 +1,13 @@
-"""Property tests for the native (C) alignment kernels.
+"""Property tests for the native (C) alignment kernel, plus kernel-name
+resolution.
 
-The contract mirrors :mod:`tests.core.test_align_numpy`: *bit-identical
-output*.  For every pair of sequences and every scoring scheme,
-``nw-native`` must return the same score and the same entry list - same
-tie-breaking included - as the pure-Python :func:`needleman_wunsch`.  The extension-absent behaviour (a clear error
-naming the build requirements for explicit requests, a warned downgrade to
-the NumPy or pure tier for the environment knob) is tested by simulating a
-failed build, mirroring the NumPy-absent leg.
+The contract is *bit-identical output*.  For every pair of key sequences
+and every scoring scheme, ``nw-native`` must return the same score and the
+same entry list - same tie-breaking included - as the pure-Python
+:func:`needleman_wunsch_keyed` (and so :func:`needleman_wunsch`).  The
+extension-absent behaviour (a clear error naming the build requirements
+for explicit requests, a warned downgrade to the pure kernel for the
+environment knob) is tested by simulating a failed build.
 """
 
 import random
@@ -17,13 +18,10 @@ from hypothesis import strategies as st
 
 from repro.core import FunctionMergingPass, ReferenceMergingPass
 from repro.core import native as native_mod
-from repro.core.align_np import numpy_available
-from repro.core.alignment import (ALGORITHMS, ScoringScheme, align,
-                                  needleman_wunsch, needleman_wunsch_keyed)
+from repro.core.alignment import (ScoringScheme, align, needleman_wunsch,
+                                  needleman_wunsch_keyed)
 from repro.core.engine.stages import AlignmentStage, resolve_alignment_kernel
-from repro.core.native import (native_available,
-                               needleman_wunsch_native,
-                               needleman_wunsch_native_keyed)
+from repro.core.native import native_available, needleman_wunsch_native_keyed
 from repro.ir import Module, verify_or_raise
 from repro.workloads import FamilySpec, FunctionSpec, make_family
 
@@ -71,14 +69,6 @@ def decisions(report):
 @requires_native
 @settings(max_examples=100, deadline=None)
 @given(short_text, short_text, scorings)
-def test_native_full_matches_nw_entries_and_score(seq1, seq2, scoring):
-    want = needleman_wunsch(seq1, seq2, scoring=scoring)
-    assert_same(needleman_wunsch_native(seq1, seq2, scoring=scoring), want)
-
-
-@requires_native
-@settings(max_examples=100, deadline=None)
-@given(short_text, short_text, scorings)
 def test_native_keyed_matches_keyed_kernel(seq1, seq2, scoring):
     keys1 = [ord(c) for c in seq1]
     keys2 = [ord(c) for c in seq2]
@@ -108,7 +98,6 @@ def test_solve_keyed_native_matches_pure_solver(keys1, keys2, scoring):
 def test_native_degenerate_sequences(seq1, seq2):
     want = needleman_wunsch(seq1, seq2)
     keys1, keys2 = [ord(c) for c in seq1], [ord(c) for c in seq2]
-    assert_same(needleman_wunsch_native(seq1, seq2), want)
     assert_same(needleman_wunsch_native_keyed(seq1, seq2, keys1, keys2), want)
 
 
@@ -139,13 +128,6 @@ def test_huge_scores_fall_back_to_pure_and_still_match():
 
 
 @requires_native
-def test_front_door_dispatches_native_algorithms():
-    want = needleman_wunsch("ABCA", "ABDA")
-    assert_same(align("ABCA", "ABDA", algorithm="nw-native"), want)
-    assert "nw-native" in ALGORITHMS
-
-
-@requires_native
 def test_scores_are_plain_ints():
     result = needleman_wunsch_native_keyed("ABC", "ABD", [1, 2, 3], [1, 2, 4])
     assert type(result.score) is int
@@ -167,6 +149,36 @@ def test_env_knob_selects_native_kernel(monkeypatch):
 @requires_native
 def test_auto_resolves_to_native_when_available():
     assert resolve_alignment_kernel("auto", "needleman-wunsch") == "nw-native"
+
+
+def test_auto_kernel_resolution(monkeypatch):
+    if native_available():
+        assert resolve_alignment_kernel("auto", "needleman-wunsch") == \
+            "nw-native"
+    monkeypatch.setattr(native_mod, "_native", False)  # simulate no extension
+    assert resolve_alignment_kernel("auto", "needleman-wunsch") == \
+        "needleman-wunsch"
+
+
+#: What the unknown-kernel error must list: every remaining kernel.
+REMAINING_KERNELS = "['hirschberg', 'needleman-wunsch', 'nw', 'nw-native']"
+
+
+def test_unknown_kernel_rejected(monkeypatch):
+    # nw-numpy, the nw-banded* and the nw-wavefront-numpy names belong to
+    # removed kernels
+    for kernel in ("nw-gpu", "nw-numpy", "nw-banded", "nw-banded-numpy",
+                   "nw-wavefront-numpy", "nw-banded-native"):
+        with pytest.raises(ValueError, match="unknown alignment kernel"):
+            AlignmentStage(kernel=kernel)
+        monkeypatch.setenv("REPRO_ALIGN_KERNEL", kernel)
+        with pytest.raises(ValueError) as excinfo:
+            AlignmentStage()
+        assert REMAINING_KERNELS in str(excinfo.value)
+    # the predicate front door serves the paper's algorithms only
+    for algorithm in ("nw-native", "nw-numpy"):
+        with pytest.raises(ValueError, match="unknown alignment algorithm"):
+            align("AB", "AB", algorithm=algorithm)
 
 
 # -- engine parity ------------------------------------------------------------
@@ -204,8 +216,6 @@ class TestWithoutNative:
     def test_kernel_call_raises_naming_the_build(self):
         with pytest.raises(ImportError, match="compil"):
             needleman_wunsch_native_keyed("AB", "AB", [1, 2], [1, 2])
-        with pytest.raises(ImportError, match="compil"):
-            align("AB", "AB", algorithm="nw-native")
 
     def test_explicit_stage_request_raises(self):
         with pytest.raises(ImportError, match="compil"):
@@ -217,13 +227,11 @@ class TestWithoutNative:
         monkeypatch.setenv("REPRO_ALIGN_KERNEL", "nw-native")
         with pytest.warns(RuntimeWarning, match="falling back"):
             stage = AlignmentStage()
-        # the downgrade lands on the NumPy twin when available, pure else
-        want = "nw-numpy" if numpy_available() else "needleman-wunsch"
-        assert stage.algorithm == want
+        assert stage.algorithm == "needleman-wunsch"
 
     def test_auto_skips_the_native_tier(self):
-        want = "nw-numpy" if numpy_available() else "needleman-wunsch"
-        assert resolve_alignment_kernel("auto", "needleman-wunsch") == want
+        assert resolve_alignment_kernel("auto", "needleman-wunsch") == \
+            "needleman-wunsch"
 
     def test_engine_still_runs_and_decisions_match(self):
         reference = ReferenceMergingPass(exploration_threshold=2).run(build_module(3))

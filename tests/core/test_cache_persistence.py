@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FunctionMergingPass, MergeEngine, numpy_available
+from repro.core import FunctionMergingPass, MergeEngine
 from repro.core.alignment import ops_string, result_from_ops
 from repro.core.engine.align_cache import _ENTRY_OVERHEAD, AlignmentCache
 from repro.core.engine.stages import AlignmentStage, LinearizeStage
@@ -353,8 +353,7 @@ class TestPackedOps:
 # -- decision parity: cache modes x kernels -----------------------------------
 
 #: Alignment kernels exercised by the parity matrix (None = engine default).
-KERNELS = [None] + (["nw-numpy"] if numpy_available() else []) + (
-    ["nw-native"] if native_available() else [])
+KERNELS = [None] + (["nw-native"] if native_available() else [])
 
 
 class TestCacheModeParity:
@@ -408,10 +407,6 @@ class TestCrossKernelTransfer:
         assert (second.scheduler_stats["align_cache_hits"]
                 > first.scheduler_stats["align_cache_hits"])
 
-    @pytest.mark.skipif(not numpy_available(), reason="requires numpy")
-    def test_numpy_run_hits_entries_from_sequential_run(self):
-        self.assert_second_kernel_only_hits("nw-numpy")
-
     @pytest.mark.skipif(not native_available(),
                         reason="requires the native extension")
     def test_native_run_hits_entries_from_sequential_run(self):
@@ -431,7 +426,7 @@ class TestCrossKernelTransfer:
         lf, lg = linearize.get(f), linearize.get(g)
 
         sequential = AlignmentStage(kernel="needleman-wunsch", cache=cache)
-        other = AlignmentStage(kernel="nw-numpy" if numpy_available()
+        other = AlignmentStage(kernel="nw-native" if native_available()
                                else "nw", cache=cache)
         want = sequential.align_pair(lf, lg)
         assert cache.misses == 1 and cache.hits == 0

@@ -337,7 +337,6 @@ def test_sanitizer_cross_checks_every_counted_candidate():
     assert report.merge_count >= 1
     checks = report.scheduler_stats["sanitize_runs"]
     assert checks >= report.candidates_evaluated
-    assert report.scheduler_stats["sanitize_violations"] == 0
 
 
 def test_sanitizer_rejects_a_wrong_count(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (FunctionMergingPass, MergeEngine,
-                        ReferenceMergingPass, numpy_available)
+                        ReferenceMergingPass, native_available)
 from repro.core.engine import PlanningError
 from repro.core.engine.report import MergeReport
 from repro.evaluation import compile_module
@@ -52,9 +52,9 @@ class TestSchedulerParity:
         assert report.scheduler_stats["stale_entries"] == report.stale_entries
 
 
-#: Every selectable alignment kernel (None = the engine default); the NumPy
-#: backend joins in when the ``fast`` extra is installed.
-KERNELS = [None] + (["nw-numpy"] if numpy_available() else [])
+#: Every selectable alignment kernel (None = the engine default); the
+#: native kernel joins in when the C extension is available.
+KERNELS = [None] + (["nw-native"] if native_available() else [])
 
 
 class TestKernelParity:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (MergeEngine, MergeSession, ModuleEdit, apply_edit,
-                        numpy_available)
+                        native_available)
 from repro.core.engine import DirtySet, PlanningError
 from repro.ir import IRBuilder, Module, verify_or_raise
 from repro.ir import types as ty
@@ -159,7 +159,7 @@ class TestSessionParity:
     def test_random_edit_scripts_under_oracle(self):
         run_session_script(5, oracle=True)
 
-    @pytest.mark.parametrize("kernel", ["nw-numpy"] if numpy_available()
+    @pytest.mark.parametrize("kernel", ["nw-native"] if native_available()
                              else [])
     def test_random_edit_scripts_per_kernel(self, kernel):
         run_session_script(3, updates=2, alignment_kernel=kernel)

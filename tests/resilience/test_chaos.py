@@ -36,9 +36,11 @@ SCHEDULES = int(os.environ.get("REPRO_CHAOS_SCHEDULES", "12"))
 
 MODULE_SEED = 5
 
-#: Alignment-kernel rotation: the engine default (whose kernel ladder can
-#: degrade) and the pure-Python tier (which has no rung below it).
-KERNELS = (None, "nw")
+#: Alignment-kernel rotation: ``auto`` (native where the extension loads,
+#: so its kernel ladder can degrade native -> pure) and the pure-Python
+#: tier (which has no rung below it).  The engine default would be the
+#: pure tier twice.
+KERNELS = ("auto", "nw")
 
 _REFERENCE = None
 

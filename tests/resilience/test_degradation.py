@@ -1,12 +1,12 @@
 """The graceful-degradation ladder: alignment kernels step down
-numpy -> pure (and abort typed from the bottom tier), and every transition
+native -> pure (and abort typed from the bottom tier), and every transition
 surfaces as a structured event in ``scheduler_stats["degradations"]``."""
 
 import warnings
 
 import pytest
 
-from repro.core import numpy_available
+from repro.core import native_available
 from repro.core.engine import MergeEngine
 from repro.core.pass_ import FunctionMergingPass
 from repro.core.reference import ReferenceMergingPass
@@ -19,25 +19,26 @@ def reference_decisions(seed=5):
         exploration_threshold=2).run(build_module(seed)))
 
 
+requires_native = pytest.mark.skipif(
+    not native_available(), reason="requires the native extension")
+
+
 class TestKernelLadder:
-    @pytest.mark.skipif(not numpy_available(), reason="requires numpy")
-    def test_numpy_kernel_crash_degrades_to_pure_bit_identically(self):
+    @requires_native
+    def test_native_kernel_crash_degrades_to_pure_bit_identically(self):
         plan = FaultPlan.parse("seed=4,align.kernel_crash:nth=1:count=1")
         pass_ = FunctionMergingPass(
-            exploration_threshold=2, alignment_kernel="nw-numpy",
+            exploration_threshold=2, alignment_kernel="nw-native",
             fault_plan=plan)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             report = pass_.run(build_module(5))
         assert decisions(report) == reference_decisions()
         # the downgrade is sticky: the stage now runs the pure kernel
-        from repro.core.align_np import PURE_PYTHON_FALLBACKS
-        pure = PURE_PYTHON_FALLBACKS["nw-numpy"]
-        assert pass_.engine.alignment.algorithm == pure
+        assert pass_.engine.alignment.algorithm == "needleman-wunsch"
         events = report.scheduler_stats["degradations"]
-        assert any(e["component"] == "align-kernel"
-                   and e["from"] == "nw-numpy" and e["to"] == pure
-                   for e in events)
+        assert [(e["component"], e["from"], e["to"]) for e in events] == [
+            ("align-kernel", "nw-native", "needleman-wunsch")]
         assert report.stage_stats["align"]["kernel_degradations"] >= 1
 
     def test_pure_tier_crash_aborts_typed(self):
@@ -56,7 +57,7 @@ class TestKernelLadder:
         assert report.scheduler_stats["degradations"] == []
 
 
-@pytest.mark.skipif(not numpy_available(), reason="requires numpy")
+@requires_native
 class TestDegradationAccounting:
     def test_degradations_are_cumulative_across_runs(self):
         # engine-lifetime semantics (like a caller-owned cache's counters):
@@ -64,7 +65,7 @@ class TestDegradationAccounting:
         # first run's event
         plan = FaultPlan.parse("seed=1,align.kernel_crash:nth=1:count=1")
         engine = MergeEngine(exploration_threshold=2,
-                             alignment_kernel="nw-numpy", fault_plan=plan)
+                             alignment_kernel="nw-native", fault_plan=plan)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             first = engine.run(build_module(5))
@@ -79,7 +80,7 @@ class TestDegradationAccounting:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             report = FunctionMergingPass(
-                exploration_threshold=2, alignment_kernel="nw-numpy",
+                exploration_threshold=2, alignment_kernel="nw-native",
                 fault_plan=plan).run(build_module(5))
         events = report.scheduler_stats["degradations"]
         assert events
