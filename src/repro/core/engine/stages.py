@@ -46,7 +46,9 @@ def resolve_alignment_kernel(kernel: Optional[str], algorithm: str) -> str:
     Priority: the explicit ``kernel`` argument, then the
     ``REPRO_ALIGN_KERNEL`` environment variable, then ``algorithm`` (the
     historical ``MergeOptions.alignment_algorithm``).  ``"auto"`` picks the
-    native C kernel when it is available, else ``algorithm``.
+    native C kernel when it is available, else ``algorithm`` - or the pure
+    ``needleman-wunsch`` kernel when ``algorithm`` is not a pure algorithm
+    itself (``MergeOptions(alignment_algorithm="auto")``).
 
     Requesting the native kernel explicitly (argument or options) when the
     extension is unavailable raises an ImportError naming the build
@@ -61,7 +63,9 @@ def resolve_alignment_kernel(kernel: Optional[str], algorithm: str) -> str:
             kernel = algorithm
             explicit = True
     if kernel == "auto":
-        return "nw-native" if native_available() else algorithm
+        if native_available():
+            return "nw-native"
+        return algorithm if algorithm in ALGORITHMS else "needleman-wunsch"
     if kernel not in ALGORITHMS and kernel not in NATIVE_KERNELS:
         raise ValueError(f"unknown alignment kernel {kernel!r}; available: "
                          f"{sorted({*ALGORITHMS, *NATIVE_KERNELS})} "

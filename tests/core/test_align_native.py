@@ -11,6 +11,7 @@ environment knob) is tested by simulating a failed build.
 """
 
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,16 @@ from repro.core import native as native_mod
 from repro.core.alignment import (ScoringScheme, align, needleman_wunsch,
                                   needleman_wunsch_keyed)
 from repro.core.engine.stages import AlignmentStage, resolve_alignment_kernel
+from repro.core.equivalence import EquivalenceKeyInterner, entries_equivalent
+from repro.core.linearizer import linearize_with_keys
 from repro.core.native import native_available, needleman_wunsch_native_keyed
 from repro.ir import Module, verify_or_raise
+from repro.ir.printer import module_to_str
 from repro.workloads import FamilySpec, FunctionSpec, make_family
+from repro.workloads.case_studies import SOURCES, case_study_module
+from repro.workloads.mibench import (build_mibench_benchmark,
+                                     mibench_benchmark_names)
+from repro.workloads.spec2006 import build_spec_benchmark, spec_benchmark_names
 
 requires_native = pytest.mark.skipif(
     not native_available(), reason="native extension not buildable here")
@@ -57,6 +65,27 @@ def build_module(seed=7, families=4, clones=2):
         make_family(module, spec,
                     FamilySpec(identical=1, structural=clones, partial=1), rng)
     return module
+
+
+#: Every benchmark model of the evaluation, by suite-qualified name.
+WORKLOADS = {
+    **{f"mibench-{name}": (lambda name=name:
+                           build_mibench_benchmark(name).module)
+       for name in mibench_benchmark_names()},
+    **{f"spec-{name}": (lambda name=name: build_spec_benchmark(name).module)
+       for name in spec_benchmark_names()},
+    **{f"case-{name}": (lambda name=name: case_study_module(name))
+       for name in SOURCES},
+}
+
+
+def _keyed_pair():
+    """Two functions of one family, keyed by a shared interner."""
+    module = build_module(7, families=1)
+    interner = EquivalenceKeyInterner()
+    first, second = list(module.defined_functions())[-2:]
+    return (linearize_with_keys(first, "rpo", interner),
+            linearize_with_keys(second, "rpo", interner))
 
 
 def decisions(report):
@@ -181,6 +210,67 @@ def test_unknown_kernel_rejected(monkeypatch):
             align("AB", "AB", algorithm=algorithm)
 
 
+#: The kernel decision table: ``(requested name, native loads?)`` -> what
+#: the stage runs when the name arrives as the ``kernel`` argument, through
+#: ``REPRO_ALIGN_KERNEL``, or as ``MergeOptions.alignment_algorithm``.
+#: ``ImportError`` marks an explicit request the stage must refuse; the
+#: environment knob downgrades the same request with a warning instead.
+RESOLUTION_TABLE = {
+    ("needleman-wunsch", True): ("needleman-wunsch",) * 3,
+    ("needleman-wunsch", False): ("needleman-wunsch",) * 3,
+    ("nw", True): ("nw",) * 3,
+    ("nw", False): ("nw",) * 3,
+    ("hirschberg", True): ("hirschberg",) * 3,
+    ("hirschberg", False): ("hirschberg",) * 3,
+    ("nw-native", True): ("nw-native",) * 3,
+    ("nw-native", False): (ImportError, "needleman-wunsch", ImportError),
+    ("auto", True): ("nw-native",) * 3,
+    ("auto", False): ("needleman-wunsch",) * 3,
+}
+SOURCES = ("argument", "env", "algorithm")
+
+
+def _table_cases():
+    for (name, native), expected in RESOLUTION_TABLE.items():
+        for source, want in zip(SOURCES, expected):
+            marks = [requires_native] if native else []
+            yield pytest.param(name, native, source, want, marks=marks,
+                               id=f"{name}-{source}-"
+                                  f"{'native' if native else 'no-native'}")
+
+
+@pytest.mark.parametrize("name,native,source,want", _table_cases())
+def test_kernel_resolution_table(monkeypatch, name, native, source, want):
+    monkeypatch.delenv("REPRO_ALIGN_KERNEL", raising=False)
+    if not native:
+        monkeypatch.setattr(native_mod, "_native", False)
+        monkeypatch.setattr(native_mod, "_load_error", "simulated")
+
+    def build():
+        if source == "argument":
+            return AlignmentStage(kernel=name)
+        if source == "env":
+            monkeypatch.setenv("REPRO_ALIGN_KERNEL", name)
+            return AlignmentStage()
+        return AlignmentStage(algorithm=name)
+
+    if want is ImportError:
+        with pytest.raises(ImportError, match="compil"):
+            build()
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        stage = build()
+    assert stage.algorithm == want
+    downgrades = [w for w in caught if "falling back" in str(w.message)]
+    assert len(downgrades) == (source == "env" and name == "nw-native"
+                               and not native)
+    # whatever it resolved to, the stage aligns with the optimal score
+    lin1, lin2 = _keyed_pair()
+    want_score = align(lin1.entries, lin2.entries, entries_equivalent).score
+    assert stage.align_pair(lin1, lin2).score == want_score
+
+
 # -- engine parity ------------------------------------------------------------
 
 @requires_native
@@ -197,6 +287,20 @@ class TestNativeEngineParity:
             exploration_threshold=2, alignment_kernel="nw-native").run(module)
         assert decisions(report) == decisions(reference)
         verify_or_raise(module)
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_parity_on_workload(self, workload):
+        # the two DPs on every benchmark model the evaluation compiles: the
+        # same candidates aligned, the same merges, the same merged module
+        runs = []
+        for kernel in ("nw-native", "needleman-wunsch"):
+            module = WORKLOADS[workload]()
+            report = FunctionMergingPass(
+                exploration_threshold=2, alignment_kernel=kernel).run(module)
+            runs.append((report.decision_keys(), report.candidates_evaluated,
+                         report.stage_stats["align"]["cells"],
+                         module_to_str(module)))
+        assert runs[0] == runs[1]
 
 
 # -- behaviour without the extension ------------------------------------------

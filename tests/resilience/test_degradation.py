@@ -10,8 +10,26 @@ from repro.core import native_available
 from repro.core.engine import MergeEngine
 from repro.core.pass_ import FunctionMergingPass
 from repro.core.reference import ReferenceMergingPass
+from repro.ir.printer import module_to_str
 from repro.resilience import FaultPlan, ResilienceError
+from repro.workloads.case_studies import case_study_module
+from repro.workloads.mibench import build_mibench_benchmark
+from repro.workloads.spec2006 import build_spec_benchmark
 from tests.helpers import build_module, decisions
+
+#: Benchmark models that merge at threshold 2 (so a crash changes tiers
+#: mid-compile, not on an idle run).
+WORKLOADS = {
+    "case-libquantum": lambda: case_study_module("libquantum"),
+    "case-rijndael": lambda: case_study_module("rijndael"),
+    "case-sphinx": lambda: case_study_module("sphinx"),
+    "mibench-bitcount": lambda: build_mibench_benchmark("bitcount").module,
+    "mibench-gsm": lambda: build_mibench_benchmark("gsm").module,
+    "spec-403.gcc": lambda: build_spec_benchmark("403.gcc").module,
+    "spec-447.dealII": lambda: build_spec_benchmark("447.dealII").module,
+    "spec-483.xalancbmk": lambda: build_spec_benchmark(
+        "483.xalancbmk").module,
+}
 
 
 def reference_decisions(seed=5):
@@ -40,6 +58,28 @@ class TestKernelLadder:
         assert [(e["component"], e["from"], e["to"]) for e in events] == [
             ("align-kernel", "nw-native", "needleman-wunsch")]
         assert report.stage_stats["align"]["kernel_degradations"] >= 1
+
+    @requires_native
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_native_crash_on_workload_degrades_bit_identically(
+            self, workload):
+        # a native crash on a benchmark model's first alignment: the rest of
+        # the compile runs pure and ends exactly where a pure compile ends
+        clean = WORKLOADS[workload]()
+        want = FunctionMergingPass(exploration_threshold=2).run(clean)
+        assert want.merges
+        plan = FaultPlan.parse("seed=4,align.kernel_crash:nth=1:count=1")
+        module = WORKLOADS[workload]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = FunctionMergingPass(
+                exploration_threshold=2, alignment_kernel="nw-native",
+                fault_plan=plan).run(module)
+        assert report.decision_keys() == want.decision_keys()
+        assert module_to_str(module) == module_to_str(clean)
+        assert [(e["from"], e["to"]) for e in
+                report.scheduler_stats["degradations"]] == [
+            ("nw-native", "needleman-wunsch")]
 
     def test_pure_tier_crash_aborts_typed(self):
         # the bottom rung has nowhere to fall: the injected fault surfaces
