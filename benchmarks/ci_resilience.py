@@ -34,7 +34,7 @@ if _SRC not in sys.path:
 from repro.core import FunctionMergingPass  # noqa: E402
 from repro.ir import Module  # noqa: E402
 from repro.resilience import (FaultPlan, SiteTrigger,  # noqa: E402
-                              fault_point, install_fault_plan)
+                              active_faults, fault_point)
 from repro.workloads import FamilySpec, FunctionSpec, make_family  # noqa: E402
 
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
@@ -70,23 +70,17 @@ def decisions(report):
 
 def timed_run(fault_plan=None):
     module = build_module()
-    pass_ = FunctionMergingPass(exploration_threshold=2,
-                                fault_plan=fault_plan)
-    start = time.perf_counter()
-    report = pass_.run(module)
-    return time.perf_counter() - start, decisions(report)
+    with active_faults(fault_plan):
+        pass_ = FunctionMergingPass(exploration_threshold=2)
+        start = time.perf_counter()
+        report = pass_.run(module)
+        return time.perf_counter() - start, decisions(report)
 
 
 def measure_disabled_overhead():
-    install_fault_plan(None)
     plain = [timed_run() for _ in range(REPEATS)]
     reference = plain[0][1]
-    inert = []
-    try:
-        for _ in range(REPEATS):
-            inert.append(timed_run(fault_plan=INERT))
-    finally:
-        install_fault_plan(None)
+    inert = [timed_run(fault_plan=INERT) for _ in range(REPEATS)]
     assert all(d == reference for _, d in plain + inert), \
         "an armed-but-inert fault plan changed merge decisions"
     plain_best = min(w for w, _ in plain)

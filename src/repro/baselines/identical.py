@@ -128,9 +128,6 @@ class IdenticalFunctionMergingPass(Pass):
 
     name = "identical-merging"
 
-    def __init__(self, allow_deletion: bool = True):
-        self.allow_deletion = allow_deletion
-
     def run(self, module: Module) -> IdenticalMergeReport:
         start = time.perf_counter()
         report = IdenticalMergeReport()
@@ -181,7 +178,7 @@ class IdenticalFunctionMergingPass(Pass):
             graph.unregister_instruction(caller, site)
             site.set_operand(0, representative)
             graph.register_instruction(caller, site)
-        deletable = (self.allow_deletion and duplicate.can_be_deleted()
+        deletable = (duplicate.can_be_deleted()
                      and not graph.is_address_taken(duplicate) and not duplicate.users)
         if deletable:
             graph.remove_function(duplicate)

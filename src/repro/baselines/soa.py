@@ -131,10 +131,8 @@ class StructuralFunctionMergingPass(Pass):
 
     name = "soa-merging"
 
-    def __init__(self, target: Optional[TargetCostModel] = None,
-                 allow_deletion: bool = True):
+    def __init__(self, target: Optional[TargetCostModel] = None):
         self.target = target or X86_64
-        self.allow_deletion = allow_deletion
         self.options = MergeOptions(smart_parameter_pairing=False)
 
     def run(self, module: Module) -> StructuralMergeReport:
@@ -175,12 +173,12 @@ class StructuralFunctionMergingPass(Pass):
                         except CodegenError:
                             continue
                         evaluation = evaluate_merge(f1, f2, *cost, self.target,
-                                                    graph, self.allow_deletion)
+                                                    graph)
                         if not evaluation.profitable:
                             continue
                         # like the FMSA engine: build only the merge it commits
                         result = merge_functions(f1, f2, self.options, alignment)
-                        applied = apply_merge(module, result, graph, self.allow_deletion)
+                        applied = apply_merge(module, result, graph)
                         available.discard(f1.name)
                         available.discard(f2.name)
                         available.add(result.merged.name)

@@ -5,7 +5,8 @@ Public API:
 * :func:`merge_functions` — merge one pair of functions (pure, no module
   mutation); :func:`merge_cost` — the same decisions, costed without
   building the merged body.
-* :class:`FunctionMergingPass` — the full ranked exploration framework.
+* :class:`FunctionMergingPass` — the full ranked exploration framework (the
+  pass is :class:`MergeEngine` itself).
 * :class:`ReferenceMergingPass` — the same exploration as the paper's plain
   loop: the engine's test oracle and the paper-figure driver.
 * :func:`align`, :func:`needleman_wunsch`, :func:`hirschberg` — sequence

@@ -1,9 +1,10 @@
-"""Staged merge engine: pluggable pipeline behind ``FunctionMergingPass``.
+"""Staged merge engine: the pipeline that is ``FunctionMergingPass``.
 
 Public API:
 
-* :class:`MergeEngine` — the staged driver (fingerprint → candidate search →
-  linearize → align → codegen → profitability → commit), whose
+* :class:`MergeEngine` — the function-merging pass as a staged driver
+  (fingerprint → candidate search → linearize → align → codegen →
+  profitability → commit), whose
   :meth:`~MergeEngine.drain` is the paper's serial worklist loop;
   :class:`PlanningError` names the worklist entry a plan callback failed on.
 * :class:`MergePlan` / :class:`CommitEvents` — the plan objects and the

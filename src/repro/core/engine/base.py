@@ -8,13 +8,11 @@ engine aggregates the per-stage numbers into the legacy Figure-13 buckets of
 ``MergeReport.stage_stats``.
 
 Every stage runs on the calling thread, so stage *seconds* are wall-clock
-time of that thread.  Stats updates stay lock-protected so a caller may
-share one pass between threads.
+time of that thread.  A pass is not thread-safe: use one per thread.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -28,18 +26,14 @@ class StageStats:
     seconds: float = 0.0
     calls: int = 0
     counters: Dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
 
     def bump(self, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            self.counters[counter] = self.counters.get(counter, 0) + amount
+        self.counters[counter] = self.counters.get(counter, 0) + amount
 
     def account(self, seconds: float) -> None:
-        """Record one timed call (thread-safe)."""
-        with self._lock:
-            self.seconds += seconds
-            self.calls += 1
+        """Record one timed call."""
+        self.seconds += seconds
+        self.calls += 1
 
     def as_dict(self) -> Dict[str, float]:
         data: Dict[str, float] = {"seconds": self.seconds, "calls": float(self.calls)}

@@ -1,7 +1,8 @@
-"""The staged merge engine (the driver behind ``FunctionMergingPass``).
+"""The staged merge engine: the function-merging pass itself.
 
-:class:`MergeEngine` runs the paper's exploration framework (Figure 7) as an
-explicit pipeline of strategy stages::
+:class:`MergeEngine` (also exported as ``FunctionMergingPass``) runs the
+paper's exploration framework (Figure 7) as an explicit pipeline of
+strategy stages::
 
     fingerprint -> candidate search -> linearize -> align
                 -> codegen -> profitability -> commit
@@ -41,10 +42,11 @@ from typing import Callable, Dict, List, Optional
 
 from ...analysis.sanitizer import Sanitizer
 from ...ir.callgraph import CallGraph
-from ...resilience import (FaultPlan, ResilienceError, fault_point,
-                           install_fault_plan, maybe_install_env_plan)
+from ...resilience import (ResilienceError, fault_point,
+                           maybe_install_env_plan)
 from ...ir.function import Function
 from ...ir.module import Module
+from ...passes.pass_manager import Pass
 from ...targets.cost_model import TargetCostModel
 from ...targets.x86_64 import X86_64
 from ..codegen import CodegenError, MergeOptions, merge_functions
@@ -95,8 +97,10 @@ def _env_flag(name: str) -> bool:
     return value.strip().lower() not in ("", "0", "false", "no", "off")
 
 
-class MergeEngine:
+class MergeEngine(Pass):
     """Function Merging by Sequence Alignment as a staged pipeline."""
+
+    name = "func-merging"
 
     def __init__(self, target: Optional[TargetCostModel] = None,
                  exploration_threshold: int = 1,
@@ -104,14 +108,12 @@ class MergeEngine:
                  options: Optional[MergeOptions] = None,
                  allow_deletion: bool = True,
                  hot_function_filter: Optional[Callable[[Function], bool]] = None,
-                 minimum_function_size: int = 1,
                  alignment_kernel: Optional[str] = None,
                  alignment_cache: Optional[AlignmentCache] = None,
                  jobs: Optional[int] = None,
                  executor: str = "auto",
                  verify_fingerprints: Optional[bool] = None,
-                 sanitize: Optional[bool] = None,
-                 fault_plan: Optional[FaultPlan] = None):
+                 sanitize: Optional[bool] = None):
         """Create the engine.
 
         Args:
@@ -131,8 +133,6 @@ class MergeEngine:
             hot_function_filter: optional predicate; functions for which it
                 returns True are excluded from merging (profile-guided mode
                 used in Section V-D to protect hot code).
-            minimum_function_size: functions with fewer instructions are not
-                considered (they cannot possibly yield a profit).
             alignment_kernel: alignment algorithm override - any
                 ``ALGORITHMS`` name, ``"nw-native"`` (the C extension) or
                 ``"auto"`` (native when it is available, else pure; a
@@ -174,12 +174,12 @@ class MergeEngine:
                 on or off; the counters land in
                 ``MergeReport.scheduler_stats`` (``sanitize_runs``,
                 ``sanitize_wall_seconds``).
-            fault_plan: install this :class:`~repro.resilience.FaultPlan`
-                process-wide (deterministic fault injection at the named
-                sites of :data:`~repro.resilience.FAULT_SITES`).  When
-                None, the ``REPRO_FAULTS`` environment variable is
-                consulted once per process.  With no plan every fault
-                point reduces to a single ``is None`` check.
+
+        Fault injection is armed outside the engine: scope a
+        :class:`~repro.resilience.FaultPlan` with
+        :func:`~repro.resilience.active_faults`, or export
+        ``REPRO_FAULTS``, which the first engine built in a process
+        installs.
         """
         check_serial_call_shape(jobs, executor)
         self.target = target or X86_64
@@ -188,17 +188,13 @@ class MergeEngine:
         self.options = options or MergeOptions()
         self.allow_deletion = allow_deletion
         self.hot_function_filter = hot_function_filter
-        self.minimum_function_size = minimum_function_size
         if verify_fingerprints is None:
             verify_fingerprints = _env_flag("REPRO_VERIFY_FINGERPRINTS")
         self.verify_fingerprints = verify_fingerprints
         if sanitize is None:
             sanitize = _env_flag("REPRO_SANITIZE")
         self.sanitizer: Optional[Sanitizer] = Sanitizer() if sanitize else None
-        if fault_plan is not None:
-            install_fault_plan(fault_plan)
-        else:
-            maybe_install_env_plan()
+        maybe_install_env_plan()
 
         self.searcher = IndexedCandidateSearcher(self.exploration_threshold)
         self.profit_bounds = ProfitBoundIndex(self.target) if oracle else None
@@ -239,13 +235,6 @@ class MergeEngine:
         """Whether a (caller-owned) cache is attached: it is never cleared
         by a run and its counters accumulate across runs."""
         return self.align_cache is not None
-
-    def _eligible(self, function: Function) -> bool:
-        if function.is_declaration:
-            return False
-        if function.instruction_count() < self.minimum_function_size:
-            return False
-        return True
 
     def stage_stats(self) -> Dict[str, Dict[str, float]]:
         """Fine-grained statistics of every pipeline stage (last run)."""
@@ -431,11 +420,10 @@ class MergeEngine:
             self.fingerprint.invalidate_live(name)
 
         merged = result.merged
-        if self._eligible(merged):
-            self.fingerprint.add_merged(merged, self._merged_fingerprint(
-                result, applied, fp_merged))
-            self._available.add(merged.name)
-            self._worklist.append(merged.name)
+        self.fingerprint.add_merged(merged, self._merged_fingerprint(
+            result, applied, fp_merged))
+        self._available.add(merged.name)
+        self._worklist.append(merged.name)
 
         # rewritten callers' bodies grew (wider call sites, converts); their
         # profit bounds must track the live bodies or pruning turns unsound
@@ -581,7 +569,7 @@ class MergeEngine:
             report.excluded_hot_functions = len(excluded)
 
         eligible = [f for f in module.defined_functions()
-                    if self._eligible(f) and f.name not in excluded]
+                    if f.name not in excluded]
         self.fingerprint.add_functions(eligible)
 
         available = {f.name for f in eligible}

@@ -392,12 +392,11 @@ class MergeSession:
     # -- indexing ---------------------------------------------------------------
     def _index_if_eligible(self, function: Function, order: int) -> None:
         engine = self.engine
+        if function.is_declaration:
+            return
         if (engine.hot_function_filter is not None
-                and not function.is_declaration
                 and engine.hot_function_filter(function)):
             self._excluded.add(function.name)
-            return
-        if not engine._eligible(function):
             return
         fp = Fingerprint.of(function)
         engine.fingerprint.restore_function(function, fp, order=order)

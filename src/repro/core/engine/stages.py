@@ -116,15 +116,8 @@ class FingerprintStage(Stage):
         # rewritten callers by their original fingerprints) entries here are
         # dropped whenever a commit rewrites the function's body
         self._live: Dict[str, Fingerprint] = {}
-        #: Bumped on every mutation of the searcher's *index* (add, remove,
-        #: merged-add, clear).  Candidate rankings computed against one
-        #: generation stay valid - and reusable - for as long as the
-        #: generation does not change; ``invalidate_live`` deliberately does
-        #: not bump it (live fingerprints never influence rankings).
-        self.generation = 0
 
     def _add(self, functions: List[Function]) -> None:
-        self.generation += 1
         for function in functions:
             fp = Fingerprint.of(function)
             self._live[fp.function_name] = fp
@@ -142,7 +135,6 @@ class FingerprintStage(Stage):
         self.stats.bump("functions")
 
         def _do() -> None:
-            self.generation += 1
             self._live[function.name] = fp
             self.searcher.add_fingerprint(fp)
             if self.profit_bounds is not None:
@@ -157,12 +149,10 @@ class FingerprintStage(Stage):
         ``fp`` is the pristine source fingerprint and ``order`` the searcher
         iteration position the function held before it was consumed, so a
         subsequent candidate query ranks it exactly as a cold run would.
-        Bumps the generation like any other index mutation.
         """
         self.stats.bump("functions")
 
         def _do() -> None:
-            self.generation += 1
             self._live[fp.function_name] = fp
             self.searcher.add_fingerprint(fp, order=order)
             if self.profit_bounds is not None:
@@ -187,7 +177,6 @@ class FingerprintStage(Stage):
         self._live.pop(name, None)
 
     def _remove(self, name: str) -> None:
-        self.generation += 1
         self.searcher.remove_function(name)
         self._live.pop(name, None)
         if self.profit_bounds is not None:
@@ -209,7 +198,6 @@ class FingerprintStage(Stage):
             self.timed(self.profit_bounds.add_functions, functions)
 
     def clear(self) -> None:
-        self.generation += 1
         self.searcher.clear()
         self._live.clear()
         if self.profit_bounds is not None:
@@ -284,10 +272,6 @@ class LinearizeStage(Stage):
             cached = slot[1]
             self.stats.bump("cache_hits")
         return cached
-
-    def cached_names(self):
-        """Names with a live cached linearization (session reuse metering)."""
-        return list(self._cache)
 
     def invalidate(self, name: str) -> None:
         self._cache.pop(name, None)

@@ -1,6 +1,6 @@
 """The FMSA exploration framework (Figure 7 of the paper).
 
-:class:`FunctionMergingPass` is the user-facing pass, a thin facade over
+:class:`FunctionMergingPass` is the user-facing name of
 :class:`repro.core.engine.MergeEngine`, which runs the optimization as an
 explicit stage pipeline (fingerprint → candidate search → linearize →
 align → codegen → profitability → commit) of individually optimized
@@ -15,62 +15,17 @@ updating).  ``MergeReport``, ``MergeRecord`` and ``STAGES`` live in
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..ir.function import Function
-from ..ir.module import Module
-from ..passes.pass_manager import Pass
-from ..targets.cost_model import TargetCostModel
-from .codegen import MergeOptions
 from .engine import MergeEngine
 from .engine.report import STAGES, MergeRecord, MergeReport
 
 __all__ = ["FunctionMergingPass", "MergeRecord", "MergeReport", "STAGES",
            "make_hotness_filter"]
 
-
-class FunctionMergingPass(Pass):
-    """Function Merging by Sequence Alignment, with ranked exploration."""
-
-    name = "func-merging"
-
-    def __init__(self, *args, **kwargs):
-        """Create the pass; the arguments are exactly those of
-        :class:`MergeEngine`, which documents them."""
-        self.engine = MergeEngine(*args, **kwargs)
-
-    # -- facade properties (historical public attributes) -----------------------
-    @property
-    def target(self) -> TargetCostModel:
-        return self.engine.target
-
-    @property
-    def exploration_threshold(self) -> int:
-        return self.engine.exploration_threshold
-
-    @property
-    def oracle(self) -> bool:
-        return self.engine.oracle
-
-    @property
-    def options(self) -> MergeOptions:
-        return self.engine.options
-
-    @property
-    def allow_deletion(self) -> bool:
-        return self.engine.allow_deletion
-
-    @property
-    def hot_function_filter(self) -> Optional[Callable[[Function], bool]]:
-        return self.engine.hot_function_filter
-
-    @property
-    def minimum_function_size(self) -> int:
-        return self.engine.minimum_function_size
-
-    # -- main driver --------------------------------------------------------------
-    def run(self, module: Module) -> MergeReport:
-        return self.engine.run(module)
+#: Function Merging by Sequence Alignment, with ranked exploration.
+FunctionMergingPass = MergeEngine
 
 
 def make_hotness_filter(threshold: float = 0.01) -> Callable[[Function], bool]:

@@ -44,15 +44,13 @@ class ReferenceMergingPass(Pass):
                  oracle: bool = False,
                  options: Optional[MergeOptions] = None,
                  allow_deletion: bool = True,
-                 hot_function_filter: Optional[Callable[[Function], bool]] = None,
-                 minimum_function_size: int = 1):
+                 hot_function_filter: Optional[Callable[[Function], bool]] = None):
         self.target = target or X86_64
         self.exploration_threshold = max(1, exploration_threshold)
         self.oracle = oracle
         self.options = options or MergeOptions()
         self.allow_deletion = allow_deletion
         self.hot_function_filter = hot_function_filter
-        self.minimum_function_size = minimum_function_size
         self._times: Dict[str, float] = {}
 
     def _timed(self, stage: str, fn, *args):
@@ -61,10 +59,6 @@ class ReferenceMergingPass(Pass):
             return fn(*args)
         finally:
             self._times[stage] += time.perf_counter() - start
-
-    def _eligible(self, function: Function) -> bool:
-        return (not function.is_declaration
-                and function.instruction_count() >= self.minimum_function_size)
 
     def run(self, module: Module) -> MergeReport:
         report = MergeReport()
@@ -78,7 +72,7 @@ class ReferenceMergingPass(Pass):
                     if hot is not None and hot(f)}
         report.excluded_hot_functions = len(excluded)
         eligible = [f for f in module.defined_functions()
-                    if self._eligible(f) and f.name not in excluded]
+                    if f.name not in excluded]
         ranker = CandidateRanker(self.exploration_threshold)
         self._timed("fingerprinting", ranker.add_functions, eligible)
         available = {f.name for f in eligible}
@@ -149,10 +143,9 @@ class ReferenceMergingPass(Pass):
             for stale in [f.name for f in originals] + applied.rewritten_callers:
                 linearized.pop(stale, None)
             merged = result.merged
-            if self._eligible(merged):
-                self._timed("fingerprinting", ranker.add_function, merged)
-                available.add(merged.name)
-                worklist.append(merged.name)
+            self._timed("fingerprinting", ranker.add_function, merged)
+            available.add(merged.name)
+            worklist.append(merged.name)
 
             extra_ops = applied.disposition.count("thunk")
             if result.func_id is not None:

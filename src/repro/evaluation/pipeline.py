@@ -26,10 +26,8 @@ from typing import Dict, List, Optional
 
 from ..baselines.identical import IdenticalFunctionMergingPass
 from ..baselines.soa import StructuralFunctionMergingPass
-from ..core.codegen import MergeOptions
-from ..core.engine import MergeSession
+from ..core.engine import MergeEngine, MergeReport, MergeSession
 from ..core.engine.engine import check_serial_call_shape
-from ..core.pass_ import FunctionMergingPass, MergeReport, make_hotness_filter
 from ..ir.module import Module
 from ..ir.printer import function_to_str
 from ..ir.verifier import verify_module
@@ -161,28 +159,24 @@ def estimate_runtime_overhead(report: Optional[MergeReport],
 
 
 def open_compile_session(module: Module, *,
-                         target: str = "x86-64",
                          threshold: int = 1,
-                         oracle: bool = False,
-                         exclude_hot: bool = False,
-                         hot_threshold: float = 0.01,
-                         merge_options: Optional[MergeOptions] = None,
                          alignment_kernel: Optional[str] = None,
                          jobs: Optional[int] = None,
-                         executor: str = "auto",
-                         sanitize: Optional[bool] = None,
-                         fault_plan=None) -> MergeSession:
+                         executor: str = "auto") -> MergeSession:
     """Open a long-lived incremental merge session over ``module``.
 
     Runs the same *pre* passes ``compile_module`` applies (DCE + CFG
-    simplification), then opens a :class:`repro.core.MergeSession` with the
-    FMSA engine configuration the given knobs select.  The returned session
-    holds the merged module; feed it :class:`repro.core.ModuleEdit` scripts
-    via :meth:`MergeSession.update` and each update re-merges by replanning
-    only the edit-affected slice, bit-identical to recompiling the edited
-    module from scratch.  A long-lived Python process (an IDE plugin, a
-    watch-mode build) opens one session, calls ``update`` per edit and
-    ``close`` at the end.
+    simplification), then opens a :class:`repro.core.MergeSession` over an
+    x86-64 FMSA engine with exploration threshold ``threshold``.  The
+    returned session holds the merged module; feed it
+    :class:`repro.core.ModuleEdit` scripts via :meth:`MergeSession.update`
+    and each update re-merges by replanning only the edit-affected slice,
+    bit-identical to recompiling the edited module from scratch.  A
+    long-lived Python process (an IDE plugin, a watch-mode build) opens one
+    session, calls ``update`` per edit and ``close`` at the end.  Any other
+    engine configuration (oracle, hot-function filter, cost model) is a
+    :class:`~repro.core.MergeSession` over a :class:`MergeEngine` built
+    directly.
 
     Unlike ``compile_module(technique="fmsa")`` this does not run the
     Identical-merging pre-pass (its rewrites are not replayable through the
@@ -192,20 +186,16 @@ def open_compile_session(module: Module, *,
     The session aligns every candidate pair directly, with no alignment
     cache.  ``jobs`` and ``executor`` accept only ``None``/``1`` and
     ``"auto"``/``"serial"``: merging is serial, and the two parameters
-    remain only for callers that pin that configuration explicitly.
+    remain only for callers that pin that configuration explicitly.  The
+    ``REPRO_*`` environment variables (sanitizer, fault plan, kernel)
+    reach the session's engine as they reach any other.
     """
     check_serial_call_shape(jobs, executor)
-    cost_model = get_target(target)
     DeadCodeElimination().run(module)
     SimplifyCFG().run(module)
-    hot_filter = make_hotness_filter(hot_threshold) if exclude_hot else None
-    fmsa = FunctionMergingPass(
-        target=cost_model, exploration_threshold=threshold, oracle=oracle,
-        options=merge_options or MergeOptions(),
-        hot_function_filter=hot_filter,
-        alignment_kernel=alignment_kernel, sanitize=sanitize,
-        fault_plan=fault_plan)
-    return MergeSession(fmsa.engine, module)
+    engine = MergeEngine(exploration_threshold=threshold,
+                         alignment_kernel=alignment_kernel)
+    return MergeSession(engine, module)
 
 
 def compile_module(module: Module, technique: str, *,
@@ -213,21 +203,17 @@ def compile_module(module: Module, technique: str, *,
                    target: str = "x86-64",
                    threshold: int = 1,
                    oracle: bool = False,
-                   exclude_hot: bool = False,
-                   hot_threshold: float = 0.01,
-                   merge_options: Optional[MergeOptions] = None,
-                   run_identical_first: bool = True,
                    alignment_kernel: Optional[str] = None,
                    jobs: Optional[int] = None,
                    executor: str = "auto",
                    merge_pass: Optional[Pass] = None,
-                   sanitize: Optional[bool] = None,
-                   fault_plan=None
+                   sanitize: Optional[bool] = None
                    ) -> CompilationResult:
     """Run the full pipeline on ``module`` with one configuration.
 
     ``technique`` is one of ``"baseline"``, ``"identical"``, ``"soa"`` or
-    ``"fmsa"``.  The module is modified in place; callers that want to
+    ``"fmsa"``; SOA and FMSA run after the Identical pre-merge, as in the
+    paper's setup.  The module is modified in place; callers that want to
     compare techniques must regenerate the module per configuration (the
     workload generators are deterministic, so this is cheap and exact).
 
@@ -244,9 +230,10 @@ def compile_module(module: Module, technique: str, *,
     more than the DP it could skip.
 
     ``merge_pass`` injects a pre-built merging pass for ``technique="fmsa"``
-    instead of constructing a :class:`FunctionMergingPass` from the knobs
+    instead of constructing a :class:`MergeEngine` from the knobs
     above; the paper-figure harness runs
-    :class:`~repro.core.reference.ReferenceMergingPass` this way.  The
+    :class:`~repro.core.reference.ReferenceMergingPass` this way, with a
+    hot-function filter for the profile-guided configuration.  The
     knobs that would configure a fresh pass (threshold, oracle, kernel,
     ...) are ignored when a pass is injected; decisions depend only on the
     pass's own configuration, so the reference pass and the equivalent
@@ -260,11 +247,9 @@ def compile_module(module: Module, technique: str, *,
     are bit-identical with it on or off.  Ignored when ``merge_pass`` is
     injected (the pass's own engine configuration wins).
 
-    ``fault_plan`` (default: the ``REPRO_FAULTS`` environment variable)
-    configures deterministic fault injection in the merge engine
-    (:mod:`repro.resilience`).  Runs that complete are bit-identical to
-    fault-free runs; like ``sanitize``, it is ignored when ``merge_pass``
-    is injected.
+    Fault injection (:mod:`repro.resilience`) is armed around the call
+    with :func:`~repro.resilience.active_faults`, or by the
+    ``REPRO_FAULTS`` environment variable.
     """
     check_serial_call_shape(jobs, executor)
     cost_model = get_target(target)
@@ -289,12 +274,7 @@ def compile_module(module: Module, technique: str, *,
     merge_start = time.perf_counter()
 
     if technique != "baseline":
-        if technique == "identical" or run_identical_first:
-            identical_report = IdenticalFunctionMergingPass().run(module)
-            if technique == "identical":
-                merge_count = identical_report.merge_count
-            else:
-                merge_count += identical_report.merge_count
+        merge_count = IdenticalFunctionMergingPass().run(module).merge_count
         if technique == "soa":
             soa_report = StructuralFunctionMergingPass(cost_model).run(module)
             merge_count += soa_report.merge_count
@@ -302,13 +282,9 @@ def compile_module(module: Module, technique: str, *,
             if merge_pass is not None:
                 fmsa = merge_pass
             else:
-                hot_filter = make_hotness_filter(hot_threshold) if exclude_hot else None
-                fmsa = FunctionMergingPass(
+                fmsa = MergeEngine(
                     target=cost_model, exploration_threshold=threshold, oracle=oracle,
-                    options=merge_options or MergeOptions(),
-                    hot_function_filter=hot_filter,
-                    alignment_kernel=alignment_kernel, sanitize=sanitize,
-                    fault_plan=fault_plan)
+                    alignment_kernel=alignment_kernel, sanitize=sanitize)
             merge_report = fmsa.run(module)
             merge_count += merge_report.merge_count
             stage_times = merge_report.stage_times

@@ -18,9 +18,8 @@ holds the end-to-end cost under 1.05x).
 Plans are **picklable** (the per-site RNGs and counters cross a pickle
 boundary intact; the installation lock is rebuilt on unpickle).
 
-Selection: pass ``fault_plan=`` to :class:`~repro.core.engine.MergeEngine`
-(or ``compile_module``), use the :func:`active_faults` context manager in
-tests, or export ``REPRO_FAULTS`` with the grammar::
+Selection: scope a plan around a run with the :func:`active_faults`
+context manager, or export ``REPRO_FAULTS`` with the grammar::
 
     REPRO_FAULTS="seed=42,align.kernel_crash:p=0.2:count=1,scheduler.plan_fail:nth=2"
 

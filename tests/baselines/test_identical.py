@@ -117,7 +117,7 @@ class RebuildPerFoldPass(IdenticalFunctionMergingPass):
         graph.rebuild()
         for site in graph.direct_call_sites(duplicate):
             site.set_operand(0, representative)
-        deletable = (self.allow_deletion and duplicate.can_be_deleted()
+        deletable = (duplicate.can_be_deleted()
                      and not graph.is_address_taken(duplicate) and not duplicate.users)
         if deletable:
             module.remove_function(duplicate)

@@ -118,12 +118,12 @@ class TestEnginePipeline:
         assert _decisions(first) == _decisions(second) == _decisions(fresh)
         assert second.stage_stats["commit"]["merges"] == second.merge_count
 
-    def test_engine_behind_pass_facade(self):
+    def test_pass_is_the_engine(self):
+        assert FunctionMergingPass is MergeEngine
         pass_ = FunctionMergingPass(exploration_threshold=2)
-        assert isinstance(pass_.engine, MergeEngine)
+        assert pass_.name == "func-merging"
         assert pass_.exploration_threshold == 2
         assert pass_.oracle is False
-        assert pass_.options is pass_.engine.options
 
 
 class TestStrategyParity:

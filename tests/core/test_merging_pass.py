@@ -107,12 +107,6 @@ class TestPassBehaviour:
         assert report.merge_count >= 1
         verify_or_raise(module)
 
-    def test_minimum_function_size_filter(self):
-        module, _ = _module_with_families()
-        report = FunctionMergingPass(minimum_function_size=10_000).run(module)
-        assert report.merge_count == 0
-        assert report.functions_considered == 0
-
     def test_phi_demotion_precondition_applied(self):
         from repro.ir import IRBuilder
         from repro.ir import types as ty

@@ -114,6 +114,7 @@ def assert_session_matches_cold(session, seed, history, **engine_kwargs):
     assert warm.candidates_pruned == cold.candidates_pruned
     assert warm.stale_entries == cold.stale_entries
     assert warm.functions_considered == cold.functions_considered
+    assert warm.excluded_hot_functions == cold.excluded_hot_functions
     assert (warm.scheduler_stats["stale_entries"]
             == cold.scheduler_stats["stale_entries"])
     verify_or_raise(session.module)
@@ -128,7 +129,8 @@ def assert_session_matches_cold(session, seed, history, **engine_kwargs):
 
 def run_session_script(seed, updates=3, edits_per_update=2, **engine_kwargs):
     """Drive a session through ``updates`` random edit scripts, checking
-    full parity with a cold rerun after open and after every update."""
+    full parity with a cold rerun after open and after every update;
+    returns the session's last report."""
     rng = random.Random(seed * 7919 + 13)
     donors = donor_pool(seed)
     module = build_module(seed)
@@ -146,6 +148,12 @@ def run_session_script(seed, updates=3, edits_per_update=2, **engine_kwargs):
             assert_session_matches_cold(session, seed, history,
                                         **engine_kwargs)
     assert session.closed
+    return session.report
+
+
+def every_third_block_count(function):
+    """A pure IR predicate standing in for a profile-driven hot filter."""
+    return len(function.blocks) % 3 == 0
 
 
 class TestSessionParity:
@@ -158,6 +166,15 @@ class TestSessionParity:
 
     def test_random_edit_scripts_under_oracle(self):
         run_session_script(5, oracle=True)
+
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    def test_random_edit_scripts_under_hot_filter(self, seed):
+        # the hot filter is re-evaluated only for added and replaced
+        # functions, so its exclusions must track a cold rerun's
+        report = run_session_script(
+            seed, updates=4, hot_function_filter=every_third_block_count)
+        assert report.excluded_hot_functions > 0
+        assert report.merge_count > 0
 
     @pytest.mark.parametrize("kernel", ["nw-native"] if native_available()
                              else [])

@@ -211,3 +211,36 @@ class TestOpenCompileSession:
             cold = MergeEngine(exploration_threshold=1).run(cold_module)
             assert session.report.decision_keys() == cold.decision_keys()
             verify_or_raise(session.module)
+
+
+class TestEnvironmentReachesFrontDoors:
+    """Neither front door takes a sanitizer or fault-plan argument for the
+    session; the environment and a scoped plan reach the engines both
+    build."""
+
+    def test_sanitize_variable_reaches_both_engines(self, monkeypatch):
+        from repro.evaluation import open_compile_session
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        with open_compile_session(
+                build_mibench_benchmark("gsm").module) as session:
+            assert session.engine.sanitizer is not None
+        result = compile_module(build_mibench_benchmark("gsm").module, "fmsa")
+        assert result.merge_count >= 1
+        assert result.merge_report.scheduler_stats["sanitize_runs"] > 0
+
+    def test_scoped_fault_plan_reaches_compile_module(self):
+        import warnings
+
+        from repro.core import native_available
+        from repro.resilience import FaultPlan, active_faults
+        from tests.helpers import build_module
+        if not native_available():
+            pytest.skip("requires the native extension")
+        plan = FaultPlan.parse("seed=4,align.kernel_crash:nth=1:count=1")
+        with warnings.catch_warnings(), active_faults(plan):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = compile_module(build_module(5), "fmsa",
+                                    alignment_kernel="nw-native")
+        events = result.merge_report.scheduler_stats["degradations"]
+        assert [(e["from"], e["to"]) for e in events] == [
+            ("nw-native", "needleman-wunsch")]

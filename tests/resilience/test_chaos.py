@@ -29,7 +29,7 @@ from repro.core.pass_ import FunctionMergingPass
 from repro.core.reference import ReferenceMergingPass
 from repro.ir import verify_or_raise
 from repro.resilience import (FAULT_SITES, FaultPlan, ResilienceError,
-                              SiteTrigger)
+                              SiteTrigger, active_faults)
 from tests.helpers import build_module, decisions
 
 SCHEDULES = int(os.environ.get("REPRO_CHAOS_SCHEDULES", "12"))
@@ -93,9 +93,10 @@ def test_chaos_schedule(index, recwarn):
     module = build_module(MODULE_SEED)
     start = time.monotonic()
     try:
-        report = FunctionMergingPass(
-            exploration_threshold=2, alignment_kernel=kernel,
-            alignment_cache=cache, fault_plan=plan).run(module)
+        with active_faults(plan):
+            report = FunctionMergingPass(
+                exploration_threshold=2, alignment_kernel=kernel,
+                alignment_cache=cache).run(module)
     except ResilienceError as error:
         # typed abort: the error names a real site of this schedule ...
         assert error.site in plan.sites

@@ -11,7 +11,7 @@ from repro.core.engine import MergeEngine
 from repro.core.pass_ import FunctionMergingPass
 from repro.core.reference import ReferenceMergingPass
 from repro.ir.printer import module_to_str
-from repro.resilience import FaultPlan, ResilienceError
+from repro.resilience import FaultPlan, ResilienceError, active_faults
 from repro.workloads.case_studies import case_study_module
 from repro.workloads.mibench import build_mibench_benchmark
 from repro.workloads.spec2006 import build_spec_benchmark
@@ -46,14 +46,13 @@ class TestKernelLadder:
     def test_native_kernel_crash_degrades_to_pure_bit_identically(self):
         plan = FaultPlan.parse("seed=4,align.kernel_crash:nth=1:count=1")
         pass_ = FunctionMergingPass(
-            exploration_threshold=2, alignment_kernel="nw-native",
-            fault_plan=plan)
-        with warnings.catch_warnings():
+            exploration_threshold=2, alignment_kernel="nw-native")
+        with warnings.catch_warnings(), active_faults(plan):
             warnings.simplefilter("ignore", RuntimeWarning)
             report = pass_.run(build_module(5))
         assert decisions(report) == reference_decisions()
         # the downgrade is sticky: the stage now runs the pure kernel
-        assert pass_.engine.alignment.algorithm == "needleman-wunsch"
+        assert pass_.alignment.algorithm == "needleman-wunsch"
         events = report.scheduler_stats["degradations"]
         assert [(e["component"], e["from"], e["to"]) for e in events] == [
             ("align-kernel", "nw-native", "needleman-wunsch")]
@@ -70,11 +69,11 @@ class TestKernelLadder:
         assert want.merges
         plan = FaultPlan.parse("seed=4,align.kernel_crash:nth=1:count=1")
         module = WORKLOADS[workload]()
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), active_faults(plan):
             warnings.simplefilter("ignore", RuntimeWarning)
             report = FunctionMergingPass(
-                exploration_threshold=2, alignment_kernel="nw-native",
-                fault_plan=plan).run(module)
+                exploration_threshold=2,
+                alignment_kernel="nw-native").run(module)
         assert report.decision_keys() == want.decision_keys()
         assert module_to_str(module) == module_to_str(clean)
         assert [(e["from"], e["to"]) for e in
@@ -85,10 +84,10 @@ class TestKernelLadder:
         # the bottom rung has nowhere to fall: the injected fault surfaces
         # as the typed ResilienceError, not a silent wrong answer
         plan = FaultPlan.parse("seed=4,align.kernel_crash:nth=1:count=1")
-        with pytest.raises(ResilienceError) as excinfo:
+        with pytest.raises(ResilienceError) as excinfo, active_faults(plan):
             FunctionMergingPass(
-                exploration_threshold=2, alignment_kernel="nw",
-                fault_plan=plan).run(build_module(5))
+                exploration_threshold=2,
+                alignment_kernel="nw").run(build_module(5))
         assert excinfo.value.site == "align.kernel_crash"
 
     def test_no_faults_means_no_degradations(self):
@@ -105,8 +104,8 @@ class TestDegradationAccounting:
         # first run's event
         plan = FaultPlan.parse("seed=1,align.kernel_crash:nth=1:count=1")
         engine = MergeEngine(exploration_threshold=2,
-                             alignment_kernel="nw-native", fault_plan=plan)
-        with warnings.catch_warnings():
+                             alignment_kernel="nw-native")
+        with warnings.catch_warnings(), active_faults(plan):
             warnings.simplefilter("ignore", RuntimeWarning)
             first = engine.run(build_module(5))
             second = engine.run(build_module(5))
@@ -117,11 +116,11 @@ class TestDegradationAccounting:
 
     def test_events_carry_the_structured_shape(self):
         plan = FaultPlan.parse("seed=1,align.kernel_crash:nth=1:count=1")
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), active_faults(plan):
             warnings.simplefilter("ignore", RuntimeWarning)
             report = FunctionMergingPass(
-                exploration_threshold=2, alignment_kernel="nw-native",
-                fault_plan=plan).run(build_module(5))
+                exploration_threshold=2,
+                alignment_kernel="nw-native").run(build_module(5))
         events = report.scheduler_stats["degradations"]
         assert events
         for event in events:
