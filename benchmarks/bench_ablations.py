@@ -14,7 +14,7 @@ from repro.core import (FunctionMergingPass, MergeOptions, align, estimate_profi
                         linearize, merge_functions)
 from repro.core.equivalence import entries_equivalent
 from repro.targets import get_target
-from repro.workloads import build_spec_benchmark, case_study_module, CASE_STUDY_PAIRS
+from repro.workloads import build_spec_benchmark, case_study_module
 
 TARGET = get_target("x86-64")
 

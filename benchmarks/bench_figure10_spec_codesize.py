@@ -6,8 +6,6 @@ oracle) relative to the non-merging baseline, plus the suite means reported
 in the paper (Intel: 1.4% / 2.5% / 6.0-6.3%).
 """
 
-import pytest
-
 from benchmarks.conftest import emit
 from repro.evaluation import figure10
 

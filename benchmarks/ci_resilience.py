@@ -4,9 +4,9 @@ One number guards the resilience layer: its **disabled overhead**.  The
 fault-point registry must be free when no plan is armed.  The benchmark
 times the same merge run three ways (no plan at all; an armed-but-inert
 plan whose only trigger has probability 0.0; and a raw ``fault_point()``
-microbenchmark) and trips when the inert-plan run costs more than
-**1.05x** the plan-free run, or when the inert plan changes any merge
-decision.
+microbenchmark), alternating plain and inert-plan runs, and trips when
+the inert-plan run costs more than **1.05x** the plan-free run, or when
+the inert plan changes any merge decision.
 
 Run directly (the CI resilience job does)::
 
@@ -78,9 +78,13 @@ def timed_run(fault_plan=None):
 
 
 def measure_disabled_overhead():
-    plain = [timed_run() for _ in range(REPEATS)]
+    # interleaved (plain, inert, plain, ...) so that host drift over the
+    # run lands on both sides instead of reading as overhead
+    plain, inert = [], []
+    for _ in range(REPEATS):
+        plain.append(timed_run())
+        inert.append(timed_run(fault_plan=INERT))
     reference = plain[0][1]
-    inert = [timed_run(fault_plan=INERT) for _ in range(REPEATS)]
     assert all(d == reference for _, d in plain + inert), \
         "an armed-but-inert fault plan changed merge decisions"
     plain_best = min(w for w, _ in plain)

@@ -136,7 +136,7 @@ class IdenticalFunctionMergingPass(Pass):
         for function in module.defined_functions():
             buckets.setdefault(structural_hash(function), []).append(function)
 
-        graph = CallGraph(module)
+        graph = None  # built at the first fold; until then nothing changes
         for functions in buckets.values():
             if len(functions) < 2:
                 continue
@@ -155,6 +155,8 @@ class IdenticalFunctionMergingPass(Pass):
                     continue
                 representative = group[0]
                 record = IdenticalMergeRecord(representative.name)
+                if graph is None:
+                    graph = CallGraph(module)
                 for duplicate in group[1:]:
                     self._fold(module, graph, representative, duplicate)
                     record.folded.append(duplicate.name)

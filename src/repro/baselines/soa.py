@@ -37,7 +37,7 @@ from ..core.alignment import AlignedEntry, AlignmentResult
 from ..core.codegen import (CodegenError, MergeOptions, merge_cost,
                             merge_functions)
 from ..core.equivalence import entries_equivalent, types_equivalent
-from ..core.linearizer import LinearEntry, linearize
+from ..core.linearizer import linearize
 from ..core.profitability import evaluate_merge
 from ..core.thunks import apply_merge
 

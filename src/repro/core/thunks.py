@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..ir import types as ty
 from ..ir import values as vals
 from ..ir.builder import IRBuilder
 from ..ir.callgraph import CallGraph

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 def format_percent(value: float, digits: int = 1) -> str:

@@ -9,7 +9,7 @@ flow and calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 
 class LexerError(Exception):

@@ -9,7 +9,7 @@ precondition that input functions have their phis demoted to memory.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..ir import types as ty
 from ..ir import values as vals

@@ -23,9 +23,8 @@ from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import Instruction
 from ..ir.module import Module
-from ..ir.values import (Argument, Constant, ConstantFloat, ConstantInt,
-                         ConstantNull, ConstantString, GlobalVariable,
-                         UndefValue, Value)
+from ..ir.values import (ConstantFloat, ConstantInt, ConstantNull, ConstantString,
+                         GlobalVariable, UndefValue, Value)
 from .memory import Memory
 from .profile import ModuleProfile
 

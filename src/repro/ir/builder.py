@@ -6,11 +6,10 @@ offers one method per instruction kind, mirroring LLVM's ``IRBuilder``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import types as ty
 from .basicblock import BasicBlock
-from .function import Function
 from .instructions import (Alloca, BinaryOperator, Branch, Call, Cast, FCmp,
                            Freeze, GetElementPtr, ICmp, Instruction, Invoke,
                            LandingPad, Load, Phi, Return, Select, Store,

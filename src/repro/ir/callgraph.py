@@ -13,10 +13,11 @@ touches the functions a merge actually changed.  Two passes maintain the
 graph this way: the FMSA commit path (``core/thunks.py:apply_merge``) and
 the Identical pre-merge, whose folds (``IdenticalFunctionMergingPass._fold``)
 redirect call sites and delete or thunk duplicates against one graph built
-at the start of the pass.  ``rebuild()`` remains available and is the
-reference semantics: after any sequence of incremental updates the graph is
-element-wise equal to a freshly built one (the engine's and the Identical
-pass's test suites assert this after every commit and every fold).
+at the first fold (none without folds).  ``rebuild()`` remains available
+and is the reference semantics: after any sequence of incremental updates
+the graph is element-wise equal to a freshly built one (the engine's and
+the Identical pass's test suites assert this after every commit and every
+fold).  Dead-function elimination reads ``Function.users`` instead.
 """
 
 from __future__ import annotations

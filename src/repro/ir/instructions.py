@@ -18,7 +18,7 @@ casts, ``phi`` (demoted before merging) and the exception-handling pair
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import types as ty
 from .values import Constant, Value

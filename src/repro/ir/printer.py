@@ -12,9 +12,8 @@ from .basicblock import BasicBlock
 from .function import Function
 from .instructions import Instruction
 from .module import Module
-from .values import (Argument, Constant, ConstantFloat, ConstantInt,
-                     ConstantNull, ConstantString, GlobalVariable, UndefValue,
-                     Value)
+from .values import (ConstantFloat, ConstantInt, ConstantNull, ConstantString,
+                     GlobalVariable, UndefValue, Value)
 
 
 class _NameTable:

@@ -12,7 +12,6 @@ Two flavours are provided:
 
 from __future__ import annotations
 
-from ..ir.callgraph import CallGraph
 from ..ir.function import Function
 from ..ir.instructions import Instruction
 from ..ir.module import Module
@@ -58,7 +57,9 @@ class DeadCodeElimination(FunctionPass):
 
 
 class DeadFunctionElimination(Pass):
-    """Remove internal functions with no remaining references."""
+    """Remove internal functions with no remaining references.  Every call
+    site and address-taking operand is one of a function's ``users``, so no
+    call graph is needed; sweeps repeat until one removes nothing."""
 
     name = "dead-function-elim"
 
@@ -67,11 +68,10 @@ class DeadFunctionElimination(Pass):
         progress = True
         while progress:
             progress = False
-            graph = CallGraph(module)
             for function in list(module.functions):
                 if function.is_declaration:
                     continue
-                if graph.is_dead(function) and not function.users:
+                if function.linkage == "internal" and not function.users:
                     module.remove_function(function)
                     removed += 1
                     progress = True

@@ -10,7 +10,7 @@ compilation-time experiments (Figures 12 and 13).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.function import Function
 from ..ir.module import Module

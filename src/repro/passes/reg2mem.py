@@ -11,7 +11,6 @@ to be.
 from __future__ import annotations
 
 from ..ir.basicblock import BasicBlock
-from ..ir.builder import IRBuilder
 from ..ir.function import Function
 from ..ir.instructions import Alloca, Load, Store
 from .pass_manager import FunctionPass

@@ -22,7 +22,7 @@ which is also how the paper uses TTI.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function

@@ -23,7 +23,7 @@ benchmark so module generation is fully reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir import types as ty
@@ -33,7 +33,7 @@ from ..ir.builder import IRBuilder
 from ..ir.function import Function
 from ..ir.instructions import Instruction
 from ..ir.module import Module
-from ..ir.values import Argument, Constant, Value
+from ..ir.values import Constant, Value
 
 
 # ---------------------------------------------------------------------------

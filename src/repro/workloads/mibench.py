@@ -16,9 +16,8 @@ import random
 from typing import Dict, List, Optional
 
 from ..ir.module import Module
-from .generators import (FamilySpec, FunctionSpec, add_call_sites, build_function,
-                         clone_function, make_family, mutate_constants,
-                         mutate_opcodes, add_extra_instructions)
+from .generators import (FunctionSpec, add_call_sites, build_function, clone_function,
+                         mutate_constants, mutate_opcodes, add_extra_instructions)
 from .suites import (BenchmarkConfig, GeneratedBenchmark, benchmark_rng,
                      build_benchmark_module)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..interp.profile import FunctionProfile
 from ..ir.function import Function

@@ -283,21 +283,64 @@ class TestIncrementalFoldOracle:
                 ("leaf", "internal thunk")} <= seen
 
 
-def test_one_call_graph_build_per_run(monkeypatch):
-    families = 8
+def count_graph_builds(monkeypatch):
+    """Every ``CallGraph`` built from now on, in build order."""
+    builds = []
+    rebuild = CallGraph.rebuild
+    monkeypatch.setattr(CallGraph, "rebuild",
+                        lambda graph: builds.append(graph) or rebuild(graph))
+    return builds
+
+
+def clone_pair_module(families):
+    """``families`` base functions, each with one identical copy."""
     module = Module()
     callees = []
     for index in range(families):
         base = make_binary_chain_function(module, f"base{index}", ["add"] * (index + 1))
         callees += [base, clone_function(module, base, f"copy{index}")]
     make_caller(module, "main", callees)
-    calls = []
-    rebuild = CallGraph.rebuild
-    monkeypatch.setattr(CallGraph, "rebuild",
-                        lambda graph: calls.append(1) or rebuild(graph))
+    return module
+
+
+def test_one_call_graph_build_per_run(monkeypatch):
+    families = 8
+    module = clone_pair_module(families)
+    calls = count_graph_builds(monkeypatch)
     report = IdenticalFunctionMergingPass().run(module)
     assert report.merge_count == families
     assert len(calls) == 1
+
+
+def test_the_one_graph_serves_every_fold(monkeypatch):
+    # GraphCheckingPass builds two fresh graphs per fold to compare against
+    module = clone_pair_module(5)
+    builds = count_graph_builds(monkeypatch)
+    folded_with = []
+
+    class Recording(GraphCheckingPass):
+        def _fold(self, module, graph, representative, duplicate):
+            folded_with.append(graph)
+            super()._fold(module, graph, representative, duplicate)
+
+    report = Recording().run(module)
+    assert report.merge_count == 5
+    assert len(builds) == 1 + 2 * report.merge_count
+    assert all(graph is builds[0] for graph in folded_with)
+
+
+def test_no_call_graph_without_a_fold(monkeypatch):
+    # "f1" and "f2" share a structural hash bucket but differ in a constant
+    module = Module()
+    functions = [make_binary_chain_function(module, "f0", ["add", "mul"]),
+                 make_binary_chain_function(module, "f1", ["sub"], constant=3),
+                 make_binary_chain_function(module, "f2", ["sub"], constant=4)]
+    make_caller(module, "main", functions)
+    assert structural_hash(functions[1]) == structural_hash(functions[2])
+    builds = count_graph_builds(monkeypatch)
+    report = IdenticalFunctionMergingPass().run(module)
+    assert report.merge_count == 0
+    assert builds == []
 
 
 class TestFoldDispositions:

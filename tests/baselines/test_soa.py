@@ -8,8 +8,7 @@ from repro.core.codegen import CodegenError
 from repro.ir import Module, verify_or_raise
 from repro.ir import types as ty
 from repro.workloads import (add_extra_instructions, add_guard_block, clone_function,
-                             mutate_constants, mutate_opcodes, libquantum_module,
-                             sphinx_module)
+                             libquantum_module, sphinx_module)
 
 from tests.helpers import make_binary_chain_function, make_caller, run_function
 

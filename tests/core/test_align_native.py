@@ -28,10 +28,8 @@ from repro.core.native import native_available, needleman_wunsch_native_keyed
 from repro.ir import Module, verify_or_raise
 from repro.ir.printer import module_to_str
 from repro.workloads import FamilySpec, FunctionSpec, make_family
-from repro.workloads.case_studies import SOURCES, case_study_module
-from repro.workloads.mibench import (build_mibench_benchmark,
-                                     mibench_benchmark_names)
-from repro.workloads.spec2006 import build_spec_benchmark, spec_benchmark_names
+
+from tests.helpers import BENCHMARK_MODELS
 
 requires_native = pytest.mark.skipif(
     not native_available(), reason="native extension not buildable here")
@@ -65,18 +63,6 @@ def build_module(seed=7, families=4, clones=2):
         make_family(module, spec,
                     FamilySpec(identical=1, structural=clones, partial=1), rng)
     return module
-
-
-#: Every benchmark model of the evaluation, by suite-qualified name.
-WORKLOADS = {
-    **{f"mibench-{name}": (lambda name=name:
-                           build_mibench_benchmark(name).module)
-       for name in mibench_benchmark_names()},
-    **{f"spec-{name}": (lambda name=name: build_spec_benchmark(name).module)
-       for name in spec_benchmark_names()},
-    **{f"case-{name}": (lambda name=name: case_study_module(name))
-       for name in SOURCES},
-}
 
 
 def _keyed_pair():
@@ -288,13 +274,13 @@ class TestNativeEngineParity:
         assert decisions(report) == decisions(reference)
         verify_or_raise(module)
 
-    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("workload", sorted(BENCHMARK_MODELS))
     def test_parity_on_workload(self, workload):
         # the two DPs on every benchmark model the evaluation compiles: the
         # same candidates aligned, the same merges, the same merged module
         runs = []
         for kernel in ("nw-native", "needleman-wunsch"):
-            module = WORKLOADS[workload]()
+            module = BENCHMARK_MODELS[workload]()
             report = FunctionMergingPass(
                 exploration_threshold=2, alignment_kernel=kernel).run(module)
             runs.append((report.decision_keys(), report.candidates_evaluated,

@@ -11,9 +11,9 @@ from repro.ir import IRBuilder, Module, verify_or_raise
 from repro.ir import types as ty
 from repro.ir import values as vals
 from repro.interp import Interpreter, standard_externals
-from repro.workloads import (CASE_STUDY_PAIRS, add_call_sites, build_function,
-                             clone_function, libquantum_module, mutate_constants,
-                             mutate_opcodes, sphinx_module)
+from repro.workloads import (add_call_sites, build_function, clone_function,
+                             libquantum_module, mutate_constants, mutate_opcodes,
+                             sphinx_module)
 from repro.workloads.generators import FunctionSpec
 
 from tests.helpers import (assert_semantically_equivalent,

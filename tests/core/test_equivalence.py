@@ -3,7 +3,7 @@
 from repro.core import instructions_equivalent, labels_equivalent, types_equivalent
 from repro.core.equivalence import entries_equivalent
 from repro.core.linearizer import LinearEntry
-from repro.ir import IRBuilder, Module
+from repro.ir import Module
 from repro.ir import types as ty
 from repro.ir import values as vals
 from repro.ir.basicblock import BasicBlock

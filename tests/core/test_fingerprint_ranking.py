@@ -10,7 +10,7 @@ from repro.core import (CandidateRanker, Fingerprint, IndexedCandidateSearcher,
                         fingerprint_module, similarity)
 from repro.ir import Module
 from repro.ir import types as ty
-from repro.workloads import clone_function, mutate_opcodes
+from repro.workloads import clone_function
 
 from tests.helpers import make_accumulator_function, make_binary_chain_function
 

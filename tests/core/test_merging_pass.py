@@ -2,13 +2,11 @@
 
 import random
 
-import pytest
-
-from repro.core import FunctionMergingPass, MergeOptions, make_hotness_filter
+from repro.core import FunctionMergingPass, make_hotness_filter
 from repro.core.pass_ import STAGES
 from repro.interp.profile import FunctionProfile
 from repro.ir import Module, verify_or_raise
-from repro.targets import ARM_THUMB, X86_64
+from repro.targets import ARM_THUMB
 from repro.workloads import clone_function, mutate_constants, mutate_opcodes
 
 from tests.helpers import make_binary_chain_function, make_caller, run_function

@@ -1,7 +1,5 @@
 """Tests for the profitability cost model and merge committing (thunks)."""
 
-import pytest
-
 from repro.core import (MergeEvaluation, apply_merge, build_thunk, estimate_profit,
                         merge_functions)
 from repro.ir import CallGraph, IRBuilder, Module, verify_or_raise

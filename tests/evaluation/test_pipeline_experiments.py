@@ -5,13 +5,46 @@ reduced scale so they stay fast while exercising every code path the
 benchmark harness uses.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.evaluation import (EvaluationSettings, compile_module, evaluate_suite,
                               figure8, figure10, figure11, figure12, figure13,
                               figure14, reduction_bar_chart, table1, table2)
 from repro.ir import verify_or_raise
+from repro.ir.callgraph import CallGraph
 from repro.workloads import build_mibench_benchmark, build_spec_benchmark
+
+#: Models compiled with ``compile_module(..., "fmsa")`` whose outcome is
+#: pinned below.  445.gobmk is the one with Identical folds.
+PINNED_MODELS = {
+    "CRC32": lambda: build_mibench_benchmark("CRC32").module,
+    "bitcount": lambda: build_mibench_benchmark("bitcount").module,
+    "rijndael": lambda: build_mibench_benchmark("rijndael").module,
+    "stringsearch": lambda: build_mibench_benchmark("stringsearch").module,
+    "462.libquantum": lambda: build_spec_benchmark(
+        "462.libquantum", scale=0.05, cap=40).module,
+    "445.gobmk": lambda: build_spec_benchmark("445.gobmk", scale=0.02, cap=40).module,
+}
+
+#: (size_baseline, size_after, merge_count, decision digest) per pinned
+#: model; the digest is :func:`decision_digest` of the FMSA report.
+PINNED_RESULTS = {
+    "CRC32": (923, 923, 0, "4f53cda18c2baa0c"),
+    "bitcount": (2985, 2687, 3, "6d38dad3259083f9"),
+    "rijndael": (2179, 1631, 1, "9c18c77040beb9ae"),
+    "stringsearch": (2470, 2322, 1, "1f8c57c80825f7e7"),
+    "462.libquantum": (1987, 1693, 1, "f74b998631a5e51c"),
+    "445.gobmk": (9473, 8002, 9, "c70fc2b56b2a5cfe"),
+}
+
+
+def decision_digest(result):
+    """A short digest of the FMSA decision keys of a compile result."""
+    keys = json.dumps(result.merge_report.decision_keys())
+    return hashlib.sha256(keys.encode()).hexdigest()[:16]
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +94,25 @@ class TestCompileModule:
         generated = build_spec_benchmark("470.lbm", scale=1.0, cap=10)
         result = compile_module(generated.module, "fmsa")
         assert result.normalized_runtime == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("model", sorted(PINNED_MODELS))
+    def test_results_match_the_pinned_run(self, model):
+        result = compile_module(PINNED_MODELS[model](), "fmsa")
+        assert (result.size_baseline, result.size_after, result.merge_count,
+                decision_digest(result)) == PINNED_RESULTS[model]
+
+    @pytest.mark.parametrize("model, folds, graphs",
+                             [("bitcount", 0, 1), ("445.gobmk", 2, 2)])
+    def test_call_graph_builds(self, model, folds, graphs, monkeypatch):
+        # the engine builds one graph; the Identical pre-merge builds one
+        # only when it folds, and the post cleanup builds none
+        builds = []
+        rebuild = CallGraph.rebuild
+        monkeypatch.setattr(CallGraph, "rebuild",
+                            lambda graph: builds.append(graph) or rebuild(graph))
+        result = compile_module(PINNED_MODELS[model](), "fmsa", sanitize=False)
+        assert result.merge_count - result.merge_report.merge_count == folds
+        assert len(builds) == graphs
 
 
 class TestSuiteEvaluation:

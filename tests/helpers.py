@@ -13,6 +13,21 @@ from repro.ir.callgraph import CallGraph
 from repro.ir.function import Function
 from repro.interp import Interpreter, standard_externals
 from repro.workloads import FamilySpec, FunctionSpec, make_family
+from repro.workloads.case_studies import SOURCES, case_study_module
+from repro.workloads.mibench import build_mibench_benchmark, mibench_benchmark_names
+from repro.workloads.spec2006 import build_spec_benchmark, spec_benchmark_names
+
+
+#: Every benchmark model of the evaluation, by suite-qualified name.
+BENCHMARK_MODELS = {
+    **{f"mibench-{name}": (lambda name=name:
+                           build_mibench_benchmark(name).module)
+       for name in mibench_benchmark_names()},
+    **{f"spec-{name}": (lambda name=name: build_spec_benchmark(name).module)
+       for name in spec_benchmark_names()},
+    **{f"case-{name}": (lambda name=name: case_study_module(name))
+       for name in SOURCES},
+}
 
 
 def assert_matches_rebuild(graph: CallGraph, module: Module) -> None:

@@ -5,7 +5,7 @@ import pytest
 from repro.ir import IRBuilder, Module
 from repro.ir import types as ty
 from repro.ir import values as vals
-from repro.interp import Interpreter, InterpreterError, IRException, Timeout, standard_externals
+from repro.interp import Interpreter, InterpreterError, Timeout, standard_externals
 
 from tests.helpers import make_accumulator_function, make_binary_chain_function
 

@@ -9,7 +9,6 @@ from repro.ir.instructions import (ALL_OPCODES, Alloca, BinaryOperator, Branch,
                                    Call, Cast, FCmp, GetElementPtr, ICmp,
                                    Instruction, LandingPad, Load, Phi, Return,
                                    Select, Store, Switch, Unreachable)
-from repro.ir.function import Function
 from repro.ir.module import Module
 
 

@@ -1,8 +1,12 @@
 """Tests for the generic IR passes (DCE, SimplifyCFG, reg2mem, manager)."""
 
+import pytest
+
+from repro.evaluation import compile_module, pipeline
 from repro.ir import IRBuilder, Module, verify_or_raise
 from repro.ir import types as ty
 from repro.ir.basicblock import BasicBlock
+from repro.ir.callgraph import CallGraph
 from repro.ir.clone import clone_function_detached
 from repro.ir.printer import function_to_str, module_to_str
 from repro.ir import values as vals
@@ -10,7 +14,7 @@ from repro.interp import Interpreter
 from repro.passes import (DeadCodeElimination, DeadFunctionElimination, Pass,
                           PassManager, RegToMem, SimplifyCFG, demote_phis)
 
-from tests.helpers import scan_predecessors
+from tests.helpers import BENCHMARK_MODELS, scan_predecessors
 
 
 class TestDeadCodeElimination:
@@ -115,6 +119,69 @@ class TestDeadCodeEliminationWorklist:
         assert_dce_matches_rescan(build_clones(1), build_clones(1))
 
 
+class GraphDeadFunctionElimination(Pass):
+    """The rule ``DeadFunctionElimination`` used before it read use lists:
+    a fresh ``CallGraph`` per sweep, and a function goes when the graph
+    calls it dead and it has no users.  The oracle for the graph-free pass;
+    ``removed`` lists what it deleted."""
+
+    def __init__(self):
+        self.removed = []
+
+    def run(self, module):
+        progress = True
+        while progress:
+            progress = False
+            graph = CallGraph(module)
+            for function in list(module.functions):
+                if function.is_declaration:
+                    continue
+                if graph.is_dead(function) and not function.users:
+                    self.removed.append(function.name)
+                    module.remove_function(function)
+                    progress = True
+        return len(self.removed)
+
+
+class RecordingDeadFunctionElimination(DeadFunctionElimination):
+    """The pass under test, recording the names it deleted."""
+
+    def __init__(self):
+        self.removed = []
+
+    def run(self, module):
+        before = [f.name for f in module.functions]
+        count = super().run(module)
+        self.removed = [n for n in before if module.get_function(n) is None]
+        assert count == len(self.removed)
+        return count
+
+
+def assert_dfe_matches_oracle(build):
+    """Run DeadFunctionElimination and the graph oracle on two copies of
+    ``build()``; both must delete the same functions and leave the same
+    module.  Returns how many functions were deleted."""
+    ours, theirs = build(), build()
+    oracle = GraphDeadFunctionElimination()
+    assert DeadFunctionElimination().run(ours) == oracle.run(theirs)
+    assert module_to_str(ours) == module_to_str(theirs)
+    return len(oracle.removed)
+
+
+def void_function(module, name, linkage="internal"):
+    """A body-less ``void name()``; :func:`define_calls` gives it one."""
+    return module.create_function(name, ty.function_type(ty.VOID, []), linkage=linkage)
+
+
+def define_calls(function, *callees):
+    """Give ``function`` a body that calls each of ``callees``."""
+    builder = IRBuilder(function.append_block("entry"))
+    for callee in callees:
+        builder.call(callee, [])
+    builder.ret_void()
+    return function
+
+
 class TestDeadFunctionElimination:
     def test_removes_uncalled_internal_function(self):
         module = Module()
@@ -148,6 +215,79 @@ class TestDeadFunctionElimination:
         builder.call(callee, [])
         builder.ret_void()
         assert DeadFunctionElimination().run(module) == 0
+
+
+class TestDeadFunctionEliminationMatchesCallGraphRule:
+    """Reading ``users`` instead of a call graph deletes exactly what the
+    graph rule deleted: every call site and every address-taking operand
+    of a function is one of its users."""
+
+    def test_self_recursive_internal_function_kept(self):
+        def build():
+            module = Module()
+            loop = void_function(module, "loop")
+            define_calls(loop, loop)
+            return module
+        assert assert_dfe_matches_oracle(build) == 0
+
+    def test_mutually_recursive_internal_pair_kept(self):
+        def build():
+            module = Module()
+            ping, pong = void_function(module, "ping"), void_function(module, "pong")
+            define_calls(ping, pong)
+            define_calls(pong, ping)
+            return module
+        assert assert_dfe_matches_oracle(build) == 0
+
+    def test_internal_function_with_stored_address_kept(self):
+        def build():
+            module = Module()
+            target = define_calls(void_function(module, "target"))
+            holder = void_function(module, "holder", linkage="external")
+            builder = IRBuilder(holder.append_block("entry"))
+            builder.store(target, builder.alloca(target.type))
+            builder.ret_void()
+            return module
+        assert assert_dfe_matches_oracle(build) == 0
+
+    def test_external_function_kept(self):
+        def build():
+            module = Module()
+            define_calls(void_function(module, "exported", linkage="external"))
+            return module
+        assert assert_dfe_matches_oracle(build) == 0
+
+    def test_uncalled_chain_removed_whole(self):
+        # a -> b -> c with a uncalled; a comes last in module order, so a
+        # single sweep cannot see b and c die
+        def build():
+            module = Module()
+            c = define_calls(void_function(module, "c"))
+            b = define_calls(void_function(module, "b"), c)
+            define_calls(void_function(module, "a"), b)
+            return module
+        module = build()
+        assert DeadFunctionElimination().run(module) == 3
+        assert module.functions == []
+        assert assert_dfe_matches_oracle(build) == 3
+
+    @pytest.mark.parametrize("model", sorted(BENCHMARK_MODELS))
+    def test_benchmark_models_after_fmsa(self, model, monkeypatch):
+        # the post-merge cleanup of compile_module(..., "fmsa"), once with
+        # the pass and once with the graph oracle in its place
+        runs = []
+        for cls in (RecordingDeadFunctionElimination, GraphDeadFunctionElimination):
+            passes = []
+
+            def make(cls=cls):
+                passes.append(cls())
+                return passes[-1]
+            monkeypatch.setattr(pipeline, "DeadFunctionElimination", make)
+            module = BENCHMARK_MODELS[model]()
+            result = compile_module(module, "fmsa")
+            runs.append((sorted(n for p in passes for n in p.removed),
+                         result.size_after, module_to_str(module)))
+        assert runs[0] == runs[1]
 
 
 class TestSimplifyCFG:

@@ -6,8 +6,6 @@ size measurement -> execution, checking both the paper's qualitative claims
 and semantic preservation.
 """
 
-import pytest
-
 from repro.baselines import IdenticalFunctionMergingPass, StructuralFunctionMergingPass
 from repro.core import FunctionMergingPass
 from repro.evaluation import compile_module
