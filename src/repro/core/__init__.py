@@ -32,8 +32,7 @@ from .equivalence import (EquivalenceKeyInterner, encode_equivalence_key,
                           entries_equivalent, entry_equivalence_key,
                           instructions_equivalent, labels_equivalent,
                           type_equivalence_key, types_equivalent)
-from .fingerprint import (Fingerprint, FingerprintDelta, fingerprint_module,
-                          similarity)
+from .fingerprint import Fingerprint, fingerprint_module, similarity
 from .linearizer import (LinearEntry, LinearizedFunction, linearize,
                          linearize_with_keys, sequence_signature)
 from .native import native_available, needleman_wunsch_native_keyed
@@ -59,7 +58,7 @@ __all__ = [
     "entry_equivalence_key",
     "instructions_equivalent", "labels_equivalent", "type_equivalence_key",
     "types_equivalent",
-    "Fingerprint", "FingerprintDelta", "fingerprint_module", "similarity",
+    "Fingerprint", "fingerprint_module", "similarity",
     "LinearEntry", "LinearizedFunction", "linearize", "linearize_with_keys",
     "sequence_signature",
     "FunctionMergingPass", "MergeRecord", "MergeReport", "STAGES",

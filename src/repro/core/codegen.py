@@ -23,8 +23,7 @@ All of these decisions live in one walk, :class:`MergeCodeGenerator`, which
 emits what it decides into a *sink*.  There are two sinks:
 
 * the IR sink builds the merged :class:`Function` (:func:`merge_functions`,
-  returning a :class:`MergeResult` with value maps and the fingerprint
-  delta);
+  returning a :class:`MergeResult` with value maps);
 * the counting sink builds nothing.  Its blocks and values are small
   records carrying just what the walk inspects (a type, a terminated flag,
   a leading landing pad), and it adds up the target cost of every emitted
@@ -51,7 +50,6 @@ from ..ir.values import Argument, Constant, GlobalVariable, Value
 from ..targets.cost_model import TargetCostModel
 from .alignment import AlignmentResult, ScoringScheme, align
 from .equivalence import entries_equivalent, types_equivalent
-from .fingerprint import FingerprintDelta
 from .linearizer import LinearEntry, linearize
 
 
@@ -94,18 +92,13 @@ class MergeResult:
         arg_maps: per side, a mapping from original arguments to merged
             arguments.
         alignment: the :class:`AlignmentResult` the merge was generated from.
-        fingerprint_delta: correction the code generator recorded for
-            :meth:`Fingerprint.of_merged` (extra selects / branches / casts
-            and the retyped return operands) - everything the merged body
-            contains beyond the aligned clones.
     """
 
     def __init__(self, merged: Function, function1: Function, function2: Function,
                  func_id: Optional[Argument],
                  arg_map1: Dict[Argument, Argument],
                  arg_map2: Dict[Argument, Argument],
-                 alignment: AlignmentResult,
-                 fingerprint_delta: Optional[FingerprintDelta] = None):
+                 alignment: AlignmentResult):
         self.merged = merged
         self.function1 = function1
         self.function2 = function2
@@ -113,7 +106,6 @@ class MergeResult:
         self.arg_maps: Tuple[Dict[Argument, Argument], Dict[Argument, Argument]] = (
             arg_map1, arg_map2)
         self.alignment = alignment
-        self.fingerprint_delta = fingerprint_delta or FingerprintDelta()
 
     # -- helpers used when rewriting call sites / building thunks ----------------
     def side_of(self, function: Function) -> int:
@@ -294,18 +286,11 @@ def convert_value(value: Value, to_type: ty.Type, block: BasicBlock,
 # ---------------------------------------------------------------------------
 
 class _IRSink:
-    """Builds the merged :class:`Function` the walk describes, recording
-    every instruction it adds beyond the aligned clones in a
-    :class:`FingerprintDelta` for :meth:`Fingerprint.of_merged`."""
+    """Builds the merged :class:`Function` the walk describes."""
 
     def __init__(self, name: str):
         self.name = name
         self.merged: Optional[Function] = None
-        self.fp_delta = FingerprintDelta()
-
-    def _extra(self, inst: Instruction) -> Instruction:
-        self.fp_delta.count(inst)
-        return inst
 
     def begin(self, return_type: ty.Type, param_types: List[ty.Type],
               param_names: List[str]) -> List[Argument]:
@@ -321,7 +306,7 @@ class _IRSink:
         return block.append(original.clone())
 
     def branch(self, block: BasicBlock, *operands: Value) -> None:
-        block.append(self._extra(Branch(*operands)))
+        block.append(Branch(*operands))
 
     def move_to_front(self, block: BasicBlock) -> None:
         blocks = self.merged.blocks
@@ -332,7 +317,7 @@ class _IRSink:
     def dispatch(self, func_id: Value, entry1: BasicBlock,
                  entry2: BasicBlock) -> None:
         dispatch = BasicBlock("entry.dispatch", self.merged)
-        dispatch.append(self._extra(Branch(func_id, entry1, entry2)))
+        dispatch.append(Branch(func_id, entry1, entry2))
         self.merged.blocks.insert(0, dispatch)
 
     def set_operand(self, inst: Instruction, index: int, value: Value) -> None:
@@ -340,13 +325,13 @@ class _IRSink:
 
     def cast(self, opcode: str, value: Value, to_type: ty.Type,
              before: Instruction) -> Value:
-        cast = self._extra(Cast(opcode, value, to_type))
+        cast = Cast(opcode, value, to_type)
         before.parent.insert_before(before, cast)
         return cast
 
     def select(self, cond: Value, v1: Value, v2: Value,
                before: Instruction) -> Value:
-        select = self._extra(Select(cond, v1, v2, name="op.sel"))
+        select = Select(cond, v1, v2, name="op.sel")
         before.parent.insert_before(before, select)
         return select
 
@@ -357,21 +342,14 @@ class _IRSink:
     def hoist_landing_pads(self, router: BasicBlock, block1: BasicBlock,
                            block2: BasicBlock) -> None:
         lp1, lp2 = block1.instructions[0], block2.instructions[0]
-        hoisted = router.append(self._extra(lp1.clone()))
+        hoisted = router.append(lp1.clone())
         for lp, block in ((lp1, block1), (lp2, block2)):
-            self.fp_delta.uncount(lp)
             lp.replace_all_uses_with(hoisted)
             block.remove(lp)
             lp.drop_all_operands()
 
     def add_return_operand(self, ret: Instruction, value: Value) -> None:
         ret.append_operand(value)
-        self.fp_delta.add_operand(value.type)
-
-    def retype_return(self, ret: Instruction, old_type: ty.Type,
-                      value: Value) -> None:
-        ret.set_operand(0, value)
-        self.fp_delta.retype_operand(old_type, value.type)
 
     def abandon(self) -> None:
         """Release the partial body's uses of the originals' values."""
@@ -396,7 +374,7 @@ class _IRSink:
         arg_map2 = {arg: walk.value_map2[id(arg)] for arg in f2.arguments}
         merged.merged_from = (f1.name, f2.name)
         return MergeResult(merged, f1, f2, func_id, arg_map1, arg_map2,
-                           alignment, self.fp_delta)
+                           alignment)
 
 
 class _CostBlock:
@@ -493,9 +471,6 @@ class _CostSink:
         block1.landing_pad = block2.landing_pad = None
 
     def add_return_operand(self, ret, value) -> None:
-        pass
-
-    def retype_return(self, ret, old_type, value) -> None:
         pass
 
     def abandon(self) -> None:
@@ -790,7 +765,7 @@ class MergeCodeGenerator:
         """Convert a returned ``value`` to the merged return type."""
         if value.type != self.return_type:
             converted = self._convert(value, self.return_type, ret)
-            self.sink.retype_return(ret, value.type, converted)
+            self.sink.set_operand(ret, 0, converted)
 
 
 def merge_functions(function1: Function, function2: Function,

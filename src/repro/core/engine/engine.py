@@ -14,11 +14,11 @@ the integer-key kernels (per-cell int compares instead of the structural
 equivalence predicate), codegen costs each
 candidate by running the code generator's decision walk into its counting
 sink - no merged body is built - and only the candidate that will be
-committed is materialized as IR, commits maintain the call graph
-incrementally and merged functions are fingerprinted from their alignment
-columns instead of by rescanning.  The paper's plain loop -
-linear ranking, predicate alignment, a call-graph rebuild and a fingerprint
-rescan per commit - lives on as
+committed is materialized as IR, and commits maintain the call graph
+incrementally.  Like the paper, every merged function is fingerprinted by
+one scan of its body, taken after the commit.  The paper's plain loop -
+linear ranking, predicate alignment, a call-graph rebuild per commit -
+lives on as
 :class:`~repro.core.reference.ReferenceMergingPass`, the oracle the engine is
 tested against and the driver the paper-figure harness times.
 
@@ -50,7 +50,6 @@ from ...passes.pass_manager import Pass
 from ...targets.cost_model import TargetCostModel
 from ...targets.x86_64 import X86_64
 from ..codegen import CodegenError, MergeOptions, merge_functions
-from ..fingerprint import Fingerprint
 from .align_cache import AlignmentCache
 from .base import Stage
 from .plan import CommitEvents, MergePlan, PlanDecision
@@ -112,7 +111,6 @@ class MergeEngine(Pass):
                  alignment_cache: Optional[AlignmentCache] = None,
                  jobs: Optional[int] = None,
                  executor: str = "auto",
-                 verify_fingerprints: Optional[bool] = None,
                  sanitize: Optional[bool] = None):
         """Create the engine.
 
@@ -156,13 +154,6 @@ class MergeEngine(Pass):
                 ``"auto"``/``"serial"`` (see
                 :func:`check_serial_call_shape`); the engine always runs
                 serially.
-            verify_fingerprints: each merged function's fingerprint is
-                computed from the alignment columns plus the codegen delta
-                (:meth:`Fingerprint.of_merged`) instead of rescanning the new
-                body; with this flag every such fingerprint is cross-checked
-                against a from-scratch ``Fingerprint.of`` after each commit
-                (defaults to the ``REPRO_VERIFY_FINGERPRINTS`` environment
-                variable; the test suite turns it on).
             sanitize: run the static-analysis sanitizer (verifier v2 + the
                 merge-correctness linter, :mod:`repro.analysis`) at stage
                 boundaries: after every committed merge and at the end of
@@ -188,9 +179,6 @@ class MergeEngine(Pass):
         self.options = options or MergeOptions()
         self.allow_deletion = allow_deletion
         self.hot_function_filter = hot_function_filter
-        if verify_fingerprints is None:
-            verify_fingerprints = _env_flag("REPRO_VERIFY_FINGERPRINTS")
-        self.verify_fingerprints = verify_fingerprints
         if sanitize is None:
             sanitize = _env_flag("REPRO_SANITIZE")
         self.sanitizer: Optional[Sanitizer] = Sanitizer() if sanitize else None
@@ -336,36 +324,6 @@ class MergeEngine(Pass):
         self.sanitizer.check_merge_cost(function1.name, function2.name,
                                         cost, built)
 
-    def _merged_fingerprint(self, result, applied, fp_merged) -> Fingerprint:
-        """Fingerprint for the just-committed merged function.
-
-        Incremental (the pre-commit :meth:`Fingerprint.of_merged` result),
-        falling back to a body rescan when the commit rewrote the merged
-        body itself (it called one of its own originals, so ``apply_merge``
-        widened call sites inside it and the alignment no longer describes
-        the body).
-        """
-        merged = result.merged
-        if merged.name in applied.rewritten_callers:
-            self.fingerprint.stats.bump("rescans")
-            return Fingerprint.of(merged)
-        fp = fp_merged
-        fp.function_name = merged.name  # apply_merge made the name unique
-        self.fingerprint.stats.bump("incremental")
-        if self.verify_fingerprints:
-            fresh = Fingerprint.of(merged)
-            if (fp.opcode_freq != fresh.opcode_freq
-                    or fp.type_freq != fresh.type_freq
-                    or fp.size != fresh.size):
-                raise AssertionError(
-                    f"incremental fingerprint of {merged.name} diverged from "
-                    f"rescan: opcodes {fp.opcode_freq - fresh.opcode_freq} / "
-                    f"{fresh.opcode_freq - fp.opcode_freq}, types "
-                    f"{fp.type_freq - fresh.type_freq} / "
-                    f"{fresh.type_freq - fp.type_freq}, size "
-                    f"{fp.size} != {fresh.size}")
-        return fp
-
     def _query_key(self, name: str, limit: int) -> tuple:
         """The current candidate ranking of ``name`` in the comparable form
         of :attr:`MergePlan.candidate_key` (a session's memo check)."""
@@ -398,16 +356,6 @@ class MergeEngine(Pass):
                 if self.sanitizer is not None:
                     self.sanitizer.invalidate(caller.name)
 
-        # compute the merged fingerprint *before* the commit: applying the
-        # merge thunks/rewrites the originals' bodies (a deleted original
-        # even drops its operands), while of_merged composes the originals'
-        # live fingerprints with the alignment - both describing exactly
-        # the bodies the plan was computed against
-        fp1 = self.fingerprint.live_fingerprint(result.function1)
-        fp2 = self.fingerprint.live_fingerprint(result.function2)
-        fp_merged = Fingerprint.of_merged(result.alignment, fp1, fp2,
-                                          result.fingerprint_delta)
-
         applied = self.commit.apply(module, result, call_graph)
 
         for name in (name1, name2):
@@ -416,12 +364,11 @@ class MergeEngine(Pass):
             self.linearize.invalidate(name)
             if self.sanitizer is not None:
                 self.sanitizer.invalidate(name)
-        for name in applied.rewritten_callers:
-            self.fingerprint.invalidate_live(name)
 
+        # fingerprinted after the commit, so the scan sees the final body
+        # (call sites the commit rewrote inside it included)
         merged = result.merged
-        self.fingerprint.add_merged(merged, self._merged_fingerprint(
-            result, applied, fp_merged))
+        self.fingerprint.add_merged(merged)
         self._available.add(merged.name)
         self._worklist.append(merged.name)
 

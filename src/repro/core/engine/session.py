@@ -405,8 +405,6 @@ class MergeSession:
     def _unindex(self, name: str) -> None:
         if self._source_fps.pop(name, None) is not None:
             self.engine.fingerprint.remove_function(name)
-        else:
-            self.engine.fingerprint.invalidate_live(name)
 
     # -- the update protocol ----------------------------------------------------
     def update(self, edits: Iterable[ModuleEdit]) -> SessionUpdateReport:
@@ -509,12 +507,10 @@ class MergeSession:
                 transplant_body(source, working, self._working_resolver)
                 graph.add_function(working)
             engine.linearize.invalidate(name)
-            if name in self._source_fps:
+            if name in self._source_fps:  # else not indexed (hot)
                 engine.fingerprint.restore_function(
                     working, self._source_fps[name],
                     order=self._base_order[name])
-            else:  # not indexed (too small / hot): just drop stale state
-                engine.fingerprint.invalidate_live(name)
         if engine.sanitizer is not None:
             for name in merged_names:
                 engine.sanitizer.invalidate(name)

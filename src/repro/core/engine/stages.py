@@ -101,7 +101,9 @@ class FingerprintStage(Stage):
 
     Both react to the same invalidation events - a commit removes exactly the
     two consumed originals and adds the merged function - so the commit path
-    never recomputes summaries of functions a merge did not touch.
+    never recomputes summaries of functions a merge did not touch.  Every
+    fingerprint comes from one scan of the body (:meth:`Fingerprint.of`),
+    the merged function's included.
     """
 
     name = "fingerprint"
@@ -111,17 +113,10 @@ class FingerprintStage(Stage):
         super().__init__()
         self.searcher = searcher
         self.profit_bounds = profit_bounds
-        # fingerprints of the *live* bodies, feeding Fingerprint.of_merged;
-        # unlike the searcher's index (which deliberately keeps ranking
-        # rewritten callers by their original fingerprints) entries here are
-        # dropped whenever a commit rewrites the function's body
-        self._live: Dict[str, Fingerprint] = {}
 
     def _add(self, functions: List[Function]) -> None:
         for function in functions:
-            fp = Fingerprint.of(function)
-            self._live[fp.function_name] = fp
-            self.searcher.add_fingerprint(fp)
+            self.searcher.add_fingerprint(Fingerprint.of(function))
         if self.profit_bounds is not None:
             self.profit_bounds.add_functions(functions)
 
@@ -129,18 +124,10 @@ class FingerprintStage(Stage):
         self.stats.bump("functions", len(functions))
         self.timed(self._add, functions)
 
-    def add_merged(self, function: Function, fp: Fingerprint) -> None:
-        """Index a merged function under a fingerprint computed elsewhere
-        (incrementally via :meth:`Fingerprint.of_merged`, or by rescan)."""
+    def add_merged(self, function: Function) -> None:
+        """Fingerprint and index a just-committed merged function."""
         self.stats.bump("functions")
-
-        def _do() -> None:
-            self._live[function.name] = fp
-            self.searcher.add_fingerprint(fp)
-            if self.profit_bounds is not None:
-                self.profit_bounds.add_function(function)
-
-        self.timed(_do)
+        self.timed(self._add, [function])
 
     def restore_function(self, function: Function, fp: Fingerprint,
                          order: Optional[int] = None) -> None:
@@ -153,32 +140,14 @@ class FingerprintStage(Stage):
         self.stats.bump("functions")
 
         def _do() -> None:
-            self._live[fp.function_name] = fp
             self.searcher.add_fingerprint(fp, order=order)
             if self.profit_bounds is not None:
                 self.profit_bounds.add_function(function)
 
         self.timed(_do)
 
-    def live_fingerprint(self, function: Function) -> Fingerprint:
-        """Fingerprint of the function's *current* body (cached; recomputed
-        after :meth:`invalidate_live`)."""
-        fp = self._live.get(function.name)
-        if fp is None:
-            self.stats.bump("live_refreshed")
-            fp = Fingerprint.of(function)
-            self._live[function.name] = fp
-        return fp
-
-    def invalidate_live(self, name: str) -> None:
-        """A commit rewrote this function's body (call sites widened);
-        its live fingerprint no longer matches and must be recomputed on
-        next use.  The searcher index is deliberately left alone."""
-        self._live.pop(name, None)
-
     def _remove(self, name: str) -> None:
         self.searcher.remove_function(name)
-        self._live.pop(name, None)
         if self.profit_bounds is not None:
             self.profit_bounds.remove_function(name)
 
@@ -199,7 +168,6 @@ class FingerprintStage(Stage):
 
     def clear(self) -> None:
         self.searcher.clear()
-        self._live.clear()
         if self.profit_bounds is not None:
             self.profit_bounds.clear()
 

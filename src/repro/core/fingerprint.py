@@ -25,7 +25,6 @@ from typing import Dict, Iterable, Tuple
 
 from ..ir import types as ty
 from ..ir.function import Function
-from ..ir.instructions import Instruction
 
 
 class Fingerprint:
@@ -62,109 +61,8 @@ class Fingerprint:
                     type_freq[_type_key(op.type)] += 1
         return cls(function.name, opcode_freq, type_freq, size)
 
-    @classmethod
-    def of_merged(cls, alignment, fp1: "Fingerprint", fp2: "Fingerprint",
-                  delta: "FingerprintDelta | None" = None,
-                  name: str = "") -> "Fingerprint":
-        """Fingerprint of a merged function, computed incrementally.
-
-        The merged body consists of (a) one clone per *matched* alignment
-        column, carrying exactly the first original's opcode and types, (b)
-        a clone of the original entry for every gap column, and (c) the
-        extra instructions code generation inserts around them (selects,
-        guard/join/dispatch branches, conversion casts, return fixups).
-        So instead of rescanning the new body::
-
-            fp(merged) = fp1 + fp2
-                       - contribution of the second side of every matched
-                         instruction column      (the alignment part)
-                       + the codegen extras      (``delta``, recorded by
-                         MergeCodeGenerator while it emits them)
-
-        ``delta`` is :attr:`MergeResult.fingerprint_delta`.  The result is
-        element-wise equal to ``Fingerprint.of`` on the merged body (the
-        engine's ``verify_fingerprints`` knob and the test suite check this
-        after every commit); the one case the formula cannot cover - the
-        merged body itself rewritten because it calls one of its own
-        originals - is detected by the engine, which falls back to a rescan.
-        """
-        opcode_freq = Counter(fp1.opcode_freq)
-        opcode_freq.update(fp2.opcode_freq)
-        type_freq = Counter(fp1.type_freq)
-        type_freq.update(fp2.type_freq)
-        size = fp1.size + fp2.size
-        for entry in alignment.entries:
-            if not entry.is_match:
-                continue
-            right = entry.right
-            if not right.is_instruction:
-                continue  # matched labels: blocks contribute nothing
-            inst = right.value
-            size -= 1
-            opcode_freq[inst.opcode] -= 1
-            type_freq[_type_key(inst.type)] -= 1
-            for op in inst.operands:
-                if not op.type.is_label:
-                    type_freq[_type_key(op.type)] -= 1
-        if delta is not None:
-            opcode_freq.update(delta.opcode_freq)
-            type_freq.update(delta.type_freq)
-            size += delta.size
-        # Fingerprint.of never stores non-positive counts; drop the keys the
-        # subtraction zeroed so element-wise equality holds
-        opcode_freq = Counter({k: v for k, v in opcode_freq.items() if v > 0})
-        type_freq = Counter({k: v for k, v in type_freq.items() if v > 0})
-        return cls(name, opcode_freq, type_freq, size)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Fingerprint {self.function_name} ({self.size} insts)>"
-
-
-class FingerprintDelta:
-    """Running fingerprint correction recorded during code generation.
-
-    :class:`~repro.core.codegen.MergeCodeGenerator` feeds it every
-    instruction it emits beyond the aligned clones (and the few places it
-    retypes a clone's operand), so :meth:`Fingerprint.of_merged` can account
-    for them without walking the merged body.  Counters may carry negative
-    values (e.g. a landing pad removed by hoisting); they cancel against the
-    base ``fp1 + fp2`` sum.
-    """
-
-    __slots__ = ("opcode_freq", "type_freq", "size")
-
-    def __init__(self):
-        self.opcode_freq: Counter = Counter()
-        self.type_freq: Counter = Counter()
-        self.size = 0
-
-    def _count(self, inst: Instruction, sign: int) -> None:
-        self.size += sign
-        self.opcode_freq[inst.opcode] += sign
-        self.type_freq[_type_key(inst.type)] += sign
-        for op in inst.operands:
-            if not op.type.is_label:
-                self.type_freq[_type_key(op.type)] += sign
-
-    def count(self, inst: Instruction) -> None:
-        """An extra instruction was inserted into the merged body."""
-        self._count(inst, +1)
-
-    def uncount(self, inst: Instruction) -> None:
-        """An already-accounted instruction was removed from the body."""
-        self._count(inst, -1)
-
-    def retype_operand(self, old_type, new_type) -> None:
-        """A clone's operand was replaced by a value of another type."""
-        old_key, new_key = _type_key(old_type), _type_key(new_type)
-        if old_key != new_key:
-            self.type_freq[old_key] -= 1
-            self.type_freq[new_key] += 1
-
-    def add_operand(self, vtype) -> None:
-        """An operand was appended to a clone (void-return fixup)."""
-        if not vtype.is_label:
-            self.type_freq[_type_key(vtype)] += 1
 
 
 def _type_key(vtype: ty.Type) -> Tuple:

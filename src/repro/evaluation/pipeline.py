@@ -177,8 +177,10 @@ def open_compile_session(module: Module, *,
     cache.  ``jobs`` and ``executor`` accept only ``None``/``1`` and
     ``"auto"``/``"serial"``: merging is serial, and the two parameters
     remain only for callers that pin that configuration explicitly.  The
-    ``REPRO_*`` environment variables (sanitizer, fault plan, kernel)
-    reach the session's engine as they reach any other.
+    five ``REPRO_*`` environment variables (``REPRO_SANITIZE``,
+    ``REPRO_FAULTS``, ``REPRO_ALIGN_KERNEL``, ``REPRO_NATIVE`` and
+    ``REPRO_NATIVE_BUILD_DIR``) reach the session's engine as they reach
+    any other.
     """
     check_serial_call_shape(jobs, executor)
     DeadCodeElimination().run(module)
@@ -239,7 +241,10 @@ def compile_module(module: Module, technique: str, *,
 
     Fault injection (:mod:`repro.resilience`) is armed around the call
     with :func:`~repro.resilience.active_faults`, or by the
-    ``REPRO_FAULTS`` environment variable.
+    ``REPRO_FAULTS`` environment variable.  With ``REPRO_SANITIZE``, the
+    other environment variables a fresh pass reads are
+    ``REPRO_ALIGN_KERNEL`` (when ``alignment_kernel`` is None),
+    ``REPRO_NATIVE`` and ``REPRO_NATIVE_BUILD_DIR`` (the native kernel).
     """
     check_serial_call_shape(jobs, executor)
     cost_model = get_target(target)

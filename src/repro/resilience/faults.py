@@ -12,8 +12,8 @@ lets the chaos harness shrink failures to a seed.
 Zero overhead when disabled: :func:`fault_point` and
 :func:`fault_triggered` first test a module-level ``_ACTIVE is None`` guard
 and return immediately - one attribute load and one ``is`` test on every
-production call, nothing else (the ``benchmarks/ci_resilience.py`` tripwire
-holds the end-to-end cost under 1.05x).
+production call, nothing else (``benchmarks/ci_resilience.py`` bounds
+how often a run consults each site by the work that site guards).
 
 Plans are **picklable** (the per-site RNGs and counters cross a pickle
 boundary intact; the installation lock is rebuilt on unpickle).
